@@ -43,6 +43,7 @@ from .stats import (
     col_residues,
     compare,
     des_set,
+    distribution,
     fmaj_prime,
     inversions,
     order_key,

@@ -13,19 +13,12 @@ import csv
 import io
 import json
 import sys
-from collections import Counter
 
 from . import identities
 from .bijections import bipartite_from_tuple, nvec_decode, nvec_encode, order_involution
-from .groups import (
-    enumerate_elements,
-    format_window,
-    make_group,
-    parse_group,
-    parse_window,
-)
+from .groups import format_window, make_group, parse_group, parse_window
 from .rsk import rs_correspondence, rs_transpose_map, tableau_descents
-from .stats import bn_descent_split, des_set, stat_record
+from .stats import bn_descent_split, des_set, distribution, stat_record
 
 VERIFIERS = {
     "character-fmaj": lambda a, budget: identities.verify_character_fmaj(
@@ -103,10 +96,7 @@ def cmd_stats(args) -> int:
         rows = [(k, json.dumps(v) if isinstance(v, list) else v) for k, v in rec.items()]
         _emit(args, payload, rows, ("stat", "value"))
         return 0
-    hist = Counter()
-    for g in enumerate_elements(group, budget):
-        rec = stat_record(g)
-        hist[(rec.des, rec.fmaj, rec.col)] += 1
+    hist = distribution(group, ("des", "fmaj", "col"), budget)
     rows = [(d, f, c, cnt) for (d, f, c), cnt in sorted(hist.items())]
     payload = {
         "group": str(group),

@@ -208,36 +208,38 @@ def enumeration_budget() -> int:
         raise ValueError(f"{BUDGET_ENV_VAR} must be an integer, got {raw!r}") from None
 
 
-def enumerate_elements(
-    group: GroupDescriptor,
-    budget: int | None = None,
-    sigma_range: tuple[int, int] | None = None,
-):
-    """Yield every element of the group exactly once, in a fixed order.
-
-    The order is lexicographic by the one-line form of sigma and then by the
-    color vector of the canonical lift, so output is stable across runs and
-    the stream can be partitioned for parallel reduction: ``sigma_range``
-    restricts to a half-open slice of the n! underlying permutations, and
-    disjoint slices yield disjoint element sets.
-    """
+def check_budget(group: GroupDescriptor, budget: int | None = None) -> None:
+    """Refuse a group whose order exceeds the budget (default: the
+    ``PROJSTAT_BUDGET`` environment variable, else 10^6)."""
     if budget is None:
         budget = enumeration_budget()
     if group.order > budget:
         raise BudgetExceededError(group.order, budget)
+
+
+def canonical_windows(group: GroupDescriptor):
+    """Yield the canonical lift of every element as raw (sigma, colors) tuples.
+
+    The order is lexicographic by the one-line form of sigma and then by the
+    color vector, so output is stable across runs.  No budget check: callers
+    run :func:`check_budget` first.
+    """
     r, p, s, n = group.r, group.p, group.s, group.n
     rs = r // s
-    perms = itertools.permutations(range(1, n + 1))
-    if sigma_range is not None:
-        perms = itertools.islice(perms, sigma_range[0], sigma_range[1])
-    for sigma in perms:
+    for sigma in itertools.permutations(range(1, n + 1)):
         for prefix in itertools.product(range(r), repeat=n - 1):
             sp = sum(prefix)
             for cn in range(rs):
                 if (sp + cn) % p == 0:
-                    yield ProjectiveElement(
-                        group, ColoredPermutation(sigma, prefix + (cn,))
-                    )
+                    yield sigma, prefix + (cn,)
+
+
+def enumerate_elements(group: GroupDescriptor, budget: int | None = None):
+    """Yield every element of the group exactly once, in the fixed order of
+    :func:`canonical_windows`."""
+    check_budget(group, budget)
+    for sigma, colors in canonical_windows(group):
+        yield ProjectiveElement(group, ColoredPermutation(sigma, colors))
 
 
 def parse_group(text: str) -> GroupDescriptor:

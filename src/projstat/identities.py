@@ -19,7 +19,6 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
@@ -32,13 +31,12 @@ from .groups import (
     enumerate_elements,
     enumeration_budget,
     format_window,
-    inverse,
     lifts,
     make_group,
     residue,
 )
 from .series import RegionError, TruncatedSeries, equal_on, geom_inverse, q_bracket
-from .stats import inversions, stat_record
+from .stats import distribution, inversions, stat_record
 
 MATCH = "MATCH"
 MISMATCH = "MISMATCH"
@@ -123,13 +121,8 @@ def _finish(name, params, region, ok, mismatch, count, started, notes=()):
 
 @lru_cache(maxsize=64)
 def _character_counts(group: GroupDescriptor, budget: int):
-    """fmaj histogram per (parity of inv|g|, color class mod r)."""
-    counts: dict[tuple[int, int], Counter] = {}
-    for g in enumerate_elements(group, budget):
-        rec = stat_record(g)
-        key = (rec.invAbs & 1, rec.colorClass)
-        counts.setdefault(key, Counter())[rec.fmaj] += 1
-    return counts
+    """Histogram of (sign of |g|, color class mod r, fmaj)."""
+    return distribution(group, ("signAbs", "colorClass", "fmaj"), budget)
 
 
 def verify_character_fmaj(
@@ -160,16 +153,14 @@ def verify_character_fmaj(
         + p * (n * r // (p * s) - 1)
         + n * (p - 1)
     )
-    max_fmaj = max((max(c) for c in counts.values()), default=0)
+    max_fmaj = max((fmaj for _, _, fmaj in counts), default=0)
     caps = {"q": max(deg_bound, max_fmaj)}
     vars_ = ("q",)
 
     lhs_terms: dict[tuple[int, ...], object] = {}
-    for (parity, cclass), counter in counts.items():
-        scalar = zeta_pow(r, k * cclass) * (eps**parity)
-        for fmaj, cnt in counter.items():
-            key = (fmaj,)
-            lhs_terms[key] = lhs_terms.get(key, 0) + scalar * cnt
+    for (sign, cclass, fmaj), cnt in counts.items():
+        scalar = zeta_pow(r, k * cclass) * (sign if eps == -1 else 1)
+        lhs_terms[(fmaj,)] = lhs_terms.get((fmaj,), 0) + scalar * cnt
     lhs = TruncatedSeries(vars_, caps, lhs_terms)
 
     def bracket(length: int, scalar, qexp: int) -> TruncatedSeries:
@@ -258,17 +249,17 @@ def verify_signed_wreath(r: int, n: int, budget: int | None = None) -> Verificat
     subset checked against its own closed form along the way."""
     started = time.perf_counter()
     group = make_group(r, 1, 1, n)
-    main = Counter()
-    u_hist = Counter()
-    for g in enumerate_elements(group, budget):
-        rec = stat_record(g)
-        main[rec.fmaj] += rec.signAbs
-        if rec.desA == 0:
-            u_hist[rec.col] += rec.signAbs
+    main: dict[tuple[int], int] = {}
+    u_hist: dict[tuple[int], int] = {}
+    hist = distribution(group, ("fmaj", "col", "desA", "signAbs"), budget)
+    for (fmaj, col, des_a, sign), cnt in hist.items():
+        main[(fmaj,)] = main.get((fmaj,), 0) + sign * cnt
+        if des_a == 0:
+            u_hist[(col,)] = u_hist.get((col,), 0) + sign * cnt
 
     caps = {"q": max(2, r * n * (n + 1) // 2)}
     vars_ = ("q",)
-    lhs = TruncatedSeries(vars_, caps, {(f,): c for f, c in main.items()})
+    lhs = TruncatedSeries(vars_, caps, main)
     rhs = TruncatedSeries.one(vars_, caps)
     for i in range(1, n + 1):
         base = TruncatedSeries.monomial(vars_, caps, {"q": 1}, (-1) ** (i - 1))
@@ -276,7 +267,7 @@ def verify_signed_wreath(r: int, n: int, budget: int | None = None) -> Verificat
     ok_main, mism_main = equal_on(lhs, rhs)
 
     m = n // 2
-    u_lhs = TruncatedSeries(vars_, caps, {(c,): v for c, v in u_hist.items()})
+    u_lhs = TruncatedSeries(vars_, caps, u_hist)
     q1 = TruncatedSeries.monomial(vars_, caps, {"q": 1})
     q2 = TruncatedSeries.monomial(vars_, caps, {"q": 2})
     u_rhs = q_bracket(r, q2) ** m
@@ -345,15 +336,6 @@ def verify_lift_identity(r: int, s: int, n: int, budget: int | None = None) -> V
 # ----------------------------------------------------------------------
 # Carlitz identities
 
-def _distribution(group: GroupDescriptor, keys, budget):
-    """Histogram of a tuple of statistics over the whole group."""
-    hist = Counter()
-    for g in enumerate_elements(group, budget):
-        rec = stat_record(g)
-        hist[tuple(getattr(rec, k) for k in keys)] += 1
-    return hist
-
-
 def verify_carlitz_des(
     r: int,
     p: int,
@@ -400,8 +382,7 @@ def verify_carlitz_des(
         lhs = lhs + mono(t=k) * inner**n
     lhs = lhs.extract_multiples({"q": p})
 
-    hist = _distribution(group, ("des", "fmaj", "col"), budget)
-    rhs = TruncatedSeries(vars_, caps, {key: c for key, c in hist.items()})
+    rhs = TruncatedSeries(vars_, caps, distribution(group, ("des", "fmaj", "col"), budget))
     rhs = rhs * _geom(vars_, caps, t=1)
     for j in range(1, n):
         rhs = rhs * _geom(vars_, caps, t=s, q=j * r)
@@ -459,8 +440,7 @@ def verify_carlitz_fdes(
         lhs = lhs + mono(t=k) * q_bracket(k + 1, q1) ** n
     lhs = lhs.extract_multiples({"q": p})
 
-    hist = _distribution(group, ("fdes", "fmaj"), budget)
-    rhs = TruncatedSeries(vars_, caps, {key: c for key, c in hist.items()})
+    rhs = TruncatedSeries(vars_, caps, distribution(group, ("fdes", "fmaj"), budget))
     rhs = rhs * _geom(vars_, caps, t=1)
     for j in range(1, n):
         rhs = rhs * _geom(vars_, caps, t=r, q=j * r)
@@ -536,8 +516,7 @@ def verify_fdes_trivariate(
         lhs = lhs + mono(t=k) * closed**n
     lhs = lhs.extract_multiples({"q": p})
 
-    hist = _distribution(group, ("fdes", "fmaj", "col"), budget)
-    rhs = TruncatedSeries(vars_, caps, {key: c for key, c in hist.items()})
+    rhs = TruncatedSeries(vars_, caps, distribution(group, ("fdes", "fmaj", "col"), budget))
     rhs = rhs * _geom(vars_, caps, t=1)
     for j in range(1, n):
         rhs = rhs * _geom(vars_, caps, t=r, q=j * r)
@@ -642,14 +621,12 @@ def verify_six_stats(
         else:
             group = make_group(r, p, s, rank)
             count += group.order
-            hist = Counter()
-            for g in enumerate_elements(group, budget):
-                rec = stat_record(g)
-                irec = stat_record(inverse(g))
-                hist[
-                    (rank, rec.des, irec.des, rec.fmaj, irec.fmaj, rec.col, irec.col)
-                ] += 1
-            term = TruncatedSeries(vars_, caps, {key: c for key, c in hist.items()})
+            hist = distribution(
+                group, ("des", "ides", "fmaj", "ifmaj", "col", "icol"), budget
+            )
+            term = TruncatedSeries(
+                vars_, caps, {(rank, *key): c for key, c in hist.items()}
+            )
             term = term * _geom(vars_, caps, t1=1) * _geom(vars_, caps, t2=1)
             term = term * _geom(vars_, caps, t1=1, q1=rank * rs)
             term = term * _geom(vars_, caps, t2=1, q2=rank * rs)
@@ -736,10 +713,10 @@ def verify_hilbert(
             else:
                 group = make_group(r, pp, ss, rank)
                 count += group.order
-                hist = Counter()
-                for g in enumerate_elements(group, budget):
-                    hist[(rank, stat_record(g).fmaj, stat_record(inverse(g)).fmaj)] += 1
-                term = TruncatedSeries(vars_, caps, {key: c for key, c in hist.items()})
+                hist = distribution(group, ("fmaj", "ifmaj"), budget)
+                term = TruncatedSeries(
+                    vars_, caps, {(rank, *key): c for key, c in hist.items()}
+                )
                 term = term * _geom(vars_, caps, q1=rank * rss)
                 term = term * _geom(vars_, caps, q2=rank * rss)
                 for j in range(1, rank):

@@ -26,9 +26,17 @@ col = sum of R_{r/s}(c_i).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from operator import itemgetter
 
-from .groups import ProjectiveElement, residue
+from .groups import (
+    GroupDescriptor,
+    ProjectiveElement,
+    canonical_windows,
+    check_budget,
+    residue,
+)
 
 COLOR = "COLOR"
 PRIME = "PRIME"
@@ -190,6 +198,167 @@ def stat_record(g: ProjectiveElement) -> StatRecord:
         lam=lam,
         colorClass=residue(sum(colors), r),
     )
+
+
+# ----------------------------------------------------------------------
+# histograms over a whole group
+
+# Scalar StatRecord fields that distribution() can histogram, and the
+# statistics of g^-1 it can pair with them.
+DISTRIBUTION_KEYS = ("des", "fdes", "fmaj", "col", "desA", "invAbs", "signAbs", "colorClass")
+INVERSE_KEYS = {"ides": "des", "ifmaj": "fmaj", "icol": "col"}
+
+# A leaf record is (lambda_1, fmaj, col, desA, inv|g|, color sum); a record
+# of the inverse path appends the record of g^-1 at this offset.
+_RECORD_INDEX = {"fdes": 0, "fmaj": 1, "col": 2, "desA": 3, "invAbs": 4}
+_INVERSE_OFFSET = 6
+
+
+def _field(key: str, r: int, s: int):
+    """The function taking a record to the value of one statistic."""
+    off = 0
+    if key in INVERSE_KEYS:
+        key, off = INVERSE_KEYS[key], _INVERSE_OFFSET
+    if key == "des":
+        return lambda rec: (s * rec[off] + r - s) // r
+    if key == "signAbs":
+        return lambda rec: -1 if rec[off + 4] & 1 else 1
+    if key == "colorClass":
+        return lambda rec: rec[off + 5] % r
+    return itemgetter(off + _RECORD_INDEX[key])
+
+
+def _walk(group: GroupDescriptor) -> dict[tuple, int]:
+    """Leaf records of every canonical window, filled in right to left.
+
+    A node knows the used values and its right neighbour (v, c), so h_i,
+    k_i, lambda_i, desA and the inversions of the new entry against the
+    placed ones each take O(1).  A sentinel neighbour (n+1, 0) right of the
+    last position makes it fit the same recurrences: h_n = 0 and
+    k_n = R_r(c_n - 0) = c_n, because c_n < r/s.
+    """
+    r, p, s, n = group.r, group.p, group.s, group.n
+    rs = r // s
+    full = (1 << (n + 1)) - 2
+    # rank in the color order: colored values by color descending, then value
+    rank = [[(r - c if c else r) * (n + 1) + v for c in range(r)] for v in range(n + 1)]
+    leaves: dict[tuple, int] = {}
+
+    def place(i, used, v1, c1, rank1, h, k, fmaj, col, csum, inv, des_a):
+        colors = range(rs) if i == n - 1 else range(r)
+        if i == 0:
+            # one value is left, so all v-1 smaller ones lie to its right
+            v = (full ^ used).bit_length() - 1
+            inv += v - 1
+            hdes = v > v1
+            rank0 = rank[v]
+            for c in colors:
+                if (csum + c) % p:
+                    continue
+                lam = r * (h + (hdes and c == c1)) + k + (c - c1) % r
+                rec = (lam, fmaj + lam, col + c % rs, des_a + (rank0[c] > rank1), inv, csum + c)
+                leaves[rec] = leaves.get(rec, 0) + 1
+            return
+        for v in range(1, n + 1):
+            bit = 1 << v
+            if used & bit:
+                continue
+            inv_v = inv + (used & (bit - 1)).bit_count()
+            hdes = v > v1
+            rank_v = rank[v]
+            for c in colors:
+                h_c = h + (hdes and c == c1)
+                k_c = k + (c - c1) % r
+                place(
+                    i - 1, used | bit, v, c, rank_v[c], h_c, k_c,
+                    fmaj + r * h_c + k_c, col + c % rs, csum + c,
+                    inv_v, des_a + (rank_v[c] > rank1),
+                )
+
+    place(n - 1, 0, n + 1, 0, (r + 1) * (n + 1), 0, 0, 0, 0, 0, 0, 0)
+    return leaves
+
+
+def _window_record(sigma, colors, r: int, rs: int) -> tuple:
+    """The leaf record of one window, by the same recurrences as the walk.
+
+    The window need not be the canonical lift: k_n = R_{r/s}(c_n) and the
+    differences R_r(c_i - c_{i+1}) do not see a global shift by r/s.
+    """
+    v1, c1 = sigma[-1], colors[-1]
+    h, k = 0, c1 % rs
+    fmaj, col, csum, des_a, inv, used = k, k, c1, 0, 0, 1 << v1
+    for v, c in zip(reversed(sigma[:-1]), reversed(colors[:-1])):
+        if c == c1 and v > v1:
+            h += 1
+        k += (c - c1) % r
+        fmaj += r * h + k
+        col += c % rs
+        csum += c
+        des_a += _key_color(v, c) > _key_color(v1, c1)
+        inv += (used & ((1 << v) - 1)).bit_count()
+        used |= 1 << v
+        v1, c1 = v, c
+    return (r * h + k, fmaj, col, des_a, inv, csum)
+
+
+def _with_inverse(group: GroupDescriptor) -> Counter:
+    """Records of g followed by records of g^-1, one window at a time."""
+    r, rs = group.r, group.r // group.s
+    records = Counter()
+    for sigma, colors in canonical_windows(group):
+        pos = sorted(range(len(sigma)), key=sigma.__getitem__)
+        inv_sigma = tuple(i + 1 for i in pos)
+        inv_colors = tuple(-colors[i] % r for i in pos)
+        records[
+            _window_record(sigma, colors, r, rs)
+            + _window_record(inv_sigma, inv_colors, r, rs)
+        ] += 1
+    return records
+
+
+def distribution(group: GroupDescriptor, keys, budget: int | None = None) -> Counter:
+    """Histogram of the named statistics over the whole group.
+
+    Maps each tuple of values of ``keys`` to the number of elements that
+    take it.  ``keys`` are scalar :class:`StatRecord` fields from
+    :data:`DISTRIBUTION_KEYS`, or ``ides``/``ifmaj``/``icol`` for des, fmaj
+    and col of g^-1.  The result equals the histogram of
+    :func:`stat_record` over :func:`enumerate_elements`, which stays the
+    reference definition.
+
+    Without inverse keys no element is built: windows are filled right to
+    left, which works because h_i, k_i and lambda_i are suffix recurrences,
+
+        h_i = h_{i+1} + [c_i = c_{i+1} and sigma_i > sigma_{i+1}],
+        k_i = k_{i+1} + R_r(c_i - c_{i+1}),   k_n = R_{r/s}(c_n),
+        lambda_i = r*h_i + k_i,   fmaj = sum of lambda_i,
+
+    so each node of the walk extends the suffix statistics in O(1).  The
+    last position takes colors below r/s and the first only those making
+    the color sum divisible by p.  Inverse keys need g^-1, which has no
+    such recurrence; they take one pass per element over raw windows.
+
+    Raises ValueError for any other key, and BudgetExceededError (before
+    any work) when the group order exceeds the budget.
+    """
+    keys = tuple(keys)
+    for key in keys:
+        if key not in DISTRIBUTION_KEYS and key not in INVERSE_KEYS:
+            raise ValueError(
+                f"no histogram for statistic {key!r}; have "
+                f"{', '.join(DISTRIBUTION_KEYS + tuple(INVERSE_KEYS))}"
+            )
+    check_budget(group, budget)
+    if any(key in INVERSE_KEYS for key in keys):
+        records = _with_inverse(group)
+    else:
+        records = _walk(group)
+    fields = [_field(key, group.r, group.s) for key in keys]
+    hist = Counter()
+    for rec, count in records.items():
+        hist[tuple(f(rec) for f in fields)] += count
+    return hist
 
 
 def fmaj_prime(g: ProjectiveElement) -> int:

@@ -1,0 +1,148 @@
+"""stats.distribution against its reference definition, and its test seam.
+
+The reference histogram of a key tuple is built from enumerate_elements and
+stat_record (of g, and of inverse(g) for the inverse keys), exactly as the
+verifiers built it before they used distribution.
+"""
+
+import json
+import math
+from collections import Counter
+
+import pytest
+
+from projstat import cli, identities, stats
+from projstat.groups import (
+    BUDGET_ENV_VAR,
+    BudgetExceededError,
+    enumerate_elements,
+    inverse,
+    make_group,
+)
+from projstat.stats import distribution, stat_record
+
+# every key tuple a verifier or the CLI asks for, then all keys at once
+KEY_TUPLES = [
+    ("signAbs", "colorClass", "fmaj"),  # character-fmaj
+    ("fmaj", "col", "desA", "signAbs"),  # signed-wreath
+    ("des", "fmaj", "col"),  # carlitz-des, projstat stats --dist
+    ("fdes", "fmaj"),  # carlitz-fdes
+    ("fdes", "fmaj", "col"),  # fdes-trivariate
+    ("des", "ides", "fmaj", "ifmaj", "col", "icol"),  # six-stats
+    ("fmaj", "ifmaj"),  # hilbert
+    stats.DISTRIBUTION_KEYS,
+    stats.DISTRIBUTION_KEYS + tuple(stats.INVERSE_KEYS),
+]
+
+
+def _admissible_groups(rmax: int, max_order: int):
+    out = []
+    for r in range(1, rmax + 1):
+        divisors = [d for d in range(1, r + 1) if r % d == 0]
+        n = 1
+        # the smallest quotient of rank n has order r^n n! / r^2
+        while r**n * math.factorial(n) <= max_order * r * r:
+            for p in divisors:
+                for s in divisors:
+                    if (r * n) % (p * s) == 0:
+                        group = make_group(r, p, s, n)
+                        if group.order <= max_order:
+                            out.append(group)
+            n += 1
+    return out
+
+
+GROUPS = _admissible_groups(6, 10**4)
+
+
+def test_parity_grid_size():
+    assert len(GROUPS) == 119
+    assert sum(g.order for g in GROUPS) == 103_278
+
+
+def _value(rec, irec, key):
+    if key in stats.INVERSE_KEYS:
+        return getattr(irec, stats.INVERSE_KEYS[key])
+    return getattr(rec, key)
+
+
+@pytest.mark.parametrize("group", GROUPS, ids=str)
+def test_distribution_matches_stat_record(group):
+    records = [(stat_record(g), stat_record(inverse(g))) for g in enumerate_elements(group)]
+    for keys in KEY_TUPLES:
+        reference = Counter(
+            tuple(_value(rec, irec, key) for key in keys) for rec, irec in records
+        )
+        assert distribution(group, keys) == reference, keys
+
+
+def _refuse_work(*args):
+    raise AssertionError("distribution did work past the budget")
+
+
+@pytest.mark.parametrize("keys", [("des", "fmaj", "col"), ("fmaj", "ifmaj")])
+def test_budget_refused_before_any_work(monkeypatch, keys):
+    group = make_group(3, 1, 1, 4)
+    monkeypatch.setenv(BUDGET_ENV_VAR, str(group.order - 1))
+    # an explicit budget overrides the environment, as for enumerate_elements
+    assert sum(distribution(group, keys, budget=group.order).values()) == group.order
+    monkeypatch.setattr(stats, "_walk", _refuse_work)
+    monkeypatch.setattr(stats, "canonical_windows", _refuse_work)
+    with pytest.raises(BudgetExceededError):
+        distribution(group, keys)
+    with pytest.raises(BudgetExceededError) as exc:
+        distribution(group, keys, budget=group.order - 1)
+    assert (exc.value.order, exc.value.budget) == (group.order, group.order - 1)
+
+
+def test_unknown_key_refused():
+    with pytest.raises(ValueError, match="maj"):
+        distribution(make_group(2, 1, 1, 2), ("des", "maj"))
+    with pytest.raises(ValueError, match="icolorClass"):
+        distribution(make_group(2, 1, 1, 2), ("icolorClass",))
+
+
+# ----------------------------------------------------------------------
+# negative controls: a wrong histogram must show in the verdict
+
+def _shifted(real):
+    """distribution, with one element moved from the smallest key to the key
+    one higher in its last statistic."""
+
+    def perturbed(group, keys, budget=None):
+        hist = real(group, keys, budget)
+        first = min(hist)
+        hist[first] -= 1
+        hist[first[:-1] + (first[-1] + 1,)] += 1
+        return +hist
+
+    return perturbed
+
+
+def test_carlitz_des_reports_mismatch_on_shifted_histogram(monkeypatch):
+    assert identities.verify_carlitz_des(2, 1, 1, 3, tmax=4, qmax=4).matched
+    monkeypatch.setattr(identities, "distribution", _shifted(distribution))
+    report = identities.verify_carlitz_des(2, 1, 1, 3, tmax=4, qmax=4)
+    assert report.outcome == identities.MISMATCH
+    # the identity element (des, fmaj, col) = (0, 0, 0) moved to (0, 0, 1)
+    # (the monomial lists nonzero exponents only: this is the constant term)
+    assert report.first_mismatch == {"monomial": {}, "lhs": 1, "rhs": 0}
+
+
+def _cli_histogram(capsys, group_text):
+    assert cli.main(["stats", group_text, "--dist", "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    return Counter(
+        {(row["des"], row["fmaj"], row["col"]): row["count"] for row in payload["distribution"]}
+    )
+
+
+def test_stats_dist_departs_from_reference_on_shifted_histogram(monkeypatch, capsys):
+    group = make_group(3, 1, 1, 3)
+    reference = Counter()
+    for g in enumerate_elements(group):
+        rec = stat_record(g)
+        reference[rec.des, rec.fmaj, rec.col] += 1
+    assert _cli_histogram(capsys, str(group)) == reference
+    monkeypatch.setattr(cli, "distribution", _shifted(distribution))
+    assert _cli_histogram(capsys, str(group)) != reference

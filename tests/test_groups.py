@@ -250,15 +250,6 @@ def test_enumerate_budget_env(monkeypatch):
         next(enumerate_elements(make_group(2, 1, 1, 2)))
 
 
-def test_enumerate_sigma_range_partitions_stream():
-    G = make_group(2, 1, 1, 3)
-    whole = list(enumerate_elements(G))
-    pieces = []
-    for lo, hi in ((0, 2), (2, 5), (5, 6)):
-        pieces.extend(enumerate_elements(G, sigma_range=(lo, hi)))
-    assert pieces == whole
-
-
 def test_group_mismatch():
     a = identity(make_group(2, 1, 1, 2))
     b = identity(make_group(2, 2, 1, 2))
