@@ -4,54 +4,27 @@ Exit codes are a contract: 0 for MATCH / success, 1 for MISMATCH,
 2 for usage or runtime errors.  ``--json`` output carries ``schema: 1``.
 The enumeration budget defaults to 10^6 elements and can be overridden
 with the PROJSTAT_BUDGET environment variable or --budget.
+
+``verify`` is built from the verifier signatures in ``identities.VERIFIERS``:
+each parameter is a flag (``--caps`` is another name for ``--qmax``), each
+default comes from the signature, a parameter without one is required, and
+a flag the chosen verifier does not take is refused.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import inspect
 import io
 import json
 import sys
 
-from . import identities
 from .bijections import bipartite_from_tuple, nvec_decode, nvec_encode, order_involution
 from .groups import format_window, make_group, parse_group, parse_window
+from .identities import VERIFIERS
 from .rsk import rs_correspondence, rs_transpose_map, tableau_descents
 from .stats import bn_descent_split, des_set, distribution, stat_record
-
-VERIFIERS = {
-    "character-fmaj": lambda a, budget: identities.verify_character_fmaj(
-        a.r, a.p, a.s, a.n, a.eps, a.k, budget
-    ),
-    "signed-multinomial": lambda a, budget: identities.verify_signed_multinomial(
-        a.n, _int_list(a.parts)
-    ),
-    "signed-wreath": lambda a, budget: identities.verify_signed_wreath(a.r, a.n, budget),
-    "lift": lambda a, budget: identities.verify_lift_identity(a.r, a.s, a.n, budget),
-    "carlitz-des": lambda a, budget: identities.verify_carlitz_des(
-        a.r, a.p, a.s, a.n, a.tmax, _cap(a, "qmax"), a.amax, budget
-    ),
-    "carlitz-fdes": lambda a, budget: identities.verify_carlitz_fdes(
-        a.r, a.p, a.s, a.n, a.tmax, _cap(a, "qmax"), budget
-    ),
-    "fdes-trivariate": lambda a, budget: identities.verify_fdes_trivariate(
-        a.r, a.p, a.s, a.n, a.tmax, _cap(a, "qmax"), a.amax, budget
-    ),
-    "six-stats": lambda a, budget: identities.verify_six_stats(
-        a.r, a.p, a.s, a.nmax, a.tmax, _cap(a, "qmax", 8), a.umax, budget
-    ),
-    "hilbert": lambda a, budget: identities.verify_hilbert(
-        a.r, a.p, a.s, a.nmax, _cap(a, "qmax"), budget
-    ),
-}
-
-
-def _cap(args, name, fallback=6):
-    value = getattr(args, name, None)
-    if value is not None:
-        return value
-    return args.caps if args.caps is not None else fallback
 
 
 def _int_list(text: str) -> tuple[int, ...]:
@@ -75,13 +48,13 @@ def _emit_csv(rows: list[tuple], header: tuple) -> str:
     return buf.getvalue().rstrip("\n")
 
 
-def _emit(args, payload: dict, rows: list[tuple], header: tuple) -> None:
+def _emit(args, payload: dict, rows: list[tuple], header: tuple, table_header=True) -> None:
     if args.format == "json":
         print(json.dumps({"schema": 1, **payload}, sort_keys=True))
     elif args.format == "csv":
         print(_emit_csv(rows, header))
     else:
-        print(_emit_table(rows, header))
+        print(_emit_table(rows, header if table_header else None))
 
 
 def cmd_stats(args) -> int:
@@ -108,33 +81,44 @@ def cmd_stats(args) -> int:
     return 0
 
 
+def _verify_flags() -> dict:
+    """Every verifier parameter but ``budget``: the flags of ``verify``."""
+    return dict.fromkeys(
+        name
+        for verifier in VERIFIERS.values()
+        for name in inspect.signature(verifier).parameters
+        if name != "budget"
+    )
+
+
 def cmd_verify(args) -> int:
     if args.json:
         args.format = "json"
-    for name in ("tmax", "qmax", "amax", "umax", "caps"):
-        value = getattr(args, name, None)
-        if value is not None and value < 1:
+    params = inspect.signature(VERIFIERS[args.identity]).parameters
+    kwargs = {n: getattr(args, n) for n in _verify_flags() if getattr(args, n) is not None}
+    for name, value in kwargs.items():
+        if name not in params:
+            raise ValueError(f"{args.identity} takes no --{name}")
+        if name in ("tmax", "qmax", "amax", "umax") and value < 1:
             raise ValueError(f"--{name} must be positive, got {value}")
-    report = VERIFIERS[args.identity](args, args.budget)
-    if args.format == "json":
-        print(json.dumps(report.to_json(), sort_keys=True))
-    else:
-        rows = [
-            ("identity", report.identity),
-            ("params", json.dumps(report.params, sort_keys=True)),
-            ("region", json.dumps(report.region, sort_keys=True)),
-            ("outcome", report.outcome),
-            ("count", report.element_count),
-            ("millis", round(report.elapsed_ms, 3)),
-        ]
-        if report.first_mismatch:
-            rows.append(("firstMismatch", json.dumps(report.first_mismatch)))
-        for note in report.notes:
-            rows.append(("note", note))
-        if args.format == "csv":
-            print(_emit_csv(rows, ("field", "value")))
-        else:
-            print(_emit_table(rows))
+    for name, param in params.items():
+        if param.default is param.empty and name not in kwargs:
+            raise ValueError(f"{args.identity} needs --{name}")
+    if "budget" in params:
+        kwargs["budget"] = args.budget
+    report = VERIFIERS[args.identity](**kwargs)
+    rows = [
+        ("identity", report.identity),
+        ("params", json.dumps(report.params, sort_keys=True)),
+        ("region", json.dumps(report.region, sort_keys=True)),
+        ("outcome", report.outcome),
+        ("count", report.element_count),
+        ("millis", round(report.elapsed_ms, 3)),
+    ]
+    if report.first_mismatch:
+        rows.append(("firstMismatch", json.dumps(report.first_mismatch)))
+    rows += [("note", note) for note in report.notes]
+    _emit(args, report.to_json(), rows, ("field", "value"), table_header=False)
     return 0 if report.matched else 1
 
 
@@ -246,21 +230,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_stats.add_argument("--format", choices=("table", "json", "csv"), default="table")
     p_stats.set_defaults(func=cmd_stats)
 
-    p_verify = sub.add_parser("verify", help="run one identity verifier")
+    p_verify = sub.add_parser(
+        "verify",
+        help="run one identity verifier",
+        description="Flags are the verifier's parameters; its signature holds the defaults.",
+    )
     p_verify.add_argument("identity", choices=sorted(VERIFIERS))
-    p_verify.add_argument("--r", type=int, default=1)
-    p_verify.add_argument("--p", type=int, default=1)
-    p_verify.add_argument("--s", type=int, default=1)
-    p_verify.add_argument("--n", type=int, default=3)
-    p_verify.add_argument("--nmax", type=int, default=3)
-    p_verify.add_argument("--eps", type=int, default=1)
-    p_verify.add_argument("--k", type=int, default=0)
-    p_verify.add_argument("--parts", default="", help="composition for signed-multinomial")
-    p_verify.add_argument("--tmax", type=int, default=6)
-    p_verify.add_argument("--qmax", type=int, default=None)
-    p_verify.add_argument("--amax", type=int, default=None)
-    p_verify.add_argument("--umax", type=int, default=3)
-    p_verify.add_argument("--caps", type=int, default=None, help="default cap for q variables")
+    for name in _verify_flags():
+        aliases = ("--caps",) if name == "qmax" else ()
+        p_verify.add_argument(f"--{name}", *aliases, type=_int_list if name == "parts" else int)
     p_verify.add_argument("--json", action="store_true", help="JSON report on stdout")
     p_verify.add_argument("--format", choices=("table", "json", "csv"), default="table")
     p_verify.set_defaults(func=cmd_verify)

@@ -5,6 +5,11 @@ ring, compares the coefficients on an explicitly tracked region, and wraps
 the verdict in a :class:`VerificationReport`.  The enumeration side is
 always the ground truth; closed forms are never assumed.
 
+Each verifier is registered in :data:`VERIFIERS` under its identity name,
+and its signature is the one declaration of the identity's parameters and
+defaults: ``projstat verify`` builds its flags from it, and the report's
+params are the bound arguments.
+
 Conventions adopted for the degenerate rank-0 terms of the summed
 identities (where the generic denominator expressions collapse):
 
@@ -16,6 +21,8 @@ identities (where the generic denominator expressions collapse):
 
 from __future__ import annotations
 
+import functools
+import inspect
 import itertools
 import math
 import time
@@ -25,7 +32,6 @@ from math import gcd
 
 from .cyclotomic import zeta_pow
 from .groups import (
-    DivisibilityError,
     GroupDescriptor,
     canonicalize,
     enumerate_elements,
@@ -99,19 +105,50 @@ def _geom(vars_, caps, **exps) -> TruncatedSeries:
     return geom_inverse(m)
 
 
-def _finish(name, params, region, ok, mismatch, count, started, notes=()):
+VERIFIERS: dict = {}  # identity name -> verifier, in declaration order
+
+
+def _identity(name: str):
+    """Register a verifier as identity ``name``.  Its report gets the name,
+    the elapsed time, and params: the bound arguments but ``budget``,
+    updated with the overrides the verifier passed to :func:`_finish`."""
+
+    def register(fn):
+        signature = inspect.signature(fn)
+
+        @functools.wraps(fn)
+        def verifier(*args, **kwargs):
+            started = time.perf_counter()
+            bound = signature.bind(*args, **kwargs)
+            bound.apply_defaults()
+            bound.arguments.pop("budget", None)
+            report = fn(*args, **kwargs)
+            report.identity = name
+            report.params = bound.arguments | report.params
+            report.elapsed_ms = (time.perf_counter() - started) * 1000.0
+            return report
+
+        verifier.__signature__ = signature  # read by the CLI on every call
+        VERIFIERS[name] = verifier
+        return verifier
+
+    return register
+
+
+def _finish(region, ok, mismatch, count, notes=(), **overrides) -> VerificationReport:
+    """The verdict; :func:`_identity` adds the name, params and time."""
     fm = None
     if mismatch is not None:
         mono, lhs, rhs = mismatch
         fm = {"monomial": mono, "lhs": _coef_repr(lhs), "rhs": _coef_repr(rhs)}
     return VerificationReport(
-        identity=name,
-        params=params,
+        identity="",
+        params=overrides,
         region=region,
         outcome=MATCH if ok else MISMATCH,
         first_mismatch=fm,
         element_count=count,
-        elapsed_ms=(time.perf_counter() - started) * 1000.0,
+        elapsed_ms=0.0,
         notes=tuple(notes),
     )
 
@@ -125,8 +162,9 @@ def _character_counts(group: GroupDescriptor, budget: int):
     return distribution(group, ("signAbs", "colorClass", "fmaj"), budget)
 
 
+@_identity("character-fmaj")
 def verify_character_fmaj(
-    r: int, p: int, s: int, n: int, eps: int, k: int, budget: int | None = None
+    r: int, p: int = 1, s: int = 1, n: int = 3, eps: int = 1, k: int = 0, budget: int | None = None
 ) -> VerificationReport:
     """Product formula for sum of eps^inv(|g|) zeta^(k c(g)) q^fmaj(g).
 
@@ -134,7 +172,6 @@ def verify_character_fmaj(
     [nr/(ps)] in base (eps^(i-1) zeta^k q)^p, times the extracted component
     of [p]^(n-m) [p]^m with alternating twist, m = floor(n/2).
     """
-    started = time.perf_counter()
     group = make_group(r, p, s, n)
     if eps not in (1, -1):
         raise CharacterConditionError(f"eps must be +1 or -1, got {eps}")
@@ -179,17 +216,7 @@ def verify_character_fmaj(
         braces = braces * bracket(p, zeta_pow(r, k) * eps, 1)
     rhs = rhs * braces.extract_multiples({"q": p})
     assert lhs.exact and rhs.exact
-
-    ok, mism = equal_on(lhs, rhs)
-    return _finish(
-        "character-fmaj",
-        {"r": r, "p": p, "s": s, "n": n, "eps": eps, "k": k},
-        caps,
-        ok,
-        mism,
-        group.order,
-        started,
-    )
+    return _finish(caps, *equal_on(lhs, rhs), group.order)
 
 
 # ----------------------------------------------------------------------
@@ -213,13 +240,13 @@ def _multinomial(total: int, parts) -> int:
     return out
 
 
+@_identity("signed-multinomial")
 def verify_signed_multinomial(n: int, parts) -> VerificationReport:
     """Signed count of permutations whose positive descents lie on block cuts.
 
     The closed form is 0 when at least two block sizes are odd, and the
     multinomial coefficient of the halved block sizes otherwise.
     """
-    started = time.perf_counter()
     parts = tuple(parts)
     if not parts or any(x < 0 for x in parts) or sum(parts) != n:
         raise CompositionError(f"{parts} is not a composition of {n}")
@@ -232,22 +259,14 @@ def verify_signed_multinomial(n: int, parts) -> VerificationReport:
     rhs = 0 if odd >= 2 else _multinomial(n // 2, [x // 2 for x in parts])
     ok = lhs == rhs
     mism = None if ok else ({}, lhs, rhs)
-    return _finish(
-        "signed-multinomial",
-        {"n": n, "parts": list(parts)},
-        {},
-        ok,
-        mism,
-        count,
-        started,
-    )
+    return _finish({}, ok, mism, count, parts=list(parts))
 
 
-def verify_signed_wreath(r: int, n: int, budget: int | None = None) -> VerificationReport:
+@_identity("signed-wreath")
+def verify_signed_wreath(r: int, n: int = 3, budget: int | None = None) -> VerificationReport:
     """Sign-twisted fmaj sum over G(r,n) against the alternating bracket
     product [r]_q [2r]_{-q} ... [nr]_{(+-)q}, with the ascending-window
     subset checked against its own closed form along the way."""
-    started = time.perf_counter()
     group = make_group(r, 1, 1, n)
     main: dict[tuple[int], int] = {}
     u_hist: dict[tuple[int], int] = {}
@@ -280,25 +299,16 @@ def verify_signed_wreath(r: int, n: int, budget: int | None = None) -> Verificat
     notes = (
         f"ascending-window subset sum equals its even/odd closed form: {ok_u}",
     )
-    return _finish(
-        "signed-wreath",
-        {"r": r, "n": n},
-        caps,
-        ok,
-        mism,
-        group.order,
-        started,
-        notes,
-    )
+    return _finish(caps, ok, mism, group.order, notes)
 
 
 # ----------------------------------------------------------------------
 # the per-element lift identity for the quotient groups
 
-def verify_lift_identity(r: int, s: int, n: int, budget: int | None = None) -> VerificationReport:
+@_identity("lift")
+def verify_lift_identity(r: int, s: int = 1, n: int = 3, budget: int | None = None) -> VerificationReport:
     """For every class, the lift sum of t^fdes q^fmaj factors as the class
     monomial times the bracket [s] in base t^(r/s) q^(nr/s)."""
-    started = time.perf_counter()
     group = make_group(r, 1, s, n)
     wreath = make_group(r, 1, 1, n)
     rs = r // s
@@ -322,25 +332,46 @@ def verify_lift_identity(r: int, s: int, n: int, budget: int | None = None) -> V
         if not ok and failure is None:
             mono, a, b = mism
             failure = (dict(mono, element=format_window(g)), a, b)
-    return _finish(
-        "lift",
-        {"r": r, "s": s, "n": n},
-        {},
-        failure is None,
-        failure,
-        count,
-        started,
-    )
+    return _finish({}, failure is None, failure, count)
 
 
 # ----------------------------------------------------------------------
 # Carlitz identities
 
+def _carlitz_rank0(vars_, caps, **overrides) -> VerificationReport:
+    """The n = 0 case: the k-sum is t^0 + ... + t^tmax, the right-hand side 1/(1-t)."""
+    zeros = (0,) * (len(vars_) - 1)
+    lhs = TruncatedSeries(vars_, caps, {(k, *zeros): 1 for k in range(caps["t"] + 1)})
+    return _finish(caps, *equal_on(lhs, _geom(vars_, caps, t=1)), 1, **overrides)
+
+
+def _carlitz_rhs(vars_, caps, hist, r, s, n, a, b) -> TruncatedSeries:
+    """The histogram over (t, q, ...) divided by the denominator chain
+    (1-t)(1-t^a q^r)(1-t^a q^{2r})...(1-t^a q^{(n-1)r})(1-t^b q^{nr/s})."""
+    rhs = TruncatedSeries(vars_, caps, hist) * _geom(vars_, caps, t=1)
+    for j in range(1, n):
+        rhs = rhs * _geom(vars_, caps, t=a, q=j * r)
+    return rhs * _geom(vars_, caps, t=b, q=n * (r // s))
+
+
+def _fdes_ksum(caps, n, p) -> TruncatedSeries:
+    """The flag-descent k-sum of t^k [k+1]_q^n over k <= caps["t"], in the
+    variables (t, q), extracted at q^p."""
+    vars_ = ("t", "q")
+    q1 = TruncatedSeries.monomial(vars_, caps, {"q": 1})
+    lhs = TruncatedSeries.zero(vars_, caps)
+    for k in range(caps["t"] + 1):
+        tk = TruncatedSeries.monomial(vars_, caps, {"t": k})
+        lhs = lhs + tk * q_bracket(k + 1, q1) ** n
+    return lhs.extract_multiples({"q": p})
+
+
+@_identity("carlitz-des")
 def verify_carlitz_des(
     r: int,
-    p: int,
-    s: int,
-    n: int,
+    p: int = 1,
+    s: int = 1,
+    n: int = 3,
     tmax: int = 6,
     qmax: int = 6,
     amax: int | None = None,
@@ -352,7 +383,6 @@ def verify_carlitz_des(
     [r/s-1]_{aq})^n.  RHS: the (des, fmaj, col) distribution divided by
     (1-t)(1-t^s q^r)...(1-t^s q^{(n-1)r})(1-t q^{nr/s}).
     """
-    started = time.perf_counter()
     if amax is None:
         amax = qmax
     vars_ = ("t", "q", "a")
@@ -360,14 +390,7 @@ def verify_carlitz_des(
     mono = lambda **e: TruncatedSeries.monomial(vars_, caps, e)
 
     if n == 0:
-        lhs = TruncatedSeries(vars_, caps, {(k, 0, 0): 1 for k in range(tmax + 1)})
-        rhs = _geom(vars_, caps, t=1)
-        ok, mism = equal_on(lhs, rhs)
-        return _finish(
-            "carlitz-des",
-            {"r": r, "p": p, "s": s, "n": n, "tmax": tmax, "qmax": qmax, "amax": amax},
-            caps, ok, mism, 1, started,
-        )
+        return _carlitz_rank0(vars_, caps, amax=amax)
 
     group = make_group(r, p, s, n)
     rs = r // s
@@ -382,29 +405,17 @@ def verify_carlitz_des(
         lhs = lhs + mono(t=k) * inner**n
     lhs = lhs.extract_multiples({"q": p})
 
-    rhs = TruncatedSeries(vars_, caps, distribution(group, ("des", "fmaj", "col"), budget))
-    rhs = rhs * _geom(vars_, caps, t=1)
-    for j in range(1, n):
-        rhs = rhs * _geom(vars_, caps, t=s, q=j * r)
-    rhs = rhs * _geom(vars_, caps, t=1, q=n * rs)
-
-    ok, mism = equal_on(lhs, rhs)
-    return _finish(
-        "carlitz-des",
-        {"r": r, "p": p, "s": s, "n": n, "tmax": tmax, "qmax": qmax, "amax": amax},
-        caps,
-        ok,
-        mism,
-        group.order,
-        started,
-    )
+    hist = distribution(group, ("des", "fmaj", "col"), budget)
+    rhs = _carlitz_rhs(vars_, caps, hist, r, s, n, a=s, b=1)
+    return _finish(caps, *equal_on(lhs, rhs), group.order, amax=amax)
 
 
+@_identity("carlitz-fdes")
 def verify_carlitz_fdes(
     r: int,
-    p: int,
-    s: int,
-    n: int,
+    p: int = 1,
+    s: int = 1,
+    n: int = 3,
     tmax: int = 6,
     qmax: int = 6,
     budget: int | None = None,
@@ -415,54 +426,26 @@ def verify_carlitz_fdes(
     distribution divided by (1-t)(1-t^r q^r)...(1-t^r q^{(n-1)r})
     (1-t^{r/s} q^{nr/s}).
     """
-    started = time.perf_counter()
     vars_ = ("t", "q")
     caps = {"t": tmax, "q": qmax}
-    mono = lambda **e: TruncatedSeries.monomial(vars_, caps, e)
-
     if n == 0:
-        lhs = TruncatedSeries(vars_, caps, {(k, 0): 1 for k in range(tmax + 1)})
-        rhs = _geom(vars_, caps, t=1)
-        ok, mism = equal_on(lhs, rhs)
-        return _finish(
-            "carlitz-fdes",
-            {"r": r, "p": p, "s": s, "n": n, "tmax": tmax, "qmax": qmax},
-            caps, ok, mism, 1, started,
-        )
+        return _carlitz_rank0(vars_, caps)
 
     group = make_group(r, p, s, n)
-    rs = r // s
     if qmax < 1:
         raise RegionError(f"qmax={qmax} leaves nothing to compare")
-    q1 = mono(q=1)
-    lhs = TruncatedSeries.zero(vars_, caps)
-    for k in range(tmax + 1):
-        lhs = lhs + mono(t=k) * q_bracket(k + 1, q1) ** n
-    lhs = lhs.extract_multiples({"q": p})
-
-    rhs = TruncatedSeries(vars_, caps, distribution(group, ("fdes", "fmaj"), budget))
-    rhs = rhs * _geom(vars_, caps, t=1)
-    for j in range(1, n):
-        rhs = rhs * _geom(vars_, caps, t=r, q=j * r)
-    rhs = rhs * _geom(vars_, caps, t=rs, q=n * rs)
-
-    ok, mism = equal_on(lhs, rhs)
-    return _finish(
-        "carlitz-fdes",
-        {"r": r, "p": p, "s": s, "n": n, "tmax": tmax, "qmax": qmax},
-        caps,
-        ok,
-        mism,
-        group.order,
-        started,
-    )
+    lhs = _fdes_ksum(caps, n, p)
+    hist = distribution(group, ("fdes", "fmaj"), budget)
+    rhs = _carlitz_rhs(vars_, caps, hist, r, s, n, a=r, b=r // s)
+    return _finish(caps, *equal_on(lhs, rhs), group.order)
 
 
+@_identity("fdes-trivariate")
 def verify_fdes_trivariate(
     r: int,
-    p: int,
-    s: int,
-    n: int,
+    p: int = 1,
+    s: int = 1,
+    n: int = 3,
     tmax: int = 6,
     qmax: int = 6,
     amax: int | None = None,
@@ -481,12 +464,15 @@ def verify_fdes_trivariate(
     report records that the two shapes agree, that the extracted k-sum
     matches the (fdes, fmaj, col) enumeration with its denominator
     factors, and that the a=1 specialization collapses onto the bivariate
-    flag-descent k-sum.
+    flag-descent k-sum.  An amax below qmax is raised to qmax, with a note,
+    which keeps the a=1 collapse exact (a-degree <= q-degree).
     """
-    started = time.perf_counter()
+    notes = []
     if amax is None:
         amax = qmax
-    amax = max(amax, qmax)  # keeps the a=1 collapse exact (a-degree <= q-degree)
+    elif amax < qmax:
+        notes.append(f"amax raised from {amax} to qmax={qmax} for the a=1 collapse")
+        amax = qmax
     group = make_group(r, p, s, n)
     rs = r // s
     vars_ = ("t", "q", "a")
@@ -516,53 +502,81 @@ def verify_fdes_trivariate(
         lhs = lhs + mono(t=k) * closed**n
     lhs = lhs.extract_multiples({"q": p})
 
-    rhs = TruncatedSeries(vars_, caps, distribution(group, ("fdes", "fmaj", "col"), budget))
-    rhs = rhs * _geom(vars_, caps, t=1)
-    for j in range(1, n):
-        rhs = rhs * _geom(vars_, caps, t=r, q=j * r)
-    rhs = rhs * _geom(vars_, caps, t=rs, q=n * rs)
+    hist = distribution(group, ("fdes", "fmaj", "col"), budget)
+    rhs = _carlitz_rhs(vars_, caps, hist, r, s, n, a=r, b=rs)
     ok, mism = equal_on(lhs, rhs)
-
-    carlitz_lhs = TruncatedSeries.zero(("t", "q"), {"t": tmax, "q": qmax})
-    q1 = TruncatedSeries.monomial(("t", "q"), {"t": tmax, "q": qmax}, {"q": 1})
-    for k in range(tmax + 1):
-        tk = TruncatedSeries.monomial(("t", "q"), {"t": tmax, "q": qmax}, {"t": k})
-        carlitz_lhs = carlitz_lhs + tk * q_bracket(k + 1, q1) ** n
-    carlitz_lhs = carlitz_lhs.extract_multiples({"q": p})
-    a1_ok = equal_on(lhs.collapse_var("a"), carlitz_lhs)[0]
-
-    notes = (
+    a1_ok = equal_on(lhs.collapse_var("a"), _fdes_ksum({"t": tmax, "q": qmax}, n, p))[0]
+    notes += [
         f"blockwise closed form equals the direct lattice sum for all k <= {tmax}: {blockwise_ok}",
         f"closed form matches the enumeration oracle: {ok}",
         f"a=1 specialization equals the flag-descent k-sum: {a1_ok}",
-    )
-    return _finish(
-        "fdes-trivariate",
-        {"r": r, "p": p, "s": s, "n": n, "tmax": tmax, "qmax": qmax, "amax": amax},
-        caps,
-        ok,
-        mism,
-        group.order,
-        started,
-        notes,
-    )
+    ]
+    return _finish(caps, ok, mism, group.order, notes, amax=amax)
 
 
 # ----------------------------------------------------------------------
 # six statistics and Hilbert series
 
 def _quotient_divisor(r: int, p: int, s: int) -> int:
-    if r % p:
-        raise DivisibilityError(f"p={p} does not divide r={r}")
-    if r % s:
-        raise DivisibilityError(f"s={s} does not divide r={r}")
-    return p * s // gcd(p * s, r)
+    """The least rank d with ps | rd; make_group validates p | r and s | r."""
+    d = p * s // gcd(p * s, r)
+    make_group(r, p, s, d)
+    return d
 
 
+def _lattice_sum(vars_, caps, factor, r, step, classes, imax, jmax) -> TruncatedSeries:
+    """The sum over l < classes of the product of factor(i, j) over the
+    lattice points i <= imax, j <= jmax with i + j = l * step (mod r)."""
+    total = TruncatedSeries.zero(vars_, caps)
+    for l in range(classes):
+        prod = TruncatedSeries.one(vars_, caps)
+        for i in range(imax + 1):
+            for j in range(jmax + 1):
+                if (i + j - l * step) % r == 0:
+                    prod = prod * factor(i, j)
+        total = total + prod
+    return total
+
+
+def _rank_sum(vars_, caps, keys, r, p, s, nmax, d, budget):
+    """The u-graded enumeration side and its element count.
+
+    The sum over ranks n <= nmax divisible by d of u^n times the histogram
+    of ``keys`` over G(r,p,s,n) (laid out as vars_[1:]), divided for
+    i = 1, 2 by (1 - t_i q_i^{nr/s}) (1 - t_i^s q_i^{jr}) for 0 < j < n.
+    When vars_ has t1, t2, every term is also divided by (1-t1)(1-t2);
+    otherwise the t_i are dropped.  The rank-0 term is the constant s.
+    """
+    graded = "t1" in vars_
+
+    def geom(i, t, q):
+        return _geom(vars_, caps, **{f"q{i}": q, **({f"t{i}": t} if graded else {})})
+
+    out = TruncatedSeries.zero(vars_, caps)
+    count = 0
+    for rank in range(0, nmax + 1, d):
+        if rank == 0:
+            term = TruncatedSeries.one(vars_, caps).scale(s)
+        else:
+            group = make_group(r, p, s, rank)
+            count += group.order
+            hist = distribution(group, keys, budget)
+            term = TruncatedSeries(vars_, caps, {(rank, *key): c for key, c in hist.items()})
+        if graded:
+            term = term * geom(1, 1, 0) * geom(2, 1, 0)
+        if rank:
+            term = term * geom(1, 1, rank * (r // s)) * geom(2, 1, rank * (r // s))
+        for j in range(1, rank):
+            term = term * geom(1, s, j * r) * geom(2, s, j * r)
+        out = out + term
+    return out, count
+
+
+@_identity("six-stats")
 def verify_six_stats(
     r: int,
-    p: int,
-    s: int,
+    p: int = 1,
+    s: int = 1,
     nmax: int = 3,
     tmax: int = 4,
     qmax: int = 8,
@@ -577,7 +591,6 @@ def verify_six_stats(
     u^n-graded enumeration sums with their denominator factors, over the
     ranks n <= nmax divisible by d.
     """
-    started = time.perf_counter()
     d = _quotient_divisor(r, p, s)
     rs = r // s
     ucap = min(umax, nmax)
@@ -586,81 +599,36 @@ def verify_six_stats(
         "u": ucap, "t1": tmax, "t2": tmax,
         "q1": qmax, "q2": qmax, "a1": qmax, "a2": qmax,
     }
-    mono = lambda **e: TruncatedSeries.monomial(vars_, caps, e)
 
-    factors: dict[tuple[int, int], TruncatedSeries] = {}
-
+    @functools.cache
     def factor(i: int, j: int) -> TruncatedSeries:
-        if (i, j) not in factors:
-            factors[i, j] = _geom(
-                vars_, caps, u=1, q1=i, q2=j, a1=residue(i, rs), a2=residue(j, rs)
-            )
-        return factors[i, j]
+        return _geom(vars_, caps, u=1, q1=i, q2=j, a1=residue(i, rs), a2=residue(j, rs))
 
     total = TruncatedSeries.zero(vars_, caps)
     for k1 in range(tmax + 1):
         for k2 in range(tmax + 1):
-            block = TruncatedSeries.zero(vars_, caps)
-            for l in range(s):
-                prod = TruncatedSeries.one(vars_, caps)
-                for i in range(min(k1 * rs, qmax) + 1):
-                    for j in range(min(k2 * rs, qmax) + 1):
-                        if (i + j - l * rs) % r == 0:
-                            prod = prod * factor(i, j)
-                block = block + prod
-            total = total + mono(t1=k1, t2=k2) * block
+            imax, jmax = min(k1 * rs, qmax), min(k2 * rs, qmax)
+            block = _lattice_sum(vars_, caps, factor, r, rs, s, imax, jmax)
+            tk = TruncatedSeries.monomial(vars_, caps, {"t1": k1, "t2": k2})
+            total = total + tk * block
     lhs = total.extract_multiples({"u": d, "q1": p})
+    keys = ("des", "ides", "fmaj", "ifmaj", "col", "icol")
+    rhs, count = _rank_sum(vars_, caps, keys, r, p, s, nmax, d, budget)
 
-    rhs = TruncatedSeries.zero(vars_, caps)
-    count = 0
-    for rank in range(0, nmax + 1):
-        if rank % d:
-            continue
-        if rank == 0:
-            term = (_geom(vars_, caps, t1=1) * _geom(vars_, caps, t2=1)).scale(s)
-        else:
-            group = make_group(r, p, s, rank)
-            count += group.order
-            hist = distribution(
-                group, ("des", "ides", "fmaj", "ifmaj", "col", "icol"), budget
-            )
-            term = TruncatedSeries(
-                vars_, caps, {(rank, *key): c for key, c in hist.items()}
-            )
-            term = term * _geom(vars_, caps, t1=1) * _geom(vars_, caps, t2=1)
-            term = term * _geom(vars_, caps, t1=1, q1=rank * rs)
-            term = term * _geom(vars_, caps, t2=1, q2=rank * rs)
-            for j in range(1, rank):
-                term = term * _geom(vars_, caps, t1=s, q1=j * r)
-                term = term * _geom(vars_, caps, t2=s, q2=j * r)
-        rhs = rhs + term
-
-    ok, mism = equal_on(lhs, rhs)
     notes = ()
     if s > 1:
         notes = (
             "rank-0 term taken as s/((1-t1)(1-t2)): the empty 2-partite "
             "partition lies in every column-sum class",
         )
-    return _finish(
-        "six-stats",
-        {
-            "r": r, "p": p, "s": s, "nmax": nmax, "d": d,
-            "tmax": tmax, "qmax": qmax, "umax": ucap,
-        },
-        caps,
-        ok,
-        mism,
-        count,
-        started,
-        notes,
-    )
+    return _finish(caps, *equal_on(lhs, rhs), count, notes, d=d, umax=ucap)
 
 
+@_identity("hilbert")
 def verify_hilbert(
     r: int,
-    p: int,
-    s: int,
+    p: int = 1,
+    s: int = 1,
     nmax: int = 3,
     qmax: int = 6,
     budget: int | None = None,
@@ -675,61 +643,32 @@ def verify_hilbert(
     congruence classes summed over l < p) admits two readings of the
     congruence step, r/s or r/p.  Both are evaluated against the
     dual-group enumeration and the verdicts are recorded in the notes.
+
+    The report's count adds the elements of G(r,p,s,n) and of its dual
+    G(r,s,p,n) over the ranks checked, also when p == s and the dual is the
+    same group (whose enumeration and lattice sums are then reused).
     """
-    started = time.perf_counter()
     d = _quotient_divisor(r, p, s)
     vars_ = ("u", "q1", "q2")
     caps = {"u": nmax, "q1": qmax, "q2": qmax}
 
-    factors: dict[tuple[int, int], TruncatedSeries] = {}
-
+    @functools.cache
     def factor(i: int, j: int) -> TruncatedSeries:
-        if (i, j) not in factors:
-            factors[i, j] = _geom(vars_, caps, u=1, q1=i, q2=j)
-        return factors[i, j]
+        return _geom(vars_, caps, u=1, q1=i, q2=j)
 
+    @functools.cache
     def lattice_sum(step: int, classes: int) -> TruncatedSeries:
-        total = TruncatedSeries.zero(vars_, caps)
-        for l in range(classes):
-            prod = TruncatedSeries.one(vars_, caps)
-            for i in range(qmax + 1):
-                for j in range(qmax + 1):
-                    if (i + j - l * step) % r == 0:
-                        prod = prod * factor(i, j)
-            total = total + prod
-        return total
+        return _lattice_sum(vars_, caps, factor, r, step, classes, qmax, qmax)
 
-    count = 0
-
-    def enum_side(pp: int, ss: int) -> TruncatedSeries:
-        nonlocal count
-        rss = r // ss
-        out = TruncatedSeries.zero(vars_, caps)
-        for rank in range(0, nmax + 1):
-            if rank % d:
-                continue
-            if rank == 0:
-                term = TruncatedSeries.one(vars_, caps).scale(ss)
-            else:
-                group = make_group(r, pp, ss, rank)
-                count += group.order
-                hist = distribution(group, ("fmaj", "ifmaj"), budget)
-                term = TruncatedSeries(
-                    vars_, caps, {(rank, *key): c for key, c in hist.items()}
-                )
-                term = term * _geom(vars_, caps, q1=rank * rss)
-                term = term * _geom(vars_, caps, q2=rank * rss)
-                for j in range(1, rank):
-                    term = term * _geom(vars_, caps, q1=j * r)
-                    term = term * _geom(vars_, caps, q2=j * r)
-            out = out + term
-        return out
-
+    keys = ("fmaj", "ifmaj")
     lhs = lattice_sum(r // s, s).extract_multiples({"u": d, "q1": p})
-    rhs = enum_side(p, s)
+    rhs, count = _rank_sum(vars_, caps, keys, r, p, s, nmax, d, budget)
     ok, mism = equal_on(lhs, rhs)
 
-    dual_rhs = enum_side(s, p)
+    if p == s:
+        dual_rhs, dual_count = rhs, count
+    else:
+        dual_rhs, dual_count = _rank_sum(vars_, caps, keys, r, s, p, nmax, d, budget)
     same_step = lattice_sum(r // s, p).extract_multiples({"u": d, "q1": s})
     swapped_step = lattice_sum(r // p, p).extract_multiples({"u": d, "q1": s})
     same_ok = equal_on(same_step, dual_rhs)[0]
@@ -750,13 +689,4 @@ def verify_hilbert(
         f"interchanged form, congruence step r/p (l < p, braces u^d q1^s): {swapped_ok}",
         resolution,
     )
-    return _finish(
-        "hilbert",
-        {"r": r, "p": p, "s": s, "nmax": nmax, "d": d, "qmax": qmax},
-        caps,
-        ok,
-        mism,
-        count,
-        started,
-        notes,
-    )
+    return _finish(caps, ok, mism, count + dual_count, notes, d=d)

@@ -1,7 +1,14 @@
 import json
+from pathlib import Path
 
+import pytest
 
 from projstat.cli import main
+
+# `projstat verify ... --json` for every verify command in README.md and in
+# this file, one default run per identity and a few with explicit caps: the
+# exit code, and the report without its "millis" or the error message.
+GOLDEN = json.loads(Path(__file__).with_name("golden_verify_reports.json").read_text())
 
 
 def run(capsys, *argv):
@@ -169,8 +176,50 @@ def test_mismatch_exits_1(capsys, monkeypatch):
         element_count=2,
         elapsed_ms=0.1,
     )
-    monkeypatch.setitem(cli.VERIFIERS, "signed-wreath", lambda a, budget: report)
+    # cli.VERIFIERS is the verifier registry; the CLI reads each signature
+    monkeypatch.setitem(cli.VERIFIERS, "signed-wreath", lambda r, n=3, budget=None: report)
     code, out, _ = run(capsys, "verify", "signed-wreath", "--r", "2", "--n", "1")
     assert code == 1
     assert "MISMATCH" in out
     assert "firstMismatch" in out
+
+
+@pytest.mark.parametrize("entry", GOLDEN, ids=lambda entry: " ".join(entry["argv"][1:-1]))
+def test_verify_json_matches_golden(capsys, entry):
+    code, out, err = run(capsys, *entry["argv"])
+    assert code == entry["exit"]
+    if "report" in entry:
+        report = json.loads(out)
+        del report["millis"]
+        assert json.dumps(report, sort_keys=True) == json.dumps(entry["report"], sort_keys=True)
+    else:
+        assert err == entry["stderr"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["signed-multinomial", "--n", "3"], "error: signed-multinomial needs --parts"),
+        (["six-stats", "--r", "2", "--n", "5"], "error: six-stats takes no --n"),
+        (["carlitz-des", "--n", "2"], "error: carlitz-des needs --r"),
+        (["character-fmaj", "--r", "2", "--caps", "4"], "error: character-fmaj takes no --qmax"),
+        (["hilbert", "--r", "2", "--caps", "0"], "error: --qmax must be positive, got 0"),
+    ],
+)
+def test_verify_usage_errors_exit_2(capsys, argv, message):
+    code, out, err = run(capsys, "verify", *argv, "--json")
+    assert (code, out, err) == (2, "", message + "\n")
+
+
+def test_each_identity_takes_only_its_parameters(capsys):
+    import inspect
+
+    from projstat.cli import VERIFIERS
+
+    flags = {"r", "p", "s", "n", "nmax", "eps", "k", "parts", "tmax", "qmax", "amax", "umax"}
+    for name, verifier in VERIFIERS.items():
+        params = set(inspect.signature(verifier).parameters) - {"budget"}
+        assert params <= flags, name
+        for flag in sorted(flags - params):
+            code, _, err = run(capsys, "verify", name, f"--{flag}", "1")
+            assert (code, err) == (2, f"error: {name} takes no --{flag}\n")

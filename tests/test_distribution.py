@@ -5,6 +5,7 @@ stat_record (of g, and of inverse(g) for the inverse keys), exactly as the
 verifiers built it before they used distribution.
 """
 
+import dataclasses
 import json
 import math
 from collections import Counter
@@ -127,6 +128,63 @@ def test_carlitz_des_reports_mismatch_on_shifted_histogram(monkeypatch):
     # the identity element (des, fmaj, col) = (0, 0, 0) moved to (0, 0, 1)
     # (the monomial lists nonzero exponents only: this is the constant term)
     assert report.first_mismatch == {"monomial": {}, "lhs": 1, "rhs": 0}
+
+
+# one small run of every identity through the CLI, and the enumeration seam
+# a wrong value goes through: the histogram for the verifiers built on
+# distribution, the per-element records for lift, the inversion count for
+# signed-multinomial
+NEGATIVE_CONTROLS = {
+    "character-fmaj": ["--r", "2", "--n", "2"],
+    "signed-multinomial": ["--n", "4", "--parts", "2,2"],
+    "signed-wreath": ["--r", "2", "--n", "2"],
+    "lift": ["--r", "2", "--s", "2", "--n", "2"],
+    "carlitz-des": ["--r", "2", "--n", "2", "--tmax", "4", "--qmax", "4"],
+    "carlitz-fdes": ["--r", "2", "--n", "2", "--tmax", "4", "--qmax", "4"],
+    "fdes-trivariate": ["--r", "2", "--n", "2", "--tmax", "4", "--qmax", "4"],
+    "six-stats": ["--r", "1", "--nmax", "2", "--tmax", "2", "--qmax", "4", "--umax", "2"],
+    "hilbert": ["--r", "1", "--nmax", "2", "--qmax", "4"],
+}
+
+
+def _perturb(monkeypatch, name):
+    if name == "signed-multinomial":
+        real = identities.inversions
+        monkeypatch.setattr(identities, "inversions", lambda sigma: real(sigma) + 1)
+    elif name == "lift":
+        # the identity element's fmaj is off by one, its lifts' are not
+        def perturbed(g):
+            rec = stat_record(g)
+            if g.sigma == tuple(sorted(g.sigma)) and not any(g.colors):
+                return dataclasses.replace(rec, fmaj=rec.fmaj + 1)
+            return rec
+
+        monkeypatch.setattr(identities, "stat_record", perturbed)
+    else:
+        identities._character_counts.cache_clear()
+        monkeypatch.setattr(identities, "distribution", _shifted(distribution))
+
+
+def _verify_json(capsys, name):
+    code = cli.main(["verify", name, *NEGATIVE_CONTROLS[name], "--json"])
+    return code, json.loads(capsys.readouterr().out)
+
+
+def test_negative_controls_cover_every_identity():
+    assert sorted(NEGATIVE_CONTROLS) == sorted(identities.VERIFIERS)
+
+
+@pytest.mark.parametrize("name", sorted(NEGATIVE_CONTROLS))
+def test_verify_reports_mismatch_on_perturbed_enumeration(monkeypatch, capsys, request, name):
+    # character-fmaj caches its histograms: leave no perturbed one behind
+    identities._character_counts.cache_clear()
+    request.addfinalizer(identities._character_counts.cache_clear)
+    code, report = _verify_json(capsys, name)
+    assert (code, report["outcome"], report["firstMismatch"]) == (0, "MATCH", None)
+    _perturb(monkeypatch, name)
+    code, report = _verify_json(capsys, name)
+    assert (code, report["outcome"]) == (1, "MISMATCH")
+    assert report["firstMismatch"] is not None
 
 
 def _cli_histogram(capsys, group_text):

@@ -1,6 +1,7 @@
 import pytest
 
 from projstat.groups import BudgetExceededError, DivisibilityError
+from projstat.stats import distribution
 from projstat.identities import (
     CharacterConditionError,
     CompositionError,
@@ -131,6 +132,16 @@ def test_fdes_trivariate_a1_collapse_matches_carlitz():
     assert any("flag-descent k-sum: True" in note for note in report.notes)
 
 
+def test_fdes_trivariate_notes_a_raised_amax_only():
+    raised = verify_fdes_trivariate(2, 1, 1, 2, tmax=4, qmax=6, amax=3)
+    assert raised.params["amax"] == 6 and raised.region["a"] == 6
+    assert raised.notes[0] == "amax raised from 3 to qmax=6 for the a=1 collapse"
+    for amax in (None, 6, 8):
+        report = verify_fdes_trivariate(2, 1, 1, 2, tmax=4, qmax=6, amax=amax)
+        assert report.params["amax"] == (amax or 6)
+        assert len(report.notes) == 3 and all(note.endswith("True") for note in report.notes)
+
+
 def test_six_stats_examples():
     assert verify_six_stats(1, 1, 1, nmax=2, tmax=3, qmax=6, umax=2).matched
     assert verify_six_stats(2, 1, 1, nmax=2, tmax=3, qmax=6, umax=2).matched
@@ -154,6 +165,34 @@ def test_hilbert_classical_and_quotients():
     # report says so
     assert any("step r/s" in note and "False" in note for note in report.notes)
     assert any("resolved" in note for note in report.notes)
+
+
+def test_hilbert_with_p_equal_s_enumerates_each_rank_once(monkeypatch):
+    from projstat import identities
+
+    calls = []
+
+    def counting(group, keys, budget=None):
+        calls.append(group)
+        return distribution(group, keys, budget)
+
+    monkeypatch.setattr(identities, "distribution", counting)
+    report = verify_hilbert(2, 1, 1, nmax=3, qmax=8)
+    assert report.matched
+    assert [str(g) for g in calls] == ["G(2,1,1,1)", "G(2,1,1,2)", "G(2,1,1,3)"]
+    # the count still adds the group and its p <-> s dual (here the same group)
+    assert report.element_count == 2 * (2 + 8 + 48)
+
+
+def test_params_are_the_bound_arguments():
+    report = verify_carlitz_des(2, n=2, tmax=3)
+    assert report.params == {"r": 2, "p": 1, "s": 1, "n": 2, "tmax": 3, "qmax": 6, "amax": 6}
+    report = verify_six_stats(2, 1, 2, nmax=2, tmax=2, qmax=4, umax=5)
+    assert report.params == {
+        "r": 2, "p": 1, "s": 2, "nmax": 2, "tmax": 2, "qmax": 4, "umax": 2, "d": 1,
+    }
+    report = verify_signed_multinomial(3, (1, 2))
+    assert report.params == {"n": 3, "parts": [1, 2]}
 
 
 def test_reports_are_deterministic_up_to_timing():
