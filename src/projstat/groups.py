@@ -37,10 +37,11 @@ class MembershipError(ValueError):
 
 
 class BudgetExceededError(RuntimeError):
-    """Enumeration refused: the group order exceeds the configured budget."""
+    """Enumeration refused: the group order (or another count of the items
+    to enumerate) exceeds the configured budget."""
 
-    def __init__(self, order: int, budget: int):
-        super().__init__(f"group order {order} exceeds enumeration budget {budget}")
+    def __init__(self, order: int, budget: int, what: str = "group order"):
+        super().__init__(f"{what} {order} exceeds enumeration budget {budget}")
         self.order = order
         self.budget = budget
 

@@ -1,9 +1,10 @@
 """One verifier per product formula: enumeration side vs closed form.
 
 Every verifier builds both sides of an identity inside a truncated series
-ring, compares the coefficients on an explicitly tracked region, and wraps
-the verdict in a :class:`VerificationReport`.  The enumeration side is
-always the ground truth; closed forms are never assumed.
+ring, compares the coefficients within the caps (the report's region, where
+every coefficient is the true one), and wraps the verdict in a
+:class:`VerificationReport`.  The enumeration side is always the ground
+truth; closed forms are never assumed.
 
 Each verifier is registered in :data:`VERIFIERS` under its identity name,
 and its signature is the one declaration of the identity's parameters and
@@ -32,6 +33,7 @@ from math import gcd
 
 from .cyclotomic import zeta_pow
 from .groups import (
+    BudgetExceededError,
     GroupDescriptor,
     canonicalize,
     enumerate_elements,
@@ -89,20 +91,9 @@ def _coef_repr(c):
     return c if isinstance(c, int) else str(c)
 
 
-def _mono(vars_, caps, exps, coeff=1) -> TruncatedSeries:
-    """A monomial as a truncated series; exponents past the caps truncate to 0."""
-    probe = TruncatedSeries(vars_, caps)
-    return TruncatedSeries(vars_, caps, {probe.exp_vector(exps): coeff})
-
-
 def _geom(vars_, caps, **exps) -> TruncatedSeries:
-    """1/(1 - M) truncated to the caps; M beyond the caps leaves just 1."""
-    m = _mono(vars_, caps, exps)
-    if not m.terms:
-        return TruncatedSeries(
-            vars_, caps, {(0,) * len(vars_): 1}, exact=False
-        )
-    return geom_inverse(m)
+    """1/(1 - M) truncated to the caps, for the monomial M with these exponents."""
+    return geom_inverse(TruncatedSeries.monomial(vars_, caps, exps))
 
 
 VERIFIERS: dict = {}  # identity name -> verifier, in declaration order
@@ -185,6 +176,9 @@ def verify_character_fmaj(
         budget = enumeration_budget()
     counts = _character_counts(group, budget)
     m = n // 2
+    # No term of either side is truncated: a bracket of length L in base
+    # c q^p has degree exactly p(L-1), the braces before extraction n(p-1),
+    # and the cap is at least the sum of those and the top fmaj.
     deg_bound = (
         p * sum(i * r // p - 1 for i in range(1, n))
         + p * (n * r // (p * s) - 1)
@@ -215,7 +209,6 @@ def verify_character_fmaj(
     for _ in range(m):
         braces = braces * bracket(p, zeta_pow(r, k) * eps, 1)
     rhs = rhs * braces.extract_multiples({"q": p})
-    assert lhs.exact and rhs.exact
     return _finish(caps, *equal_on(lhs, rhs), group.order)
 
 
@@ -241,20 +234,24 @@ def _multinomial(total: int, parts) -> int:
 
 
 @_identity("signed-multinomial")
-def verify_signed_multinomial(n: int, parts) -> VerificationReport:
+def verify_signed_multinomial(n: int, parts, budget: int | None = None) -> VerificationReport:
     """Signed count of permutations whose positive descents lie on block cuts.
 
     The closed form is 0 when at least two block sizes are odd, and the
-    multinomial coefficient of the halved block sizes otherwise.
+    multinomial coefficient of the halved block sizes otherwise.  The
+    multinomial(n; parts) fillings are counted against the budget first.
     """
     parts = tuple(parts)
     if not parts or any(x < 0 for x in parts) or sum(parts) != n:
         raise CompositionError(f"{parts} is not a composition of {n}")
+    count = _multinomial(n, parts)
+    if budget is None:
+        budget = enumeration_budget()
+    if count > budget:
+        raise BudgetExceededError(count, budget, "filling count")
     lhs = 0
-    count = 0
     for sigma in _block_fillings(tuple(range(1, n + 1)), parts):
         lhs += -1 if inversions(sigma) % 2 else 1
-        count += 1
     odd = sum(1 for x in parts if x % 2)
     rhs = 0 if odd >= 2 else _multinomial(n // 2, [x // 2 for x in parts])
     ok = lhs == rhs
@@ -338,8 +335,10 @@ def verify_lift_identity(r: int, s: int = 1, n: int = 3, budget: int | None = No
 # ----------------------------------------------------------------------
 # Carlitz identities
 
-def _carlitz_rank0(vars_, caps, **overrides) -> VerificationReport:
-    """The n = 0 case: the k-sum is t^0 + ... + t^tmax, the right-hand side 1/(1-t)."""
+def _carlitz_rank0(vars_, caps, r, p, s, **overrides) -> VerificationReport:
+    """The n = 0 case: the k-sum is t^0 + ... + t^tmax, the right-hand side
+    1/(1-t).  The group parameters are still checked: p | r and s | r."""
+    _quotient_divisor(r, p, s)
     zeros = (0,) * (len(vars_) - 1)
     lhs = TruncatedSeries(vars_, caps, {(k, *zeros): 1 for k in range(caps["t"] + 1)})
     return _finish(caps, *equal_on(lhs, _geom(vars_, caps, t=1)), 1, **overrides)
@@ -390,7 +389,7 @@ def verify_carlitz_des(
     mono = lambda **e: TruncatedSeries.monomial(vars_, caps, e)
 
     if n == 0:
-        return _carlitz_rank0(vars_, caps, amax=amax)
+        return _carlitz_rank0(vars_, caps, r, p, s, amax=amax)
 
     group = make_group(r, p, s, n)
     rs = r // s
@@ -429,7 +428,7 @@ def verify_carlitz_fdes(
     vars_ = ("t", "q")
     caps = {"t": tmax, "q": qmax}
     if n == 0:
-        return _carlitz_rank0(vars_, caps)
+        return _carlitz_rank0(vars_, caps, r, p, s)
 
     group = make_group(r, p, s, n)
     if qmax < 1:
@@ -488,8 +487,7 @@ def verify_fdes_trivariate(
     lhs = TruncatedSeries.zero(vars_, caps)
     for k in range(tmax + 1):
         quot, rem = divmod(k, rs)
-        # the partial-block monomial may exceed the q cap; truncate, don't raise
-        partial = _mono(vars_, caps, {"a": 1, "q": quot * rs + 1})
+        partial = mono(a=1, q=quot * rs + 1)
         closed = (
             q_bracket(quot + 1, q_rs)
             + aq * br_tail * q_bracket(quot, q_rs)

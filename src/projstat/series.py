@@ -1,17 +1,13 @@
 """Sparse truncated multivariate series over big integers or cyclotomic integers.
 
 A :class:`TruncatedSeries` stores a sparse map from exponent vectors to
-coefficients, together with per-variable caps (exponents beyond a cap are
-silently discarded) and a validity region: within the region the stored
-coefficients are guaranteed to equal those of the underlying formal series.
-
-Region bookkeeping is deliberately conservative.  Every series carries an
-``exact`` flag meaning "no term has ever been discarded, the stored support
-is the whole support".  Exact operands behave as if their region were
-unbounded; for truncated operands the region of a sum or product is the
-componentwise minimum of the operand regions.  This rule is sound for
-series in nonnegative exponents: every product contribution to an exponent
-inside the minimum lies inside both operand regions.
+coefficients, together with per-variable caps.  The caps are the valid
+region: exponents beyond a cap are dropped, and every coefficient within
+the caps is that of the underlying formal series.  A sum or product is
+truncated to the componentwise minimum of its operands' caps, which keeps
+that promise for series in nonnegative exponents: every product
+contribution to an exponent within the minimum comes from operand terms
+within their own caps.
 
 Coefficients may be Python integers or :class:`~projstat.cyclotomic.CycInt`
 values (which combine freely with integers but not across conductors).
@@ -20,8 +16,6 @@ values (which combine freely with integers but not across conductors).
 from __future__ import annotations
 
 from typing import Mapping
-
-_INF = None  # region entry standing for "unbounded" (exact operand)
 
 
 class NonMonomialBaseError(ValueError):
@@ -37,20 +31,15 @@ class RegionError(ValueError):
 
 
 class TruncatedSeries:
-    __slots__ = ("vars", "caps", "terms", "region", "exact")
+    __slots__ = ("vars", "caps", "terms")
 
-    def __init__(self, vars: tuple[str, ...], caps, terms=None, region=None, exact=True):
+    def __init__(self, vars: tuple[str, ...], caps, terms=None):
         self.vars = tuple(vars)
         self.caps = self._cap_tuple(caps)
         self.terms = {}
-        self.region = self.caps if region is None else tuple(region)
-        self.exact = exact
         if terms:
-            dropped = False
             for exps, coeff in terms.items():
-                dropped |= self._accumulate(exps, coeff)
-            if dropped:
-                self.exact = False
+                self._accumulate(exps, coeff)
         self._prune()
 
     def _cap_tuple(self, caps) -> tuple[int, ...]:
@@ -61,15 +50,14 @@ class TruncatedSeries:
             return tuple(caps[v] for v in self.vars)
         return tuple(caps)
 
-    def _accumulate(self, exps: tuple[int, ...], coeff) -> bool:
-        """Add coeff at exps, honoring caps; returns True when dropped."""
+    def _accumulate(self, exps: tuple[int, ...], coeff) -> None:
+        """Add coeff at exps unless an exponent exceeds its cap."""
         if any(e > c for e, c in zip(exps, self.caps)):
-            return True
+            return
         if exps in self.terms:
             self.terms[exps] = self.terms[exps] + coeff
         else:
             self.terms[exps] = coeff
-        return False
 
     def _prune(self):
         for exps in [e for e, c in self.terms.items() if not c]:
@@ -87,11 +75,10 @@ class TruncatedSeries:
 
     @classmethod
     def monomial(cls, vars, caps, exps: Mapping[str, int], coeff=1) -> "TruncatedSeries":
+        """coeff times the monomial; zero when an exponent exceeds its cap."""
         out = cls(vars, caps)
-        vec = out.exp_vector(exps)
-        if coeff:
-            if out._accumulate(vec, coeff):
-                raise ValueError(f"monomial {exps} exceeds caps {caps}")
+        out._accumulate(out.exp_vector(exps), coeff)
+        out._prune()
         return out
 
     def exp_vector(self, exps: Mapping[str, int]) -> tuple[int, ...]:
@@ -100,47 +87,21 @@ class TruncatedSeries:
             raise ValueError(f"unknown variables {unknown}; have {self.vars}")
         return tuple(exps.get(v, 0) for v in self.vars)
 
-    # -- region bookkeeping ------------------------------------------------
-
-    def _effective_region(self) -> tuple:
-        return tuple(_INF for _ in self.vars) if self.exact else self.region
-
-    @staticmethod
-    def _min_entry(a, b):
-        if a is _INF:
-            return b
-        if b is _INF:
-            return a
-        return min(a, b)
-
-    def _combine(self, other) -> tuple[tuple[int, ...], tuple]:
+    def _common_caps(self, other) -> tuple[int, ...]:
         if self.vars != other.vars:
             raise ValueError(f"variable mismatch: {self.vars} vs {other.vars}")
-        caps = tuple(min(a, b) for a, b in zip(self.caps, other.caps))
-        region = tuple(
-            self._min_entry(a, b)
-            for a, b in zip(self._effective_region(), other._effective_region())
-        )
-        return caps, region
-
-    def _finish_region(self, caps, region) -> tuple[int, ...]:
-        return tuple(c if e is _INF else min(e, c) for e, c in zip(region, caps))
+        return tuple(min(a, b) for a, b in zip(self.caps, other.caps))
 
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other):
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        caps, region = self._combine(other)
-        out = TruncatedSeries(self.vars, caps, region=(0,) * len(caps), exact=False)
-        dropped = False
-        for exps, coeff in self.terms.items():
-            dropped |= out._accumulate(exps, coeff)
-        for exps, coeff in other.terms.items():
-            dropped |= out._accumulate(exps, coeff)
+        out = TruncatedSeries(self.vars, self._common_caps(other))
+        for series in (self, other):
+            for exps, coeff in series.terms.items():
+                out._accumulate(exps, coeff)
         out._prune()
-        out.exact = self.exact and other.exact and not dropped
-        out.region = out._finish_region(caps, region)
         return out
 
     def __sub__(self, other):
@@ -149,28 +110,24 @@ class TruncatedSeries:
     def __mul__(self, other):
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        caps, region = self._combine(other)
-        out = TruncatedSeries(self.vars, caps, region=(0,) * len(caps), exact=False)
+        caps = self._common_caps(other)
+        out = TruncatedSeries(self.vars, caps)
         small, large = (self, other) if len(self.terms) <= len(other.terms) else (other, self)
-        dropped = False
         acc = out.terms
         for e1, c1 in small.terms.items():
             for e2, c2 in large.terms.items():
                 exps = tuple(a + b for a, b in zip(e1, e2))
                 if any(e > c for e, c in zip(exps, caps)):
-                    dropped = True
                     continue
                 if exps in acc:
                     acc[exps] = acc[exps] + c1 * c2
                 else:
                     acc[exps] = c1 * c2
         out._prune()
-        out.exact = self.exact and other.exact and not dropped
-        out.region = out._finish_region(caps, region)
         return out
 
     def scale(self, scalar) -> "TruncatedSeries":
-        out = TruncatedSeries(self.vars, self.caps, region=self.region, exact=self.exact)
+        out = TruncatedSeries(self.vars, self.caps)
         if scalar:
             out.terms = {e: scalar * c for e, c in self.terms.items()}
             out._prune()
@@ -198,12 +155,7 @@ class TruncatedSeries:
         idx = self.vars.index(var)
         new_vars = self.vars[:idx] + self.vars[idx + 1 :]
         drop = lambda t: t[:idx] + t[idx + 1 :]
-        out = TruncatedSeries(
-            new_vars,
-            drop(self.caps),
-            region=drop(self.region),
-            exact=self.exact,
-        )
+        out = TruncatedSeries(new_vars, drop(self.caps))
         for exps, coeff in self.terms.items():
             out._accumulate(drop(exps), coeff)
         out._prune()
@@ -215,7 +167,7 @@ class TruncatedSeries:
         """Keep only terms whose exponent in each listed variable is divisible
         by the given modulus (the component extraction {F}_M)."""
         idx = [(self.vars.index(v), d) for v, d in divisors.items() if d > 1]
-        out = TruncatedSeries(self.vars, self.caps, region=self.region, exact=self.exact)
+        out = TruncatedSeries(self.vars, self.caps)
         out.terms = {
             exps: coeff
             for exps, coeff in self.terms.items()
@@ -265,34 +217,39 @@ class TruncatedSeries:
 
 
 def q_bracket(n: int, base: TruncatedSeries) -> TruncatedSeries:
-    """The bracket 1 + base + ... + base^(n-1) for a scaled monomial base."""
+    """The bracket 1 + base + ... + base^(n-1) for a scaled monomial base.
+
+    A base truncated to zero gives 1 (0 when n = 0).
+    """
     if n < 0:
         raise ValueError(f"bracket length must be >= 0, got {n}")
+    if not base.terms:
+        return TruncatedSeries.monomial(base.vars, base.caps, {}, min(n, 1))
     exps, coeff = base._single_term()
     out = TruncatedSeries(base.vars, base.caps)
     cur_exp = (0,) * len(base.vars)
     cur_coeff = 1
-    dropped = False
     for _ in range(n):
-        dropped |= out._accumulate(cur_exp, cur_coeff)
+        out._accumulate(cur_exp, cur_coeff)
         cur_exp = tuple(a + b for a, b in zip(cur_exp, exps))
         cur_coeff = cur_coeff * coeff
     out._prune()
-    out.exact = not dropped
     return out
 
 
 def geom_inverse(monomial: TruncatedSeries) -> TruncatedSeries:
     """The truncated expansion of 1/(1 - M) for a scaled monomial M.
 
-    Exact within the caps region: (1 - M) * geom_inverse(M) == 1 there.
+    Exact within the caps: (1 - M) * geom_inverse(M) == 1 there.  An M
+    truncated to zero gives 1.
     """
+    out = TruncatedSeries.one(monomial.vars, monomial.caps)
+    if not monomial.terms:
+        return out
     exps, coeff = monomial._single_term()
     if not any(exps):
         raise ConstantTermError("cannot invert 1 - M when M has a constant term")
-    out = TruncatedSeries(monomial.vars, monomial.caps, exact=False)
-    cur_exp = (0,) * len(monomial.vars)
-    cur_coeff = 1
+    cur_exp, cur_coeff = exps, coeff
     while not any(e > c for e, c in zip(cur_exp, out.caps)):
         out._accumulate(cur_exp, cur_coeff)
         cur_exp = tuple(a + b for a, b in zip(cur_exp, exps))
@@ -308,21 +265,12 @@ def equal_on(
 ) -> tuple[bool, tuple[dict, object, object] | None]:
     """Compare coefficients on a region; (ok, first mismatch in graded-lex order).
 
-    The default region is the componentwise minimum of both valid regions.
-    An explicit region beyond what either side guarantees raises RegionError.
+    The default region is the componentwise minimum of both sides' caps.
+    An explicit region beyond that raises RegionError.
     """
-    if lhs.vars != rhs.vars:
-        raise ValueError(f"variable mismatch: {lhs.vars} vs {rhs.vars}")
-    caps = tuple(min(a, b) for a, b in zip(lhs.caps, rhs.caps))
-    shared = tuple(
-        min(c, *(x for x in (a, b) if x is not _INF))
-        if (a is not _INF or b is not _INF)
-        else c
-        for a, b, c in zip(lhs._effective_region(), rhs._effective_region(), caps)
-    )
-    if region is None:
-        bounds = shared
-    else:
+    shared = lhs._common_caps(rhs)
+    bounds = shared
+    if region is not None:
         bounds = tuple(region.get(v, s) for v, s in zip(lhs.vars, shared))
         for v, want, have in zip(lhs.vars, bounds, shared):
             if want > have:

@@ -211,6 +211,22 @@ def test_verify_usage_errors_exit_2(capsys, argv, message):
     assert (code, out, err) == (2, "", message + "\n")
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["--budget", "1", "verify", "signed-multinomial", "--n", "16", "--parts", "8,8"],
+            "error: filling count 12870 exceeds enumeration budget 1",
+        ),
+        (["verify", "carlitz-des", "--r", "2", "--p", "5", "--n", "0"], "error: p=5 does not divide r=2"),
+        (["verify", "carlitz-fdes", "--r", "2", "--s", "4", "--n", "0"], "error: s=4 does not divide r=2"),
+    ],
+)
+def test_verify_refusals_exit_2(capsys, argv, message):
+    code, out, err = run(capsys, *argv, "--json")
+    assert (code, out, err) == (2, "", message + "\n")
+
+
 def test_each_identity_takes_only_its_parameters(capsys):
     import inspect
 

@@ -1,5 +1,7 @@
 import pytest
+import sympy
 
+from projstat import identities
 from projstat.groups import BudgetExceededError, DivisibilityError
 from projstat.stats import distribution
 from projstat.identities import (
@@ -32,6 +34,47 @@ def test_character_poincare_specialization():
 def test_character_gessel_simion_s3():
     report = verify_character_fmaj(1, 1, 1, 3, -1, 0)
     assert report.matched
+
+
+def _character_groups():
+    """Every admissible (r, p, s, n) with r <= 6 and 1 <= n <= 3."""
+    for r in range(1, 7):
+        for n in range(1, 4):
+            for p in range(1, r + 1):
+                for s in range(1, r + 1):
+                    if r % p == 0 and r % s == 0 and (r * n) % (p * s) == 0:
+                        yield r, p, s, n
+
+
+def test_character_matches_on_the_small_grid_including_rank_1():
+    # at rank 1 the cap can lie below the bracket base q^p; that base
+    # truncates to zero and its length-1 bracket is 1
+    runs = 0
+    for r, p, s, n in _character_groups():
+        for eps in (1, -1):
+            for k in range(r // p):
+                if (k * n) % s == 0:
+                    report = verify_character_fmaj(r, p, s, n, eps, k)
+                    assert report.matched, report.to_json()
+                    runs += 1
+    assert runs == 354
+
+
+def test_character_cap_bounds_the_untruncated_bracket_product():
+    # the untwisted product has positive coefficients, so its degree bounds
+    # every twist's, and no term of the right-hand side is ever truncated
+    q = sympy.symbols("q")
+
+    def bracket(length, base):
+        return sum((base**i for i in range(length)), sympy.Integer(0))
+
+    for r, p, s, n in _character_groups():
+        product = bracket(n * r // (p * s), q**p) * bracket(p, q) ** n
+        for i in range(1, n):
+            product *= bracket(i * r // p, q**p)
+        degree = sympy.Poly(sympy.expand(product), q).degree()
+        report = verify_character_fmaj(r, p, s, n)
+        assert degree <= report.region["q"], (r, p, s, n)
 
 
 @pytest.mark.parametrize(
@@ -79,6 +122,21 @@ def test_signed_multinomial_examples():
         verify_signed_multinomial(3, (4, -1))
 
 
+def test_signed_multinomial_refuses_before_enumerating(monkeypatch):
+    report = verify_signed_multinomial(4, (2, 2), budget=6)
+    assert report.matched and report.element_count == 6
+    assert report.params == {"n": 4, "parts": [2, 2]}
+    calls = []
+    monkeypatch.setattr(identities, "inversions", lambda sigma: calls.append(sigma) or 0)
+    with pytest.raises(BudgetExceededError) as exc:
+        verify_signed_multinomial(16, (8, 8), budget=12_869)
+    assert (exc.value.order, exc.value.budget) == (12_870, 12_869)
+    monkeypatch.setenv("PROJSTAT_BUDGET", "5")
+    with pytest.raises(BudgetExceededError):
+        verify_signed_multinomial(4, (2, 2))
+    assert calls == []
+
+
 def test_signed_wreath_examples():
     assert verify_signed_wreath(1, 3).matched
     r = verify_signed_wreath(2, 1)
@@ -110,6 +168,13 @@ def test_carlitz_fdes_examples():
     assert verify_carlitz_fdes(2, 1, 1, 2, tmax=6, qmax=6).matched
     assert verify_carlitz_fdes(1, 1, 1, 3, tmax=6, qmax=6).matched
     assert verify_carlitz_fdes(1, 1, 1, 0).matched
+
+
+@pytest.mark.parametrize("verifier", [verify_carlitz_des, verify_carlitz_fdes])
+@pytest.mark.parametrize("r,p,s", [(2, 5, 1), (2, 1, 4), (4, 3, 2)])
+def test_carlitz_rank_0_validates_the_group(verifier, r, p, s):
+    with pytest.raises(DivisibilityError):
+        verifier(r, p, s, 0)
 
 
 def test_carlitz_fdes_constant_in_t_coefficient():

@@ -2,6 +2,8 @@ import random
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from projstat.cyclotomic import CycInt, zeta_pow
 from projstat.series import (
@@ -172,11 +174,64 @@ def test_region_shrinks_under_truncation_against_double_cap_oracle():
         # inside its claimed region the small computation agrees with the
         # double-cap one
         for exps, coeff in large.terms.items():
-            if all(e <= b for e, b in zip(exps, small.region)):
+            if all(e <= b for e, b in zip(exps, small.caps)):
                 assert small.terms.get(exps, 0) == coeff
         for exps, coeff in small.terms.items():
-            if all(e <= b for e, b in zip(exps, small.region)):
+            if all(e <= b for e, b in zip(exps, small.caps)):
                 assert large.terms.get(exps, 0) == coeff
+
+
+X, Y = sympy.symbols("x y")
+XY = ("x", "y")
+
+
+def _leaf(caps, terms):
+    """A truncated series, the untruncated polynomial it stands for, its caps."""
+    poly = sum((c * X**a * Y**b for (a, b), c in terms.items()), sympy.Integer(0))
+    return TruncatedSeries(XY, caps, terms), poly, caps
+
+
+def _combine(left, right, op):
+    (a, pa, ca), (b, pb, cb) = left, right
+    caps = tuple(min(u, v) for u, v in zip(ca, cb))
+    return (a + b, pa + pb, caps) if op == "+" else (a * b, pa * pb, caps)
+
+
+_exponents = st.tuples(st.integers(0, 5), st.integers(0, 5))
+_expressions = st.recursive(
+    st.builds(_leaf, _exponents, st.dictionaries(_exponents, st.integers(-3, 3), max_size=4)),
+    lambda sub: st.builds(_combine, sub, sub, st.sampled_from("+*")),
+    max_leaves=5,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_expressions)
+def test_truncation_is_sound_against_untruncated_sympy(expression):
+    # random sums and products of operands with different caps: the result
+    # is truncated to the min caps, and within them every coefficient is the
+    # untruncated one
+    series, poly, caps = expression
+    assert series.caps == caps
+    expanded = sympy.Poly(sympy.expand(poly), X, Y).terms()
+    true = {exps: int(c) for exps, c in expanded if c}
+    within = {e: c for e, c in true.items() if all(x <= b for x, b in zip(e, caps))}
+    assert series.terms == within
+    top = max([6, *(max(e) for e in true)])  # past every leaf cap (<= 5)
+    untruncated = TruncatedSeries(XY, (top, top), true)
+    assert untruncated.terms == true
+    assert equal_on(series, untruncated) == (True, None)
+    for var, cap in zip(XY, caps):
+        with pytest.raises(RegionError):
+            equal_on(series, untruncated, {var: cap + 1})
+
+
+def test_monomial_beyond_the_caps_is_zero():
+    assert terms_of(q_mono(e=9, cap=8)) == {}
+    assert terms_of(TruncatedSeries.monomial(XY, {"x": 2, "y": 0}, {"x": 1, "y": 1})) == {}
+    assert terms_of(q_bracket(3, q_mono(e=9, cap=8))) == {(0,): 1}
+    assert terms_of(q_bracket(0, q_mono(e=9, cap=8))) == {}
+    assert terms_of(geom_inverse(q_mono(e=9, cap=8))) == {(0,): 1}
 
 
 def test_extraction_as_root_of_unity_average():
