@@ -38,7 +38,7 @@ class MembershipError(ValueError):
 
 class BudgetExceededError(RuntimeError):
     """Enumeration refused: the group order (or another count of the items
-    to enumerate) exceeds the configured budget."""
+    to enumerate, or a lower bound of it) exceeds the configured budget."""
 
     def __init__(self, order: int, budget: int, what: str = "group order"):
         super().__init__(f"{what} {order} exceeds enumeration budget {budget}")
@@ -211,11 +211,17 @@ def enumeration_budget() -> int:
 
 def check_budget(group: GroupDescriptor, budget: int | None = None) -> None:
     """Refuse a group whose order exceeds the budget (default: the
-    ``PROJSTAT_BUDGET`` environment variable, else 10^6)."""
+    ``PROJSTAT_BUDGET`` environment variable, else 10^6); a rank with n! past
+    the budget is refused by that lower bound, without computing the order."""
     if budget is None:
         budget = enumeration_budget()
+    bound = 1
+    for i in range(2, group.n + 1):
+        bound *= i
+        if bound > budget:
+            raise BudgetExceededError(bound, budget, f"{group}: group order at least")
     if group.order > budget:
-        raise BudgetExceededError(group.order, budget)
+        raise BudgetExceededError(group.order, budget, f"{group}: group order")
 
 
 def canonical_windows(group: GroupDescriptor):
@@ -248,10 +254,12 @@ def parse_group(text: str) -> GroupDescriptor:
     stripped = text.strip()
     if not (stripped.startswith("G(") and stripped.endswith(")")):
         raise ParseError("expected group descriptor G(r,p,s,n)", 0)
-    body = stripped[2:-1].split(",")
+    body = [part.strip() for part in stripped[2:-1].split(",")]
     if len(body) != 4:
         raise ParseError("expected four comma-separated parameters", 2)
     try:
+        if not all(part.isascii() and part.isdigit() for part in body):
+            raise ValueError  # int() also reads "1_0", "+1" and non-ASCII digits
         r, p, s, n = (int(part) for part in body)
     except ValueError:
         raise ParseError(f"non-integer group parameter in {stripped!r}", 2) from None
@@ -282,11 +290,14 @@ def parse_window(text: str, group: GroupDescriptor) -> ProjectiveElement:
         nonlocal i
         skip_ws()
         start = i
-        while i < len(text) and text[i].isdigit():
+        while i < len(text) and "0" <= text[i] <= "9":
             i += 1
         if i == start:
             raise ParseError("expected an integer", start)
-        return int(text[start:i])
+        try:
+            return int(text[start:i])
+        except ValueError:  # more digits than int() converts
+            raise RangeError(f"integer at position {start} is out of range") from None
 
     expect("[")
     values: list[int] = []

@@ -28,13 +28,11 @@ import itertools
 import math
 import time
 from dataclasses import dataclass
-from functools import lru_cache
 from math import gcd
 
 from .cyclotomic import zeta_pow
 from .groups import (
     BudgetExceededError,
-    GroupDescriptor,
     canonicalize,
     enumerate_elements,
     enumeration_budget,
@@ -147,12 +145,6 @@ def _finish(region, ok, mismatch, count, notes=(), **overrides) -> VerificationR
 # ----------------------------------------------------------------------
 # character twists of the flag major index
 
-@lru_cache(maxsize=64)
-def _character_counts(group: GroupDescriptor, budget: int):
-    """Histogram of (sign of |g|, color class mod r, fmaj)."""
-    return distribution(group, ("signAbs", "colorClass", "fmaj"), budget)
-
-
 @_identity("character-fmaj")
 def verify_character_fmaj(
     r: int, p: int = 1, s: int = 1, n: int = 3, eps: int = 1, k: int = 0, budget: int | None = None
@@ -172,9 +164,7 @@ def verify_character_fmaj(
         raise CharacterConditionError(
             f"s={s} does not divide kn={k * n}: zeta^(k c(g)) depends on the lift"
         )
-    if budget is None:
-        budget = enumeration_budget()
-    counts = _character_counts(group, budget)
+    counts = distribution(group, ("signAbs", "colorClass", "fmaj"), budget)
     m = n // 2
     # No term of either side is truncated: a bracket of length L in base
     # c q^p has degree exactly p(L-1), the braces before extraction n(p-1),
@@ -335,34 +325,36 @@ def verify_lift_identity(r: int, s: int = 1, n: int = 3, budget: int | None = No
 # ----------------------------------------------------------------------
 # Carlitz identities
 
-def _carlitz_rank0(vars_, caps, r, p, s, **overrides) -> VerificationReport:
-    """The n = 0 case: the k-sum is t^0 + ... + t^tmax, the right-hand side
-    1/(1-t).  The group parameters are still checked: p | r and s | r."""
-    _quotient_divisor(r, p, s)
-    zeros = (0,) * (len(vars_) - 1)
-    lhs = TruncatedSeries(vars_, caps, {(k, *zeros): 1 for k in range(caps["t"] + 1)})
-    return _finish(caps, *equal_on(lhs, _geom(vars_, caps, t=1)), 1, **overrides)
+def _chain(t: str | None, q: str, r: int, s: int, n: int, a: int, b: int) -> list[dict]:
+    """The monomials M of the chain (1-t^a q^r)...(1-t^a q^{(n-1)r})(1-t^b q^{nr/s}) of
+    factors (1 - M) in the variables named t and q; no t if t is None, none at n = 0."""
+    tpow = lambda e: {t: e} if t else {}
+    chain = [{**tpow(a), q: j * r} for j in range(1, n)]
+    return chain + [{**tpow(b), q: n * r // s}] if n else chain
 
 
-def _carlitz_rhs(vars_, caps, hist, r, s, n, a, b) -> TruncatedSeries:
-    """The histogram over (t, q, ...) divided by the denominator chain
-    (1-t)(1-t^a q^r)(1-t^a q^{2r})...(1-t^a q^{(n-1)r})(1-t^b q^{nr/s})."""
-    rhs = TruncatedSeries(vars_, caps, hist) * _geom(vars_, caps, t=1)
-    for j in range(1, n):
-        rhs = rhs * _geom(vars_, caps, t=a, q=j * r)
-    return rhs * _geom(vars_, caps, t=b, q=n * (r // s))
+def _divide(series: TruncatedSeries, *monomials) -> TruncatedSeries:
+    """series / prod(1 - M) over the monomials M, within its caps."""
+    for exps in monomials:
+        series = series * _geom(series.vars, series.caps, **exps)
+    return series
+
+
+def _ksum(vars_, caps, inner, n, p) -> TruncatedSeries:
+    """The k-sum of t^k inner(k)^n over k <= caps["t"], extracted at q^p.
+    t is the first variable and inner(k) has no t, so the summands' terms
+    lie in distinct t-degrees and are collected without adding."""
+    terms = {}
+    for k in range(caps["t"] + 1):
+        for exps, coeff in (inner(k) ** n).terms.items():
+            terms[(k, *exps[1:])] = coeff
+    return TruncatedSeries(vars_, caps, terms).extract_multiples({"q": p})
 
 
 def _fdes_ksum(caps, n, p) -> TruncatedSeries:
-    """The flag-descent k-sum of t^k [k+1]_q^n over k <= caps["t"], in the
-    variables (t, q), extracted at q^p."""
-    vars_ = ("t", "q")
-    q1 = TruncatedSeries.monomial(vars_, caps, {"q": 1})
-    lhs = TruncatedSeries.zero(vars_, caps)
-    for k in range(caps["t"] + 1):
-        tk = TruncatedSeries.monomial(vars_, caps, {"t": k})
-        lhs = lhs + tk * q_bracket(k + 1, q1) ** n
-    return lhs.extract_multiples({"q": p})
+    """The flag-descent k-sum of t^k [k+1]_q^n in (t, q), extracted at q^p."""
+    q1 = TruncatedSeries.monomial(("t", "q"), caps, {"q": 1})
+    return _ksum(("t", "q"), caps, lambda k: q_bracket(k + 1, q1), n, p)
 
 
 @_identity("carlitz-des")
@@ -387,26 +379,20 @@ def verify_carlitz_des(
     vars_ = ("t", "q", "a")
     caps = {"t": tmax, "q": qmax, "a": amax}
     mono = lambda **e: TruncatedSeries.monomial(vars_, caps, e)
-
-    if n == 0:
-        return _carlitz_rank0(vars_, caps, r, p, s, amax=amax)
-
-    group = make_group(r, p, s, n)
+    # n = 0: G(r,p,s,d) checks p | r and s | r; one element, every statistic 0
+    group = make_group(r, p, s, n or _quotient_divisor(r, p, s))
     rs = r // s
-    if qmax < rs or (rs > 1 and amax < 1):
+    if n and (qmax < rs or (rs > 1 and amax < 1)):
         raise RegionError(f"caps q<={qmax}, a<={amax} leave nothing to compare")
     q_rs = mono(q=rs)
     aq = mono(a=1, q=1)
     br_tail = q_bracket(rs - 1, aq)
-    lhs = TruncatedSeries.zero(vars_, caps)
-    for k in range(tmax + 1):
-        inner = q_bracket(k + 1, q_rs) + aq * q_bracket(k, q_rs) * br_tail
-        lhs = lhs + mono(t=k) * inner**n
-    lhs = lhs.extract_multiples({"q": p})
+    inner = lambda k: q_bracket(k + 1, q_rs) + aq * q_bracket(k, q_rs) * br_tail
+    lhs = _ksum(vars_, caps, inner, n, p)
 
-    hist = distribution(group, ("des", "fmaj", "col"), budget)
-    rhs = _carlitz_rhs(vars_, caps, hist, r, s, n, a=s, b=1)
-    return _finish(caps, *equal_on(lhs, rhs), group.order, amax=amax)
+    hist = distribution(group, ("des", "fmaj", "col"), budget) if n else {(0, 0, 0): 1}
+    rhs = _divide(TruncatedSeries(vars_, caps, hist), {"t": 1}, *_chain("t", "q", r, s, n, s, 1))
+    return _finish(caps, *equal_on(lhs, rhs), group.order if n else 1, amax=amax)
 
 
 @_identity("carlitz-fdes")
@@ -427,16 +413,15 @@ def verify_carlitz_fdes(
     """
     vars_ = ("t", "q")
     caps = {"t": tmax, "q": qmax}
-    if n == 0:
-        return _carlitz_rank0(vars_, caps, r, p, s)
-
-    group = make_group(r, p, s, n)
-    if qmax < 1:
+    # n = 0: G(r,p,s,d) checks p | r and s | r; one element, every statistic 0
+    group = make_group(r, p, s, n or _quotient_divisor(r, p, s))
+    if n and qmax < 1:
         raise RegionError(f"qmax={qmax} leaves nothing to compare")
     lhs = _fdes_ksum(caps, n, p)
-    hist = distribution(group, ("fdes", "fmaj"), budget)
-    rhs = _carlitz_rhs(vars_, caps, hist, r, s, n, a=r, b=r // s)
-    return _finish(caps, *equal_on(lhs, rhs), group.order)
+    hist = distribution(group, ("fdes", "fmaj"), budget) if n else {(0, 0): 1}
+    chain = _chain("t", "q", r, s, n, r, r // s)
+    rhs = _divide(TruncatedSeries(vars_, caps, hist), {"t": 1}, *chain)
+    return _finish(caps, *equal_on(lhs, rhs), group.order if n else 1)
 
 
 @_identity("fdes-trivariate")
@@ -484,11 +469,11 @@ def verify_fdes_trivariate(
     aq = mono(a=1, q=1)
     br_tail = q_bracket(rs - 1, aq)
     blockwise_ok = True
-    lhs = TruncatedSeries.zero(vars_, caps)
+    closed = {}
     for k in range(tmax + 1):
         quot, rem = divmod(k, rs)
         partial = mono(a=1, q=quot * rs + 1)
-        closed = (
+        closed[k] = (
             q_bracket(quot + 1, q_rs)
             + aq * br_tail * q_bracket(quot, q_rs)
             + partial * q_bracket(rem, aq)
@@ -496,12 +481,11 @@ def verify_fdes_trivariate(
         direct = TruncatedSeries(
             vars_, caps, {(0, j, residue(j, rs)): 1 for j in range(k + 1)}
         )
-        blockwise_ok &= equal_on(closed, direct)[0]
-        lhs = lhs + mono(t=k) * closed**n
-    lhs = lhs.extract_multiples({"q": p})
+        blockwise_ok &= equal_on(closed[k], direct)[0]
+    lhs = _ksum(vars_, caps, closed.get, n, p)
 
     hist = distribution(group, ("fdes", "fmaj", "col"), budget)
-    rhs = _carlitz_rhs(vars_, caps, hist, r, s, n, a=r, b=rs)
+    rhs = _divide(TruncatedSeries(vars_, caps, hist), {"t": 1}, *_chain("t", "q", r, s, n, r, rs))
     ok, mism = equal_on(lhs, rhs)
     a1_ok = equal_on(lhs.collapse_var("a"), _fdes_ksum({"t": tmax, "q": qmax}, n, p))[0]
     notes += [
@@ -541,32 +525,24 @@ def _rank_sum(vars_, caps, keys, r, p, s, nmax, d, budget):
 
     The sum over ranks n <= nmax divisible by d of u^n times the histogram
     of ``keys`` over G(r,p,s,n) (laid out as vars_[1:]), divided for
-    i = 1, 2 by (1 - t_i q_i^{nr/s}) (1 - t_i^s q_i^{jr}) for 0 < j < n.
-    When vars_ has t1, t2, every term is also divided by (1-t1)(1-t2);
-    otherwise the t_i are dropped.  The rank-0 term is the constant s.
+    i = 1, 2 by the chain of carlitz-des in (t_i, q_i).  When vars_ has
+    t1, t2, every term is also divided by (1-t1)(1-t2); otherwise the t_i
+    are dropped.  The rank-0 term is the constant s.
     """
-    graded = "t1" in vars_
-
-    def geom(i, t, q):
-        return _geom(vars_, caps, **{f"q{i}": q, **({f"t{i}": t} if graded else {})})
-
+    ts = ("t1", "t2") if "t1" in vars_ else (None, None)
     out = TruncatedSeries.zero(vars_, caps)
     count = 0
     for rank in range(0, nmax + 1, d):
-        if rank == 0:
-            term = TruncatedSeries.one(vars_, caps).scale(s)
-        else:
+        hist = {(0,) * len(keys): s}
+        if rank:
             group = make_group(r, p, s, rank)
             count += group.order
             hist = distribution(group, keys, budget)
-            term = TruncatedSeries(vars_, caps, {(rank, *key): c for key, c in hist.items()})
-        if graded:
-            term = term * geom(1, 1, 0) * geom(2, 1, 0)
-        if rank:
-            term = term * geom(1, 1, rank * (r // s)) * geom(2, 1, rank * (r // s))
-        for j in range(1, rank):
-            term = term * geom(1, s, j * r) * geom(2, s, j * r)
-        out = out + term
+        term = TruncatedSeries(vars_, caps, {(rank, *key): c for key, c in hist.items()})
+        monomials = [{t: 1} for t in ts if t]
+        for t, q in zip(ts, ("q1", "q2")):
+            monomials += _chain(t, q, r, s, rank, s, 1)
+        out = out + _divide(term, *monomials)
     return out, count
 
 

@@ -219,7 +219,8 @@ class TruncatedSeries:
 def q_bracket(n: int, base: TruncatedSeries) -> TruncatedSeries:
     """The bracket 1 + base + ... + base^(n-1) for a scaled monomial base.
 
-    A base truncated to zero gives 1 (0 when n = 0).
+    A base truncated to zero gives 1 (0 when n = 0).  The powers stop at
+    the first one past the caps: exponents only grow from there.
     """
     if n < 0:
         raise ValueError(f"bracket length must be >= 0, got {n}")
@@ -230,6 +231,8 @@ def q_bracket(n: int, base: TruncatedSeries) -> TruncatedSeries:
     cur_exp = (0,) * len(base.vars)
     cur_coeff = 1
     for _ in range(n):
+        if any(e > c for e, c in zip(cur_exp, out.caps)):
+            break
         out._accumulate(cur_exp, cur_coeff)
         cur_exp = tuple(a + b for a, b in zip(cur_exp, exps))
         cur_coeff = cur_coeff * coeff

@@ -383,16 +383,6 @@ class BnDescentSplit:
     nn: frozenset[int]
     neg: frozenset[int]
 
-    def to_json(self) -> dict:
-        return {
-            "hdes0": sorted(self.hdes0),
-            "hdes1": sorted(self.hdes1),
-            "desPM": sorted(self.des_pm),
-            "d0": self.d0,
-            "nn": sorted(self.nn),
-            "neg": sorted(self.neg),
-        }
-
 
 def bn_descent_split(g: ProjectiveElement) -> BnDescentSplit:
     group = g.group

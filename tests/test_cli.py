@@ -2,6 +2,8 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from projstat.cli import main
 
@@ -239,3 +241,35 @@ def test_each_identity_takes_only_its_parameters(capsys):
         for flag in sorted(flags - params):
             code, _, err = run(capsys, "verify", name, f"--{flag}", "1")
             assert (code, err) == (2, f"error: {name} takes no --{flag}\n")
+
+
+def test_stats_refuses_a_huge_rank_by_name(capsys):
+    code, out, err = run(capsys, "stats", "G(1,1,1,300000)", "--dist")
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: G(1,1,1,300000): group order at least 3628800"
+        " exceeds enumeration budget 1000000\n"
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.one_of(
+        st.text(max_size=16),
+        st.text(alphabet=st.sampled_from("G(),0123456789 -_²١"), max_size=16),
+    )
+)
+def test_stats_on_random_text_exits_2(text):
+    from projstat.groups import parse_group
+
+    try:
+        parse_group(text)
+    except ValueError:
+        pass
+    else:
+        assume(False)  # a well-formed group is not random text
+    try:
+        code = main(["stats", text])
+    except SystemExit as exc:  # argparse, for text that looks like an option
+        code = exc.code
+    assert code == 2

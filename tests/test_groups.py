@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from projstat.cyclotomic import CycInt, zeta_pow
 from projstat.groups import (
@@ -291,3 +293,56 @@ def test_codec_errors():
         parse_window("[-1,2,3]", make_group(3, 1, 1, 3))
     with pytest.raises(MembershipError):
         parse_window("[1^1,2]", make_group(2, 2, 1, 2))
+
+
+def test_budget_refuses_a_huge_rank_without_its_order():
+    # the order of G(1,1,1,300000) has about 1.5 million digits; 10! > 10^6
+    with pytest.raises(BudgetExceededError) as exc:
+        next(enumerate_elements(make_group(1, 1, 1, 300_000)))
+    assert str(exc.value) == (
+        "G(1,1,1,300000): group order at least 3628800 exceeds enumeration budget 1000000"
+    )
+    with pytest.raises(BudgetExceededError, match=r"^G\(6,2,3,8\): group order 11287019520 "):
+        next(enumerate_elements(make_group(6, 2, 3, 8)))
+
+
+def test_parsers_take_ascii_digits_only():
+    B2 = make_group(2, 1, 1, 2)
+    for text in ("[²,1]", "[١,2]", "[1^¹,2]", "[１,2]"):
+        with pytest.raises(ParseError):
+            parse_window(text, B2)
+    for text in ("G(1_0,1,1,1)", "G(١,1,1,1)", "G(+1,1,1,1)", "G(2,1,1,²)"):
+        with pytest.raises(ParseError):
+            parse_group(text)
+    assert parse_group("G( 2 ,1, 1,2 )") == B2
+
+
+_WINDOW_TEXT = st.text(alphabet=st.sampled_from("[]^,- 0123456789²١１_x"), max_size=16)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.text(max_size=16), _WINDOW_TEXT, _WINDOW_TEXT.map(lambda t: f"[{t}]")))
+@example("[" + "1" * 5000 + ",2]")
+@example("[1^" + "1" * 5000 + ",2]")
+def test_parse_window_raises_only_its_own_errors(text):
+    for group in (make_group(2, 1, 1, 2), make_group(3, 3, 1, 3), make_group(1, 1, 1, 1)):
+        try:
+            parse_window(text, group)
+        except (ParseError, RangeError, MembershipError):
+            pass
+
+
+def _group_text():
+    part = st.text(alphabet=st.sampled_from("0123456789 -+_²١x"), max_size=3)
+    return st.lists(part, min_size=3, max_size=5).map(lambda ps: f"G({','.join(ps)})")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.text(max_size=16), _group_text()))
+def test_parse_group_raises_only_parse_and_group_errors(text):
+    try:
+        parse_group(text)
+    except (ParseError, DivisibilityError):
+        pass
+    except ValueError as exc:  # make_group's own check
+        assert "must be a positive integer" in str(exc)

@@ -276,3 +276,40 @@ def test_reports_are_deterministic_up_to_timing():
 def test_budget_propagates():
     with pytest.raises(BudgetExceededError):
         verify_signed_wreath(4, 5, budget=1000)
+
+
+@pytest.mark.parametrize(
+    "name, monomial",
+    [
+        ("carlitz-des", {"t": 1, "q": 6}),
+        ("carlitz-fdes", {"t": 2, "q": 6}),
+        ("fdes-trivariate", {"t": 2, "q": 6}),
+        ("six-stats", {"u": 1, "t2": 1, "q2": 2}),
+        ("hilbert", {"u": 1, "q2": 2}),
+    ],
+)
+def test_dropping_the_last_chain_factor_is_reported(monkeypatch, capsys, name, monomial):
+    import json
+
+    from projstat import cli
+
+    real = identities._chain
+    monkeypatch.setattr(identities, "_chain", lambda *args: real(*args)[:-1])
+    code = cli.main(["verify", name, "--r", "2", "--json"])
+    report = json.loads(capsys.readouterr().out)
+    assert (code, report["outcome"]) == (1, "MISMATCH")
+    assert report["firstMismatch"]["monomial"] == monomial
+
+
+def test_character_enumerates_on_every_call(monkeypatch):
+    calls = []
+
+    def counting(group, keys, budget=None):
+        calls.append(group)
+        return distribution(group, keys, budget)
+
+    monkeypatch.setattr(identities, "distribution", counting)
+    first = verify_character_fmaj(2, 1, 1, 3)
+    second = verify_character_fmaj(2, 1, 1, 3)
+    assert first.matched and second.matched
+    assert [str(g) for g in calls] == ["G(2,1,1,3)", "G(2,1,1,3)"]

@@ -309,3 +309,8 @@ def test_variable_mismatch_rejected():
     b = TruncatedSeries.one(("q",), {"q": 2})
     with pytest.raises(ValueError):
         a + b
+
+
+def test_q_bracket_stops_at_the_first_power_past_the_caps():
+    # 10**9 steps would not finish; the powers past q^5 are all truncated
+    assert q_bracket(10**9, q_mono(cap=5)) == q_bracket(6, q_mono(cap=5))
