@@ -29,6 +29,7 @@ from .series import (
     RegionError,
     TruncatedSeries,
     equal_on,
+    geom_divide,
     geom_inverse,
     q_bracket,
 )

@@ -28,7 +28,12 @@ from .stats import bn_descent_split, des_set, distribution, stat_record
 
 
 def _int_list(text: str) -> tuple[int, ...]:
-    return tuple(int(part) for part in text.split(","))
+    """Comma-separated ASCII digits, as the group and window parsers take them."""
+    parts = [part.strip() for part in text.split(",")]
+    if not all(part.isascii() and part.isdigit() for part in parts):
+        # int() also reads "1_0", "+1" and non-ASCII digits
+        raise argparse.ArgumentTypeError(f"expected comma-separated ASCII digits, got {text!r}")
+    return tuple(int(part) for part in parts)
 
 
 def _emit_table(rows: list[tuple], header: tuple | None = None) -> str:

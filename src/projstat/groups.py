@@ -41,9 +41,20 @@ class BudgetExceededError(RuntimeError):
     to enumerate, or a lower bound of it) exceeds the configured budget."""
 
     def __init__(self, order: int, budget: int, what: str = "group order"):
-        super().__init__(f"{what} {order} exceeds enumeration budget {budget}")
+        super().__init__(f"{what} {_decimal(order)} exceeds enumeration budget {budget}")
         self.order = order
         self.budget = budget
+
+
+def _decimal(n: int) -> str:
+    """n in decimal, or "at least 10^k" (k as large as it goes) past 1000
+    digits: str() of an int refuses more than 4300 digits."""
+    if n < 10**1000:
+        return str(n)
+    k = (n.bit_length() - 1) * 3 // 10  # 10^k <= 2^(bits - 1) <= n
+    while 10 ** (k + 1) <= n:
+        k += 1
+    return f"at least 10^{k}"
 
 
 class ParseError(ValueError):

@@ -41,7 +41,7 @@ from .groups import (
     make_group,
     residue,
 )
-from .series import RegionError, TruncatedSeries, equal_on, geom_inverse, q_bracket
+from .series import RegionError, TruncatedSeries, equal_on, geom_divide, q_bracket
 from .stats import distribution, inversions, stat_record
 
 MATCH = "MATCH"
@@ -87,11 +87,6 @@ class VerificationReport:
 
 def _coef_repr(c):
     return c if isinstance(c, int) else str(c)
-
-
-def _geom(vars_, caps, **exps) -> TruncatedSeries:
-    """1/(1 - M) truncated to the caps, for the monomial M with these exponents."""
-    return geom_inverse(TruncatedSeries.monomial(vars_, caps, exps))
 
 
 VERIFIERS: dict = {}  # identity name -> verifier, in declaration order
@@ -336,7 +331,7 @@ def _chain(t: str | None, q: str, r: int, s: int, n: int, a: int, b: int) -> lis
 def _divide(series: TruncatedSeries, *monomials) -> TruncatedSeries:
     """series / prod(1 - M) over the monomials M, within its caps."""
     for exps in monomials:
-        series = series * _geom(series.vars, series.caps, **exps)
+        series = geom_divide(series, TruncatedSeries.monomial(series.vars, series.caps, exps))
     return series
 
 
@@ -346,7 +341,7 @@ def _ksum(vars_, caps, inner, n, p) -> TruncatedSeries:
     lie in distinct t-degrees and are collected without adding."""
     terms = {}
     for k in range(caps["t"] + 1):
-        for exps, coeff in (inner(k) ** n).terms.items():
+        for exps, coeff in (inner(k) ** n).exp_terms.items():
             terms[(k, *exps[1:])] = coeff
     return TruncatedSeries(vars_, caps, terms).extract_multiples({"q": p})
 
@@ -487,7 +482,7 @@ def verify_fdes_trivariate(
     hist = distribution(group, ("fdes", "fmaj", "col"), budget)
     rhs = _divide(TruncatedSeries(vars_, caps, hist), {"t": 1}, *_chain("t", "q", r, s, n, r, rs))
     ok, mism = equal_on(lhs, rhs)
-    a1_ok = equal_on(lhs.collapse_var("a"), _fdes_ksum({"t": tmax, "q": qmax}, n, p))[0]
+    a1_ok = equal_on(lhs.collapse_var("a", under="q"), _fdes_ksum({"t": tmax, "q": qmax}, n, p))[0]
     notes += [
         f"blockwise closed form equals the direct lattice sum for all k <= {tmax}: {blockwise_ok}",
         f"closed form matches the enumeration oracle: {ok}",
@@ -500,23 +495,21 @@ def verify_fdes_trivariate(
 # six statistics and Hilbert series
 
 def _quotient_divisor(r: int, p: int, s: int) -> int:
-    """The least rank d with ps | rd; make_group validates p | r and s | r."""
-    d = p * s // gcd(p * s, r)
-    make_group(r, p, s, d)
-    return d
+    """The least rank d with ps | rd, once make_group has validated r, p, s
+    (at rank ps, where ps | rn always holds)."""
+    make_group(r, p, s, p * s)
+    return p * s // gcd(p * s, r)
 
 
-def _lattice_sum(vars_, caps, factor, r, step, classes, imax, jmax) -> TruncatedSeries:
-    """The sum over l < classes of the product of factor(i, j) over the
-    lattice points i <= imax, j <= jmax with i + j = l * step (mod r)."""
+def _lattice_sum(vars_, caps, monomial, r, step, classes, imax, jmax) -> TruncatedSeries:
+    """The sum over l < classes of the product of 1/(1 - M) over the lattice
+    points i <= imax, j <= jmax with i + j = l * step (mod r), where M is
+    the monomial with the exponents monomial(i, j)."""
     total = TruncatedSeries.zero(vars_, caps)
     for l in range(classes):
-        prod = TruncatedSeries.one(vars_, caps)
-        for i in range(imax + 1):
-            for j in range(jmax + 1):
-                if (i + j - l * step) % r == 0:
-                    prod = prod * factor(i, j)
-        total = total + prod
+        points = itertools.product(range(imax + 1), range(jmax + 1))
+        chain = [monomial(i, j) for i, j in points if (i + j - l * step) % r == 0]
+        total = total + _divide(TruncatedSeries.one(vars_, caps), *chain)
     return total
 
 
@@ -574,15 +567,13 @@ def verify_six_stats(
         "q1": qmax, "q2": qmax, "a1": qmax, "a2": qmax,
     }
 
-    @functools.cache
-    def factor(i: int, j: int) -> TruncatedSeries:
-        return _geom(vars_, caps, u=1, q1=i, q2=j, a1=residue(i, rs), a2=residue(j, rs))
+    monomial = lambda i, j: {"u": 1, "q1": i, "q2": j, "a1": residue(i, rs), "a2": residue(j, rs)}
 
     total = TruncatedSeries.zero(vars_, caps)
     for k1 in range(tmax + 1):
         for k2 in range(tmax + 1):
             imax, jmax = min(k1 * rs, qmax), min(k2 * rs, qmax)
-            block = _lattice_sum(vars_, caps, factor, r, rs, s, imax, jmax)
+            block = _lattice_sum(vars_, caps, monomial, r, rs, s, imax, jmax)
             tk = TruncatedSeries.monomial(vars_, caps, {"t1": k1, "t2": k2})
             total = total + tk * block
     lhs = total.extract_multiples({"u": d, "q1": p})
@@ -627,12 +618,9 @@ def verify_hilbert(
     caps = {"u": nmax, "q1": qmax, "q2": qmax}
 
     @functools.cache
-    def factor(i: int, j: int) -> TruncatedSeries:
-        return _geom(vars_, caps, u=1, q1=i, q2=j)
-
-    @functools.cache
     def lattice_sum(step: int, classes: int) -> TruncatedSeries:
-        return _lattice_sum(vars_, caps, factor, r, step, classes, qmax, qmax)
+        monomial = lambda i, j: {"u": 1, "q1": i, "q2": j}
+        return _lattice_sum(vars_, caps, monomial, r, step, classes, qmax, qmax)
 
     keys = ("fmaj", "ifmaj")
     lhs = lattice_sum(r // s, s).extract_multiples({"u": d, "q1": p})

@@ -9,12 +9,19 @@ that promise for series in nonnegative exponents: every product
 contribution to an exponent within the minimum comes from operand terms
 within their own caps.
 
+Each exponent vector is packed into one ``int`` with a guard bit per
+variable (the packed monomials of Monagan & Pearce, ISSAC 2009), so the cap
+check of a product term is one addition and one mask.  Exponent tuples
+appear only at the edges, :attr:`~TruncatedSeries.exp_terms` among them.
+
 Coefficients may be Python integers or :class:`~projstat.cyclotomic.CycInt`
 values (which combine freely with integers but not across conductors).
 """
 
 from __future__ import annotations
 
+import functools
+from types import MappingProxyType
 from typing import Mapping
 
 
@@ -30,38 +37,85 @@ class RegionError(ValueError):
     """A comparison region exceeds the valid region of an operand."""
 
 
+@functools.lru_cache
+def _layout(caps: tuple[int, ...]) -> tuple[tuple[tuple[int, int], ...], int, int]:
+    """The (shift, mask) field of each variable, BIAS and GUARD under caps.
+
+    Variable i gets caps[i].bit_length() + 1 bits, the top one its guard
+    bit, and BIAS lifts each cap to just below its guard.  A sum k of two
+    packed vectors within the caps carries into no other field, and lies
+    within the caps iff (k + BIAS) & GUARD == 0.
+    """
+    fields, bias, guard, shift = [], 0, 0, 0
+    for cap in caps:
+        bits = cap.bit_length()
+        fields.append((shift, (2 << bits) - 1))
+        bias += ((1 << bits) - 1 - cap) << shift
+        guard += 1 << (shift + bits)
+        shift += bits + 1
+    return tuple(fields), bias, guard
+
+
+def _unpack(fields, key: int) -> tuple[int, ...]:
+    return tuple((key >> shift) & mask for shift, mask in fields)
+
+
 class TruncatedSeries:
     __slots__ = ("vars", "caps", "terms")
 
     def __init__(self, vars: tuple[str, ...], caps, terms=None):
         self.vars = tuple(vars)
         self.caps = self._cap_tuple(caps)
-        self.terms = {}
-        if terms:
-            for exps, coeff in terms.items():
-                self._accumulate(exps, coeff)
-        self._prune()
+        self.terms = {}  # packed exponent vector -> nonzero coefficient
+        for exps, coeff in (terms or {}).items():
+            key = self._pack(exps)
+            if key is not None and coeff:
+                self.terms[key] = coeff
 
     def _cap_tuple(self, caps) -> tuple[int, ...]:
         if isinstance(caps, Mapping):
             missing = [v for v in self.vars if v not in caps]
             if missing:
                 raise ValueError(f"missing caps for variables {missing}")
-            return tuple(caps[v] for v in self.vars)
-        return tuple(caps)
+            caps = [caps[v] for v in self.vars]
+        caps = tuple(caps)
+        if len(caps) != len(self.vars) or min(caps, default=0) < 0:
+            raise ValueError(f"need one nonnegative cap per variable {self.vars}, got {caps}")
+        return caps
 
-    def _accumulate(self, exps: tuple[int, ...], coeff) -> None:
-        """Add coeff at exps unless an exponent exceeds its cap."""
+    def _pack(self, exps) -> int | None:
+        """The packed key of an exponent tuple; None when beyond the caps.
+        A negative exponent would borrow across fields, so it raises."""
+        if len(exps) != len(self.caps) or min(exps, default=0) < 0:
+            raise ValueError(f"need {len(self.caps)} nonnegative exponents, got {exps}")
         if any(e > c for e, c in zip(exps, self.caps)):
-            return
-        if exps in self.terms:
-            self.terms[exps] = self.terms[exps] + coeff
-        else:
-            self.terms[exps] = coeff
+            return None
+        fields = _layout(self.caps)[0]
+        return sum(e << shift for e, (shift, _) in zip(exps, fields))
 
-    def _prune(self):
-        for exps in [e for e, c in self.terms.items() if not c]:
-            del self.terms[exps]
+    def _packed(self, caps: tuple[int, ...]) -> dict:
+        """The terms packed under caps (componentwise <= self.caps), without
+        those beyond them."""
+        if caps == self.caps:
+            return self.terms
+        return TruncatedSeries(self.vars, caps, self.exp_terms).terms
+
+    def _with(self, caps, terms: dict) -> "TruncatedSeries":
+        """A series in self's variables with these packed terms, zeros
+        removed, under caps already known to be valid."""
+        if not all(terms.values()):
+            for key in [k for k, c in terms.items() if not c]:
+                del terms[key]
+        out = object.__new__(TruncatedSeries)
+        out.vars, out.caps, out.terms = self.vars, caps, terms
+        return out
+
+    @property
+    def exp_terms(self) -> Mapping[tuple[int, ...], object]:
+        """A read-only view of the terms keyed by exponent tuples, built on
+        each access."""
+        fields = _layout(self.caps)[0]
+        return MappingProxyType({_unpack(fields, k): c for k, c in self.terms.items()})
 
     # -- constructors ------------------------------------------------------
 
@@ -77,9 +131,7 @@ class TruncatedSeries:
     def monomial(cls, vars, caps, exps: Mapping[str, int], coeff=1) -> "TruncatedSeries":
         """coeff times the monomial; zero when an exponent exceeds its cap."""
         out = cls(vars, caps)
-        out._accumulate(out.exp_vector(exps), coeff)
-        out._prune()
-        return out
+        return cls(out.vars, out.caps, {out.exp_vector(exps): coeff})
 
     def exp_vector(self, exps: Mapping[str, int]) -> tuple[int, ...]:
         unknown = [v for v in exps if v not in self.vars]
@@ -97,12 +149,11 @@ class TruncatedSeries:
     def __add__(self, other):
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        out = TruncatedSeries(self.vars, self._common_caps(other))
-        for series in (self, other):
-            for exps, coeff in series.terms.items():
-                out._accumulate(exps, coeff)
-        out._prune()
-        return out
+        caps = self._common_caps(other)
+        acc = dict(self._packed(caps))
+        for key, coeff in other._packed(caps).items():
+            acc[key] = acc[key] + coeff if key in acc else coeff
+        return self._with(caps, acc)
 
     def __sub__(self, other):
         return self + other.scale(-1)
@@ -111,27 +162,27 @@ class TruncatedSeries:
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         caps = self._common_caps(other)
-        out = TruncatedSeries(self.vars, caps)
-        small, large = (self, other) if len(self.terms) <= len(other.terms) else (other, self)
-        acc = out.terms
-        for e1, c1 in small.terms.items():
-            for e2, c2 in large.terms.items():
-                exps = tuple(a + b for a, b in zip(e1, e2))
-                if any(e > c for e, c in zip(exps, caps)):
+        _, bias, guard = _layout(caps)
+        small, large = self._packed(caps), other._packed(caps)
+        if len(small) > len(large):
+            small, large = large, small
+        large = list(large.items())
+        acc = {}
+        for k1, c1 in small.items():
+            biased = k1 + bias
+            for k2, c2 in large:
+                if (biased + k2) & guard:
                     continue
-                if exps in acc:
-                    acc[exps] = acc[exps] + c1 * c2
+                key = k1 + k2
+                if key in acc:
+                    acc[key] = acc[key] + c1 * c2
                 else:
-                    acc[exps] = c1 * c2
-        out._prune()
-        return out
+                    acc[key] = c1 * c2
+        return self._with(caps, acc)
 
     def scale(self, scalar) -> "TruncatedSeries":
-        out = TruncatedSeries(self.vars, self.caps)
-        if scalar:
-            out.terms = {e: scalar * c for e, c in self.terms.items()}
-            out._prune()
-        return out
+        terms = {k: scalar * c for k, c in self.terms.items()} if scalar else {}
+        return self._with(self.caps, terms)
 
     def __pow__(self, e: int):
         if e < 0:
@@ -142,40 +193,44 @@ class TruncatedSeries:
         return out
 
     def coefficient(self, exps: Mapping[str, int]):
-        return self.terms.get(self.exp_vector(exps), 0)
+        key = self._pack(self.exp_vector(exps))
+        return 0 if key is None else self.terms.get(key, 0)
 
-    def collapse_var(self, var: str) -> "TruncatedSeries":
-        """Set one variable to 1, summing coefficients over its exponent.
+    def collapse_var(self, var: str, *, under: str) -> "TruncatedSeries":
+        """Set ``var`` to 1, summing coefficients over its exponent.
 
-        Only sound when no term was ever discarded for an exponent of ``var``
-        inside the remaining region; the caller is responsible for that (in
-        every use here the collapsed variable's degree is dominated by
-        another variable's).
+        Sound when ``var``'s exponent never exceeds ``under``'s: a term within
+        the remaining caps then has var <= under <= cap(under) <= cap(var),
+        so none was dropped.  Raises ValueError when cap(var) < cap(under)
+        or a stored term has a larger exponent in ``var`` than in ``under``.
         """
-        idx = self.vars.index(var)
-        new_vars = self.vars[:idx] + self.vars[idx + 1 :]
+        idx, top = self.vars.index(var), self.vars.index(under)
+        if self.caps[idx] < self.caps[top]:
+            raise ValueError(
+                f"cap {var}<={self.caps[idx]} is below {under}<={self.caps[top]}"
+            )
         drop = lambda t: t[:idx] + t[idx + 1 :]
-        out = TruncatedSeries(new_vars, drop(self.caps))
-        for exps, coeff in self.terms.items():
-            out._accumulate(drop(exps), coeff)
-        out._prune()
-        return out
+        terms = {}
+        for exps, coeff in self.exp_terms.items():
+            if exps[idx] > exps[top]:
+                raise ValueError(f"term {exps} in {self.vars} has {var} > {under}")
+            terms[drop(exps)] = terms.get(drop(exps), 0) + coeff
+        return TruncatedSeries(drop(self.vars), drop(self.caps), terms)
 
     # -- component extraction and closed forms ------------------------------
 
     def extract_multiples(self, divisors: Mapping[str, int]) -> "TruncatedSeries":
         """Keep only terms whose exponent in each listed variable is divisible
         by the given modulus (the component extraction {F}_M)."""
-        idx = [(self.vars.index(v), d) for v, d in divisors.items() if d > 1]
-        out = TruncatedSeries(self.vars, self.caps)
-        out.terms = {
-            exps: coeff
-            for exps, coeff in self.terms.items()
-            if all(exps[i] % d == 0 for i, d in idx)
-        }
-        return out
+        fields = _layout(self.caps)[0]
+        idx = [(fields[self.vars.index(v)], d) for v, d in divisors.items() if d > 1]
+        return self._with(self.caps, {
+            key: coeff
+            for key, coeff in self.terms.items()
+            if all(((key >> shift) & mask) % d == 0 for (shift, mask), d in idx)
+        })
 
-    def _single_term(self) -> tuple[tuple[int, ...], object]:
+    def _single_term(self) -> tuple[int, object]:
         if len(self.terms) != 1:
             raise NonMonomialBaseError(
                 f"expected a single-term series, found {len(self.terms)} terms"
@@ -185,13 +240,17 @@ class TruncatedSeries:
     def __eq__(self, other):
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        return self.vars == other.vars and self.terms == other.terms
+        if self.vars != other.vars:
+            return False
+        if self.caps == other.caps:
+            return self.terms == other.terms
+        return self.exp_terms == other.exp_terms
 
     # -- presentation --------------------------------------------------------
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], object]]:
         """Terms in graded-lexicographic order (total degree, then exponents)."""
-        return sorted(self.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]))
+        return sorted(self.exp_terms.items(), key=lambda kv: (sum(kv[0]), kv[0]))
 
     def __str__(self):
         parts = []
@@ -226,18 +285,16 @@ def q_bracket(n: int, base: TruncatedSeries) -> TruncatedSeries:
         raise ValueError(f"bracket length must be >= 0, got {n}")
     if not base.terms:
         return TruncatedSeries.monomial(base.vars, base.caps, {}, min(n, 1))
-    exps, coeff = base._single_term()
-    out = TruncatedSeries(base.vars, base.caps)
-    cur_exp = (0,) * len(base.vars)
-    cur_coeff = 1
+    step, coeff = base._single_term()
+    _, bias, guard = _layout(base.caps)
+    terms = {}
+    key, power = 0, 1
     for _ in range(n):
-        if any(e > c for e, c in zip(cur_exp, out.caps)):
+        if (key + bias) & guard:
             break
-        out._accumulate(cur_exp, cur_coeff)
-        cur_exp = tuple(a + b for a, b in zip(cur_exp, exps))
-        cur_coeff = cur_coeff * coeff
-    out._prune()
-    return out
+        terms[key] = terms[key] + power if key in terms else power
+        key, power = key + step, power * coeff
+    return base._with(base.caps, terms)
 
 
 def geom_inverse(monomial: TruncatedSeries) -> TruncatedSeries:
@@ -246,19 +303,30 @@ def geom_inverse(monomial: TruncatedSeries) -> TruncatedSeries:
     Exact within the caps: (1 - M) * geom_inverse(M) == 1 there.  An M
     truncated to zero gives 1.
     """
-    out = TruncatedSeries.one(monomial.vars, monomial.caps)
-    if not monomial.terms:
-        return out
-    exps, coeff = monomial._single_term()
-    if not any(exps):
+    return geom_divide(TruncatedSeries.one(monomial.vars, monomial.caps), monomial)
+
+
+def geom_divide(series: TruncatedSeries, monomial: TruncatedSeries) -> TruncatedSeries:
+    """series / (1 - M) for a scaled monomial M = c m: the product
+    series * geom_inverse(M), without building the inverse.
+
+    The quotient is G[e] = sum over j of c^j F[e - jm]: each term of F is
+    walked along its chain e + m, e + 2m, ... until the guard trips.
+    """
+    caps = series._common_caps(monomial)
+    if monomial.terms and not monomial._single_term()[0]:
         raise ConstantTermError("cannot invert 1 - M when M has a constant term")
-    cur_exp, cur_coeff = exps, coeff
-    while not any(e > c for e, c in zip(cur_exp, out.caps)):
-        out._accumulate(cur_exp, cur_coeff)
-        cur_exp = tuple(a + b for a, b in zip(cur_exp, exps))
-        cur_coeff = cur_coeff * coeff
-    out._prune()
-    return out
+    _, bias, guard = _layout(caps)
+    terms = series._packed(caps)
+    out = dict(terms)
+    for step, c in monomial._packed(caps).items():  # none if M is truncated to zero
+        for key, coeff in terms.items():
+            key += step
+            while not (key + bias) & guard:
+                coeff = coeff * c
+                out[key] = out[key] + coeff if key in out else coeff
+                key += step
+    return series._with(caps, out)
 
 
 def equal_on(
@@ -280,15 +348,13 @@ def equal_on(
                 raise RegionError(
                     f"requested region {v} <= {want} exceeds valid region {v} <= {have}"
                 )
-    keys = set()
-    for series in (lhs, rhs):
-        keys.update(
-            e for e in series.terms if all(x <= b for x, b in zip(e, bounds))
-        )
-    for exps in sorted(keys, key=lambda e: (sum(e), e)):
-        a = lhs.terms.get(exps, 0)
-        b = rhs.terms.get(exps, 0)
-        if a != b:
-            mono = {v: e for v, e in zip(lhs.vars, exps) if e}
-            return False, (mono, a, b)
-    return True, None
+    a, b = lhs._packed(bounds), rhs._packed(bounds)
+    if a == b:
+        return True, None
+    fields = _layout(bounds)[0]
+    differ = {
+        _unpack(fields, k): k for k in a.keys() | b.keys() if a.get(k, 0) != b.get(k, 0)
+    }
+    exps = min(differ, key=lambda e: (sum(e), e))
+    mono = {v: e for v, e in zip(lhs.vars, exps) if e}
+    return False, (mono, a.get(differ[exps], 0), b.get(differ[exps], 0))

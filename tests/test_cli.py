@@ -222,6 +222,11 @@ def test_verify_usage_errors_exit_2(capsys, argv, message):
         ),
         (["verify", "carlitz-des", "--r", "2", "--p", "5", "--n", "0"], "error: p=5 does not divide r=2"),
         (["verify", "carlitz-fdes", "--r", "2", "--s", "4", "--n", "0"], "error: s=4 does not divide r=2"),
+        # r is validated before gcd(ps, r) divides ps
+        (["verify", "hilbert", "--r", "0", "--p", "0"], "error: r must be a positive integer, got 0"),
+        (["verify", "six-stats", "--r", "0", "--p", "0"], "error: r must be a positive integer, got 0"),
+        (["verify", "carlitz-des", "--r", "0", "--n", "0"], "error: r must be a positive integer, got 0"),
+        (["verify", "carlitz-fdes", "--r", "0", "--n", "0"], "error: r must be a positive integer, got 0"),
     ],
 )
 def test_verify_refusals_exit_2(capsys, argv, message):
@@ -250,6 +255,37 @@ def test_stats_refuses_a_huge_rank_by_name(capsys):
         "error: G(1,1,1,300000): group order at least 3628800"
         " exceeds enumeration budget 1000000\n"
     )
+
+
+def test_stats_refuses_a_huge_rank_r_without_printing_its_order(capsys):
+    # the order 2 * 10^6000 is past the 4300 digits str() takes
+    code, out, err = run(capsys, "stats", f"G({10**3000},1,1,2)")
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: G({10**3000},1,1,2): group order at least 10^6000"
+        " exceeds enumeration budget 1000000\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bijection", "nvec", "--group", "G(2,1,1,2)", "--f", "\uff13,1"],
+        ["bijection", "bipartite", "[1,2]", "--group", "G(2,1,1,2)", "--lam", "1,0", "--mu", "0,\u0660"],
+        ["bijection", "bipartite", "[1,2]", "--group", "G(2,1,1,2)", "--lam", "1_0,0", "--mu", "0,0"],
+    ],
+)
+def test_int_lists_take_ascii_digits_only(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: expected comma-separated ASCII digits, got ")
+
+
+def test_parts_take_ascii_digits_only(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "signed-multinomial", "--n", "3", "--parts", "\u0661,2"])
+    assert exc.value.code == 2
+    assert "argument --parts: expected comma-separated ASCII digits, got '\u0661,2'" in capsys.readouterr().err
 
 
 @settings(max_examples=200, deadline=None)

@@ -306,6 +306,20 @@ def test_budget_refuses_a_huge_rank_without_its_order():
         next(enumerate_elements(make_group(6, 2, 3, 8)))
 
 
+def test_budget_message_never_prints_a_huge_order():
+    # str() refuses the 6001 digits of this order
+    G = make_group(10**3000, 1, 1, 2)
+    with pytest.raises(BudgetExceededError) as exc:
+        next(enumerate_elements(G))
+    assert str(exc.value).endswith(": group order at least 10^6000 exceeds enumeration budget 1000000")
+    assert exc.value.order == G.order == 2 * 10**6000
+    # exact up to 1000 digits
+    with pytest.raises(BudgetExceededError, match=r"order 9{1000} exceeds"):
+        next(enumerate_elements(make_group(10**1000 - 1, 1, 1, 1)))
+    with pytest.raises(BudgetExceededError, match=r"order at least 10\^1000 exceeds"):
+        next(enumerate_elements(make_group(10**1001 - 1, 1, 1, 1)))
+
+
 def test_parsers_take_ascii_digits_only():
     B2 = make_group(2, 1, 1, 2)
     for text in ("[²,1]", "[١,2]", "[1^¹,2]", "[１,2]"):

@@ -12,6 +12,7 @@ from projstat.series import (
     RegionError,
     TruncatedSeries,
     equal_on,
+    geom_divide,
     geom_inverse,
     q_bracket,
 )
@@ -24,7 +25,7 @@ def q_mono(e=1, coeff=1, cap=8):
 
 
 def terms_of(series):
-    return dict(series.terms)
+    return dict(series.exp_terms)
 
 
 def test_q_bracket_examples():
@@ -32,9 +33,9 @@ def test_q_bracket_examples():
     assert terms_of(q_bracket(2, q_mono(coeff=-1))) == {(0,): 1, (1,): -1}
     z = zeta_pow(3, 1)
     got = q_bracket(3, q_mono(coeff=z))
-    assert got.terms[(0,)] == 1
-    assert got.terms[(1,)] == z
-    assert got.terms[(2,)] == z * z
+    assert got.exp_terms[(0,)] == 1
+    assert got.exp_terms[(1,)] == z
+    assert got.exp_terms[(2,)] == z * z
     assert terms_of(q_bracket(0, q_mono())) == {}
 
 
@@ -149,7 +150,7 @@ def test_mul_matches_sympy():
         pb = sum(c * x**e[0] * y**e[1] for e, c in fb.items())
         expected = sympy.expand(pa * pb)
         got = a * b
-        for (ex, ey), coeff in got.terms.items():
+        for (ex, ey), coeff in got.exp_terms.items():
             assert expected.coeff(x, ex).coeff(y, ey) == coeff
         assert sum(1 for t in sympy.Add.make_args(expected) if t != 0) == len(got.terms) or expected == 0
 
@@ -173,12 +174,12 @@ def test_region_shrinks_under_truncation_against_double_cap_oracle():
         large = TruncatedSeries(vars_, caps2, ta) * TruncatedSeries(vars_, caps2, tb)
         # inside its claimed region the small computation agrees with the
         # double-cap one
-        for exps, coeff in large.terms.items():
+        for exps, coeff in large.exp_terms.items():
             if all(e <= b for e, b in zip(exps, small.caps)):
-                assert small.terms.get(exps, 0) == coeff
-        for exps, coeff in small.terms.items():
+                assert small.exp_terms.get(exps, 0) == coeff
+        for exps, coeff in small.exp_terms.items():
             if all(e <= b for e, b in zip(exps, small.caps)):
-                assert large.terms.get(exps, 0) == coeff
+                assert large.exp_terms.get(exps, 0) == coeff
 
 
 X, Y = sympy.symbols("x y")
@@ -216,10 +217,10 @@ def test_truncation_is_sound_against_untruncated_sympy(expression):
     expanded = sympy.Poly(sympy.expand(poly), X, Y).terms()
     true = {exps: int(c) for exps, c in expanded if c}
     within = {e: c for e, c in true.items() if all(x <= b for x, b in zip(e, caps))}
-    assert series.terms == within
+    assert series.exp_terms == within
     top = max([6, *(max(e) for e in true)])  # past every leaf cap (<= 5)
     untruncated = TruncatedSeries(XY, (top, top), true)
-    assert untruncated.terms == true
+    assert untruncated.exp_terms == true
     assert equal_on(series, untruncated) == (True, None)
     for var, cap in zip(XY, caps):
         with pytest.raises(RegionError):
@@ -246,7 +247,7 @@ def test_extraction_as_root_of_unity_average():
             twisted = TruncatedSeries(
                 Q,
                 caps,
-                {(e,): coeff * zeta_pow(p, j * e) for (e,), coeff in f.terms.items()},
+                {(e,): coeff * zeta_pow(p, j * e) for (e,), coeff in f.exp_terms.items()},
             )
             rhs = rhs + twisted
         ok, mismatch = equal_on(lhs, rhs)
@@ -289,9 +290,22 @@ def test_collapse_var():
     vars_ = ("q", "a")
     caps = {"q": 4, "a": 4}
     f = TruncatedSeries(vars_, caps, {(1, 1): 2, (1, 0): 1, (3, 2): 4})
-    g = f.collapse_var("a")
+    g = f.collapse_var("a", under="q")
     assert g.vars == ("q",)
     assert terms_of(g) == {(1,): 3, (3,): 4}
+
+
+def test_collapse_var_refuses_what_it_cannot_vouch_for():
+    vars_ = ("q", "a")
+    # a's cap below q's: a term a^4 q^4 would have been dropped
+    low = TruncatedSeries(vars_, {"q": 4, "a": 3}, {(1, 1): 2})
+    with pytest.raises(ValueError, match="cap a<=3 is below q<=4"):
+        low.collapse_var("a", under="q")
+    # a stored term with a > q breaks the domination
+    broken = TruncatedSeries(vars_, {"q": 4, "a": 4}, {(1, 1): 2, (1, 2): 1})
+    with pytest.raises(ValueError, match="has a > q"):
+        broken.collapse_var("a", under="q")
+    assert terms_of(broken.collapse_var("q", under="a")) == {(1,): 2, (2,): 1}
 
 
 def test_str_and_json_are_graded_lex():
@@ -314,3 +328,145 @@ def test_variable_mismatch_rejected():
 def test_q_bracket_stops_at_the_first_power_past_the_caps():
     # 10**9 steps would not finish; the powers past q^5 are all truncated
     assert q_bracket(10**9, q_mono(cap=5)) == q_bracket(6, q_mono(cap=5))
+
+
+# -- the packed core ------------------------------------------------------------
+
+ZETA = sympy.Symbol("zeta")
+
+
+def _sympy_coeff(c):
+    return sum((a * ZETA**i for i, a in enumerate(c.coeffs)), sympy.Integer(0)) if isinstance(c, CycInt) else c
+
+
+def _expr(syms, terms):
+    return sum(
+        (_sympy_coeff(c) * sympy.prod([s**e for s, e in zip(syms, exps)]) for exps, c in terms.items()),
+        sympy.Integer(0),
+    )
+
+
+def _within(syms, expr, caps, r):
+    """{exponents: coefficient} of the expanded expr within the caps, each
+    coefficient reduced modulo the r-th cyclotomic polynomial in zeta."""
+    expr = sympy.expand(expr)
+    if expr == 0:
+        return {}
+    phi = sympy.cyclotomic_poly(r, ZETA)
+    out = {}
+    for exps, c in sympy.Poly(expr, *syms).terms():
+        c = sympy.expand(sympy.rem(c, phi, ZETA))
+        if c != 0 and all(e <= b for e, b in zip(exps, caps)):
+            out[exps] = c
+    return out
+
+
+def _check_against_sympy(caps_a, terms_a, caps_b, terms_b, monomial, r=1):
+    """a + b, a * b and a / (1 - M), M a monomial under b's caps, against
+    sympy's untruncated results within the min caps.  Terms the operands
+    drop past their own caps are in sympy's operands: they never reach the
+    min caps."""
+    syms = sympy.symbols(f"x0:{len(caps_a)}")
+    vars_ = tuple(map(str, syms))
+    a, b = TruncatedSeries(vars_, caps_a, terms_a), TruncatedSeries(vars_, caps_b, terms_b)
+    m = TruncatedSeries(vars_, caps_b, dict([monomial]))
+    caps = tuple(map(min, caps_a, caps_b))
+    pa, pb, pm = _expr(syms, terms_a), _expr(syms, terms_b), _expr(syms, dict([monomial]))
+    # M has a positive exponent, so M^j is past the caps for j > max(caps)
+    inverse = sum((pm**j for j in range(max(caps) + 1)), sympy.Integer(0))
+    for got, want in ((a + b, pa + pb), (a * b, pa * pb), (geom_divide(a, m), pa * inverse)):
+        assert got.caps == caps
+        terms = {e: sympy.expand(_sympy_coeff(c)) for e, c in got.exp_terms.items()}
+        assert terms == _within(syms, want, caps, r)
+
+
+@pytest.mark.parametrize(
+    "caps_a, terms_a, caps_b, terms_b, monomial",
+    [
+        # cap 0: the field is the guard bit alone
+        ((0, 3, 5), {(0, 1, 2): 1, (1, 0, 0): 5, (0, 3, 5): -2},
+         (0, 3, 5), {(0, 0, 0): 1, (0, 2, 3): 3}, ((0, 1, 1), 1)),
+        ((2, 0, 0), {(1, 0, 0): 2, (2, 0, 0): 1}, (2, 0, 0), {(1, 0, 0): -1},
+         ((1, 0, 0), -1)),
+        # caps 2^k - 1 and 2^k: the widest and narrowest bias of a field width
+        ((7, 8, 15, 16), {(7, 8, 15, 16): 1, (3, 4, 7, 8): 2, (0, 0, 0, 1): -1},
+         (8, 7, 16, 15), {(0, 0, 0, 0): 1, (4, 4, 8, 8): -3, (1, 0, 1, 0): 1}, ((1, 1, 1, 1), 2)),
+        # exponents exactly at the cap, and sums one past it
+        ((3, 3, 3), {(3, 0, 0): 1, (2, 1, 3): 4, (1, 3, 0): -1},
+         (3, 3, 3), {(0, 0, 0): 1, (1, 0, 0): 1, (0, 0, 1): 2}, ((3, 0, 0), 1)),
+        # unequal caps of different field widths: both operands are repacked
+        ((16, 2, 31), {(16, 2, 31): 1, (2, 1, 3): 3, (0, 2, 0): -2},
+         (3, 9, 4), {(3, 9, 4): 5, (1, 0, 1): 1, (0, 0, 0): -1}, ((1, 0, 2), -1)),
+    ],
+)
+def test_packed_edges_against_sympy(caps_a, terms_a, caps_b, terms_b, monomial):
+    _check_against_sympy(caps_a, terms_a, caps_b, terms_b, monomial)
+
+
+@pytest.mark.parametrize("cap", [0, 1, 2, 3, 4, 7, 8, 15, 16])
+def test_guard_trips_one_past_the_cap_and_carries_into_no_neighbour(cap):
+    vars_ = ("x", "y", "z")
+    caps = {"x": 1, "y": cap, "z": 1}
+    for e1 in range(cap + 1):
+        a = TruncatedSeries.monomial(vars_, caps, {"x": 1, "y": e1})
+        for e2 in range(cap + 1):
+            b = TruncatedSeries.monomial(vars_, caps, {"y": e2, "z": 1})
+            want = {(1, e1 + e2, 1): 1} if e1 + e2 <= cap else {}
+            assert terms_of(a * b) == want
+    if cap:
+        y = TruncatedSeries.monomial(vars_, caps, {"y": 1})
+        assert terms_of(geom_inverse(y)) == {(0, e, 0): 1 for e in range(cap + 1)}
+
+
+def test_packed_core_on_cyclotomic_coefficients_against_sympy():
+    for r in (3, 4, 5):
+        z = zeta_pow(r, 1)
+        terms_a = {(0, 0, 0): z, (1, 2, 0): CycInt(r, (1, -2)), (2, 0, 1): 3}
+        terms_b = {(0, 1, 0): z * z, (3, 0, 1): -1, (1, 1, 1): CycInt(r, (0, 2))}
+        _check_against_sympy((2, 4, 1), terms_a, (3, 2, 1), terms_b, ((0, 1, 0), z), r)
+
+
+_CAPS = st.sampled_from([0, 1, 2, 3, 4, 7, 8, 15, 16])
+
+
+@st.composite
+def _packed_cases(draw):
+    nvars = draw(st.integers(3, 7))
+    caps_a, caps_b = (tuple(draw(_CAPS) for _ in range(nvars)) for _ in range(2))
+
+    def terms(caps):  # a few exponents one past the caps, which are dropped
+        exps = st.tuples(*(st.integers(0, cap + 1) for cap in caps))
+        return draw(st.dictionaries(exps, st.integers(-3, 3), max_size=4))
+
+    exps = draw(st.tuples(*[st.integers(0, 2)] * nvars).filter(any))
+    return caps_a, terms(caps_a), caps_b, terms(caps_b), (exps, draw(st.sampled_from([1, -1, 2])))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_packed_cases())
+def test_packed_ring_and_division_against_sympy(case):
+    _check_against_sympy(*case)
+
+
+def test_geom_divide_refuses_constant_and_non_monomial_divisors():
+    one = TruncatedSeries.one(XY, {"x": 3, "y": 3})
+    with pytest.raises(ConstantTermError):
+        geom_divide(one, one.scale(2))
+    with pytest.raises(NonMonomialBaseError):
+        geom_divide(one, TruncatedSeries(XY, {"x": 3, "y": 3}, {(1, 0): 1, (0, 1): 1}))
+    # a divisor truncated to zero divides by 1
+    assert geom_divide(one, TruncatedSeries.monomial(XY, {"x": 3, "y": 0}, {"y": 1})) == one
+
+
+def test_a_negative_exponent_raises_at_the_edge():
+    # it would borrow from the next packed field
+    caps = {"x": 4, "y": 4}
+    with pytest.raises(ValueError):
+        TruncatedSeries(XY, caps, {(1, -1): 1})
+    with pytest.raises(ValueError):
+        TruncatedSeries.monomial(XY, caps, {"y": -1})
+    with pytest.raises(ValueError):
+        TruncatedSeries.one(XY, caps).coefficient({"x": -1})
+    with pytest.raises(ValueError):
+        TruncatedSeries.one(XY, {"x": 4, "y": -1})
+    assert TruncatedSeries.one(XY, caps).coefficient({"x": 5}) == 0
