@@ -27,6 +27,15 @@ from .rsk import rs_correspondence, rs_transpose_map, tableau_descents
 from .stats import bn_descent_split, des_set, distribution, stat_record
 
 
+def _int(text: str) -> int:
+    """An optional '-' and ASCII digits; int() also reads "1_0", "+1", " 1"
+    and non-ASCII digits."""
+    digits = text[1:] if text.startswith("-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise argparse.ArgumentTypeError(f"expected an integer in ASCII digits, got {text!r}")
+    return int(text)
+
+
 def _int_list(text: str) -> tuple[int, ...]:
     """Comma-separated ASCII digits, as the group and window parsers take them."""
     parts = [part.strip() for part in text.split(",")]
@@ -136,6 +145,10 @@ def _bijection_group(args, window: str):
 
 
 def cmd_bijection(args) -> int:
+    needs = {"nvec": ("group", "f"), "bipartite": ("group", "element")}.get(args.kind, ("element",))
+    for name in needs:
+        if getattr(args, name) is None:
+            raise ValueError(f"{args.kind} needs " + ("an element" if name == "element" else f"--{name}"))
     if args.kind == "nvec":
         group = parse_group(args.group)
         f = _int_list(args.f)
@@ -222,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--budget",
-        type=int,
+        type=_int,
         default=None,
         help="max group order to enumerate (default 10^6 or PROJSTAT_BUDGET)",
     )
@@ -243,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("identity", choices=sorted(VERIFIERS))
     for name in _verify_flags():
         aliases = ("--caps",) if name == "qmax" else ()
-        p_verify.add_argument(f"--{name}", *aliases, type=_int_list if name == "parts" else int)
+        p_verify.add_argument(f"--{name}", *aliases, type=_int_list if name == "parts" else _int)
     p_verify.add_argument("--json", action="store_true", help="JSON report on stdout")
     p_verify.add_argument("--format", choices=("table", "json", "csv"), default="table")
     p_verify.set_defaults(func=cmd_verify)
@@ -257,8 +270,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_bij.add_argument("--f", default=None, help="comma-separated vector for nvec")
     p_bij.add_argument("--lam", default="", help="partition, e.g. 1,0")
     p_bij.add_argument("--mu", default="", help="partition, e.g. 0,0")
-    p_bij.add_argument("--h", type=int, default=0)
-    p_bij.add_argument("--k", type=int, default=0)
+    p_bij.add_argument("--h", type=_int, default=0)
+    p_bij.add_argument("--k", type=_int, default=0)
     p_bij.add_argument("--format", choices=("table", "json", "csv"), default="table")
     p_bij.set_defaults(func=cmd_bijection)
     return parser

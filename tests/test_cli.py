@@ -288,6 +288,53 @@ def test_parts_take_ascii_digits_only(capsys):
     assert "argument --parts: expected comma-separated ASCII digits, got '\u0661,2'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["verify", "signed-wreath", "--r", "\u0662", "--n", "2"], "--r"),
+        (["verify", "signed-wreath", "--r", "2", "--n", "1_0"], "--n"),
+        (["verify", "carlitz-des", "--r", "2", "--n", "2", "--tmax", "+4"], "--tmax"),
+        (["verify", "character-fmaj", "--r", "2", "--eps", " 1"], "--eps"),
+        (["verify", "character-fmaj", "--r", "2", "--k", "-"], "--k"),
+        (["bijection", "bipartite", "[1,2]", "--group", "G(2,1,1,2)", "--h", "\uff11"], "--h"),
+        (["bijection", "bipartite", "[1,2]", "--group", "G(2,1,1,2)", "--k", "1.0"], "--k"),
+        (["--budget", "1_0", "stats", "G(2,1,1,2)"], "--budget"),
+        (["--budget", "+10", "stats", "G(2,1,1,2)"], "--budget"),
+        (["--budget", "\u0661\u0660", "stats", "G(2,1,1,2)"], "--budget"),
+    ],
+)
+def test_integer_flags_take_ascii_digits_only(capsys, argv, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"argument {flag}: expected an integer in ASCII digits, got " in capsys.readouterr().err
+
+
+def test_integer_flags_take_a_minus_sign(capsys):
+    code, out, _ = run(capsys, "verify", "character-fmaj", "--r", "2", "--n", "2", "--eps", "-1", "--json")
+    report = json.loads(out)
+    assert (code, report["outcome"], report["params"]["eps"]) == (0, "MATCH", -1)
+    code, _, err = run(capsys, "--budget", "-1", "stats", "G(2,1,1,1)")
+    assert (code, err) == (2, "error: G(2,1,1,1): group order 2 exceeds enumeration budget -1\n")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["nvec", "--f", "3,1"], "nvec needs --group"),
+        (["nvec", "--group", "G(2,1,1,2)"], "nvec needs --f"),
+        (["bipartite", "[1,2]"], "bipartite needs --group"),
+        (["bipartite", "--group", "G(2,1,1,2)"], "bipartite needs an element"),
+        (["order-involution"], "order-involution needs an element"),
+        (["rs"], "rs needs an element"),
+        (["rs-transpose", "--group", "G(2,1,1,2)"], "rs-transpose needs an element"),
+    ],
+)
+def test_bijection_names_a_missing_input(capsys, argv, message):
+    code, out, err = run(capsys, "bijection", *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     st.one_of(

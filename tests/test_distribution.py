@@ -8,6 +8,7 @@ verifiers built it before they used distribution.
 import dataclasses
 import json
 import math
+import time
 from collections import Counter
 
 import pytest
@@ -77,6 +78,43 @@ def test_distribution_matches_stat_record(group):
         assert distribution(group, keys) == reference, keys
 
 
+def test_parity_grid_covers_rank_one_quotients():
+    # n = 1 with p > 1: the one position is both the last (colors below r/s)
+    # and the first (color sum divisible by p)
+    rank_one = {str(group) for group in GROUPS if group.n == 1 and group.p > 1}
+    assert {"G(2,2,1,1)", "G(4,2,2,1)", "G(6,3,2,1)"} <= rank_one
+    assert len(rank_one) == 11
+
+
+# Ranks far past enumeration, where stat_record cannot check the histogram:
+# each closed form shares nothing with the DP.
+@pytest.mark.parametrize(
+    "name, params",
+    [
+        ("carlitz-des", dict(r=2, n=9)),
+        ("carlitz-fdes", dict(r=2, n=9)),
+        ("character-fmaj", dict(r=4, p=2, s=2, n=8)),
+        ("character-fmaj", dict(r=4, p=2, s=2, n=8, eps=-1, k=1)),
+        ("signed-wreath", dict(r=2, n=8)),
+        ("fdes-trivariate", dict(r=3, n=8)),
+    ],
+)
+def test_verifiers_match_past_enumeration(name, params):
+    verifier = identities.VERIFIERS[name]
+    group = make_group(params["r"], params.get("p", 1), params.get("s", 1), params["n"])
+    started = time.perf_counter()
+    report = verifier(**params, budget=10**10)
+    assert time.perf_counter() - started < 10
+    assert (report.outcome, report.element_count) == (identities.MATCH, group.order)
+
+
+def test_stats_dist_past_enumeration(capsys):
+    argv = ["--budget", "10000000000", "stats", "G(2,1,1,10)", "--dist", "--format", "json"]
+    assert cli.main(argv) == 0
+    rows = json.loads(capsys.readouterr().out)["distribution"]
+    assert sum(row["count"] for row in rows) == 3_715_891_200
+
+
 def _refuse_work(*args):
     raise AssertionError("distribution did work past the budget")
 
@@ -87,7 +125,7 @@ def test_budget_refused_before_any_work(monkeypatch, keys):
     monkeypatch.setenv(BUDGET_ENV_VAR, str(group.order - 1))
     # an explicit budget overrides the environment, as for enumerate_elements
     assert sum(distribution(group, keys, budget=group.order).values()) == group.order
-    monkeypatch.setattr(stats, "_walk", _refuse_work)
+    monkeypatch.setattr(stats, "_rank_dp", _refuse_work)
     monkeypatch.setattr(stats, "canonical_windows", _refuse_work)
     with pytest.raises(BudgetExceededError):
         distribution(group, keys)
