@@ -21,19 +21,18 @@ import json
 import sys
 
 from .bijections import bipartite_from_tuple, nvec_decode, nvec_encode, order_involution
-from .groups import format_window, make_group, parse_group, parse_window
+from .groups import format_window, make_group, parse_group, parse_int, parse_window
 from .identities import VERIFIERS
 from .rsk import rs_correspondence, rs_transpose_map, tableau_descents
 from .stats import bn_descent_split, des_set, distribution, stat_record
 
 
 def _int(text: str) -> int:
-    """An optional '-' and ASCII digits; int() also reads "1_0", "+1", " 1"
-    and non-ASCII digits."""
-    digits = text[1:] if text.startswith("-") else text
-    if not (digits.isascii() and digits.isdigit()):
-        raise argparse.ArgumentTypeError(f"expected an integer in ASCII digits, got {text!r}")
-    return int(text)
+    """An integer flag, by :func:`~projstat.groups.parse_int`."""
+    try:
+        return parse_int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _int_list(text: str) -> tuple[int, ...]:

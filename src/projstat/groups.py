@@ -210,12 +210,21 @@ def lifts(g: ProjectiveElement) -> list[ColoredPermutation]:
     ]
 
 
+def parse_int(text: str) -> int:
+    """An optional '-' and ASCII digits; int() also reads "1_0", "+1", " 1"
+    and non-ASCII digits."""
+    digits = text[1:] if text.startswith("-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"expected an integer in ASCII digits, got {text!r}")
+    return int(text)
+
+
 def enumeration_budget() -> int:
     raw = os.environ.get(BUDGET_ENV_VAR)
     if raw is None:
         return DEFAULT_BUDGET
     try:
-        return int(raw)
+        return parse_int(raw)
     except ValueError:
         raise ValueError(f"{BUDGET_ENV_VAR} must be an integer, got {raw!r}") from None
 

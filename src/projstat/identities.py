@@ -501,16 +501,25 @@ def _quotient_divisor(r: int, p: int, s: int) -> int:
     return p * s // gcd(p * s, r)
 
 
-def _lattice_sum(vars_, caps, monomial, r, step, classes, imax, jmax) -> TruncatedSeries:
-    """The sum over l < classes of the product of 1/(1 - M) over the lattice
-    points i <= imax, j <= jmax with i + j = l * step (mod r), where M is
-    the monomial with the exponents monomial(i, j)."""
-    total = TruncatedSeries.zero(vars_, caps)
-    for l in range(classes):
-        points = itertools.product(range(imax + 1), range(jmax + 1))
-        chain = [monomial(i, j) for i, j in points if (i + j - l * step) % r == 0]
-        total = total + _divide(TruncatedSeries.one(vars_, caps), *chain)
-    return total
+def _lattice_walk(vars_, caps, monomial, r, residues, ibounds, jbounds):
+    """Yield (imax, jmax, products) for imax in ibounds, then jmax in jbounds
+    (ascending): products maps each residue c to the product of 1/(1 - M) over
+    i <= imax, j <= jmax, i + j = c (mod r), M with exponents monomial(i, j).
+    A row bound's start extends the last one's by the new rows, and that start
+    is extended by each new column strip: each point once per row bound."""
+
+    def extend(products, rows, cols):
+        points = list(itertools.product(rows, cols))
+        return {c: _divide(f, *(monomial(i, j) for i, j in points if (i + j - c) % r == 0))
+                for c, f in products.items()}
+
+    start, i0 = dict.fromkeys(residues, TruncatedSeries.one(vars_, caps)), 0
+    for imax in ibounds:
+        start, i0 = extend(start, range(i0, imax + 1), range(jbounds[0] + 1)), imax + 1
+        products, j0 = start, jbounds[0] + 1
+        for jmax in jbounds:
+            products, j0 = extend(products, range(imax + 1), range(j0, jmax + 1)), jmax + 1
+            yield imax, jmax, products
 
 
 def _rank_sum(vars_, caps, keys, r, p, s, nmax, d, budget):
@@ -552,11 +561,12 @@ def verify_six_stats(
 ) -> VerificationReport:
     """Generating function of (des, ides, fmaj, ifmaj, col, icol).
 
-    LHS: the double k-sum of lattice products of geometric factors
-    1/(1 - u a1^.. a2^.. q1^i q2^j) over i+j congruent to l r/s mod r,
-    component-extracted at u^d q1^p with d = sp/gcd(sp, r).  RHS: the
-    u^n-graded enumeration sums with their denominator factors, over the
-    ranks n <= nmax divisible by d.
+    LHS: the double k-sum over k1, k2 <= tmax of t1^k1 t2^k2 times the
+    lattice products of 1/(1 - u a1^.. a2^.. q1^i q2^j) over i <= min(k1 r/s,
+    qmax), j <= min(k2 r/s, qmax), i+j = l r/s mod r, each block added as
+    one :func:`_lattice_walk` produces it, then extracted at u^d q1^p with
+    d = sp/gcd(sp, r).  RHS: the u^n-graded enumeration sums with their
+    denominator factors, over the ranks n <= nmax divisible by d.
     """
     d = _quotient_divisor(r, p, s)
     rs = r // s
@@ -569,13 +579,12 @@ def verify_six_stats(
 
     monomial = lambda i, j: {"u": 1, "q1": i, "q2": j, "a1": residue(i, rs), "a2": residue(j, rs)}
 
-    total = TruncatedSeries.zero(vars_, caps)
-    for k1 in range(tmax + 1):
-        for k2 in range(tmax + 1):
-            imax, jmax = min(k1 * rs, qmax), min(k2 * rs, qmax)
-            block = _lattice_sum(vars_, caps, monomial, r, rs, s, imax, jmax)
-            tk = TruncatedSeries.monomial(vars_, caps, {"t1": k1, "t2": k2})
-            total = total + tk * block
+    ks = {b: [*g] for b, g in itertools.groupby(range(tmax + 1), lambda k: min(k * rs, qmax))}
+    zero = total = TruncatedSeries.zero(vars_, caps)
+    walk = _lattice_walk(vars_, caps, monomial, r, range(0, r, rs), [*ks], [*ks])
+    for imax, jmax, products in walk:
+        tk = {(0, k1, k2, 0, 0, 0, 0): 1 for k1 in ks[imax] for k2 in ks[jmax]}
+        total = total + TruncatedSeries(vars_, caps, tk) * sum(products.values(), zero)
     lhs = total.extract_multiples({"u": d, "q1": p})
     keys = ("des", "ides", "fmaj", "ifmaj", "col", "icol")
     rhs, count = _rank_sum(vars_, caps, keys, r, p, s, nmax, d, budget)
@@ -609,19 +618,20 @@ def verify_hilbert(
     congruence step, r/s or r/p.  Both are evaluated against the
     dual-group enumeration and the verdicts are recorded in the notes.
 
-    The report's count adds the elements of G(r,p,s,n) and of its dual
-    G(r,s,p,n) over the ranks checked, also when p == s and the dual is the
-    same group (whose enumeration and lattice sums are then reused).
+    The three lattice sums add up products of one :func:`_lattice_walk` at
+    (qmax, qmax).  The report's count adds the elements of G(r,p,s,n) and
+    of its dual G(r,s,p,n) over the ranks checked, also when p == s and the
+    dual is the same group (whose enumeration is then reused).
     """
     d = _quotient_divisor(r, p, s)
     vars_ = ("u", "q1", "q2")
     caps = {"u": nmax, "q1": qmax, "q2": qmax}
 
-    @functools.cache
-    def lattice_sum(step: int, classes: int) -> TruncatedSeries:
-        monomial = lambda i, j: {"u": 1, "q1": i, "q2": j}
-        return _lattice_sum(vars_, caps, monomial, r, step, classes, qmax, qmax)
-
+    needed = {l * st % r for st, m in ((r // s, max(p, s)), (r // p, p)) for l in range(m)}
+    monomial = lambda i, j: {"u": 1, "q1": i, "q2": j}
+    [(_, _, products)] = _lattice_walk(vars_, caps, monomial, r, needed, [qmax], [qmax])
+    zero = TruncatedSeries.zero(vars_, caps)
+    lattice_sum = lambda step, classes: sum((products[l * step % r] for l in range(classes)), zero)
     keys = ("fmaj", "ifmaj")
     lhs = lattice_sum(r // s, s).extract_multiples({"u": d, "q1": p})
     rhs, count = _rank_sum(vars_, caps, keys, r, p, s, nmax, d, budget)

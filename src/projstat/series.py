@@ -131,7 +131,10 @@ class TruncatedSeries:
     def monomial(cls, vars, caps, exps: Mapping[str, int], coeff=1) -> "TruncatedSeries":
         """coeff times the monomial; zero when an exponent exceeds its cap."""
         out = cls(vars, caps)
-        return cls(out.vars, out.caps, {out.exp_vector(exps): coeff})
+        key = out._pack(out.exp_vector(exps))
+        if key is not None and coeff:
+            out.terms[key] = coeff
+        return out
 
     def exp_vector(self, exps: Mapping[str, int]) -> tuple[int, ...]:
         unknown = [v for v in exps if v not in self.vars]

@@ -310,6 +310,14 @@ def test_integer_flags_take_ascii_digits_only(capsys, argv, flag):
     assert f"argument {flag}: expected an integer in ASCII digits, got " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("raw", ["\u0661\u0660", "1_0", "+10", " 10 "])
+def test_budget_env_takes_ascii_digits_only(capsys, monkeypatch, raw):
+    # int() reads each of these as 10, which G(2,1,1,2) (order 8) would pass
+    monkeypatch.setenv("PROJSTAT_BUDGET", raw)
+    code, out, err = run(capsys, "stats", "G(2,1,1,2)")
+    assert (code, out, err) == (2, "", f"error: PROJSTAT_BUDGET must be an integer, got {raw!r}\n")
+
+
 def test_integer_flags_take_a_minus_sign(capsys):
     code, out, _ = run(capsys, "verify", "character-fmaj", "--r", "2", "--n", "2", "--eps", "-1", "--json")
     report = json.loads(out)

@@ -2,7 +2,8 @@ import pytest
 import sympy
 
 from projstat import identities
-from projstat.groups import BudgetExceededError, DivisibilityError
+from projstat.groups import BudgetExceededError, DivisibilityError, residue
+from projstat.series import TruncatedSeries, geom_divide
 from projstat.stats import distribution
 from projstat.identities import (
     CharacterConditionError,
@@ -247,6 +248,92 @@ def test_hilbert_with_p_equal_s_enumerates_each_rank_once(monkeypatch):
     assert [str(g) for g in calls] == ["G(2,1,1,1)", "G(2,1,1,2)", "G(2,1,1,3)"]
     # the count still adds the group and its p <-> s dual (here the same group)
     assert report.element_count == 2 * (2 + 8 + 48)
+
+
+def _rectangle_product(vars_, caps, monomial, r, c, imax, jmax):
+    """The reference lattice product: 1 divided by 1 - M, one point at a time,
+    for every point i <= imax, j <= jmax with i + j = c (mod r)."""
+    out = TruncatedSeries.one(vars_, caps)
+    for i in range(imax + 1):
+        for j in range(jmax + 1):
+            if (i + j - c) % r == 0:
+                out = geom_divide(out, TruncatedSeries.monomial(vars_, caps, monomial(i, j)))
+    return out
+
+
+@pytest.mark.parametrize("r, s", [(r, s) for r in range(1, 5) for s in range(1, r + 1) if r % s == 0])
+def test_lattice_walk_equals_the_product_over_each_rectangle(r, s):
+    # six-stats' monomials and bounds min(k r/s, qmax), k <= 4: past qmax = 5
+    # they collapse when r/s >= 2; at r/s = 1 six-stats reads every residue
+    rs, qmax = r // s, 5
+    vars_ = ("u", "q1", "q2", "a1", "a2")
+    caps = {"u": 2, "q1": qmax, "q2": qmax, "a1": qmax, "a2": qmax}
+    monomial = lambda i, j: {"u": 1, "q1": i, "q2": j, "a1": residue(i, rs), "a2": residue(j, rs)}
+    bounds = sorted({min(k * rs, qmax) for k in range(5)})
+    for ibounds, jbounds in ((bounds, bounds), (bounds[1:], bounds), (bounds, bounds[-2:])):
+        walk = identities._lattice_walk(vars_, caps, monomial, r, range(r), ibounds, jbounds)
+        seen = []
+        for imax, jmax, products in walk:
+            seen.append((imax, jmax))
+            assert sorted(products) == list(range(r))
+            for c, product in products.items():
+                assert product == _rectangle_product(vars_, caps, monomial, r, c, imax, jmax)
+        assert seen == [(i, j) for i in ibounds for j in jbounds]
+
+
+@pytest.mark.parametrize(
+    "r, p, s, needed",
+    [(2, 2, 1, {0, 1}), (2, 1, 2, {0, 1}), (4, 2, 1, {0, 2}), (4, 4, 1, {0, 1, 2, 3}), (4, 2, 2, {0, 2})],
+)
+def test_hilbert_walks_each_needed_residue_once(monkeypatch, r, p, s, needed):
+    # G(2,2,1): the sums (r/s, s), (r/s, p) and (r/p, p) have five classes but
+    # two residues
+    real = identities._lattice_walk
+    calls = []
+
+    def recording(vars_, caps, monomial, r, residues, ibounds, jbounds):
+        calls.append((sorted(residues), ibounds, jbounds))
+        return real(vars_, caps, monomial, r, residues, ibounds, jbounds)
+
+    monkeypatch.setattr(identities, "_lattice_walk", recording)
+    assert verify_hilbert(r, p, s, nmax=2, qmax=5).matched
+    assert calls == [(sorted(needed), [5], [5])]
+
+
+def test_lattice_products_cost_one_division_per_point_and_row_bound(monkeypatch):
+    # six-stats divides 105 lattice points plus 30 chain factors, hilbert
+    # 169 points plus 24 chain factors; built per block and class, they were
+    # 355 and 448
+    calls = []
+    real = identities.geom_divide
+    monkeypatch.setattr(identities, "geom_divide", lambda *args: calls.append(1) or real(*args))
+    assert verify_six_stats(2, 1, 1, nmax=4, tmax=4, qmax=12).matched
+    assert len(calls) <= 135
+    calls.clear()
+    assert verify_hilbert(2, 2, 1, nmax=3, qmax=12).matched
+    assert len(calls) <= 193
+
+
+@pytest.mark.parametrize("name", ["six-stats", "hilbert"])
+def test_a_lattice_point_missing_from_the_walk_is_reported(monkeypatch, capsys, name):
+    import json
+
+    from projstat import cli
+
+    real = identities._lattice_walk
+
+    def missing_a_point(vars_, caps, monomial, r, residues, ibounds, jbounds):
+        # the first rectangle's class-0 product loses the factor of (0, 0)
+        walk = real(vars_, caps, monomial, r, residues, ibounds, jbounds)
+        imax, jmax, products = next(walk)
+        point = TruncatedSeries.monomial(vars_, caps, monomial(0, 0))
+        yield imax, jmax, {**products, 0: products[0] * (TruncatedSeries.one(vars_, caps) - point)}
+        yield from walk
+
+    monkeypatch.setattr(identities, "_lattice_walk", missing_a_point)
+    code = cli.main(["verify", name, "--r", "2", "--json"])
+    report = json.loads(capsys.readouterr().out)
+    assert (code, report["outcome"]) == (1, "MISMATCH")
 
 
 def test_params_are_the_bound_arguments():

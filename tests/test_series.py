@@ -230,6 +230,7 @@ def test_truncation_is_sound_against_untruncated_sympy(expression):
 def test_monomial_beyond_the_caps_is_zero():
     assert terms_of(q_mono(e=9, cap=8)) == {}
     assert terms_of(TruncatedSeries.monomial(XY, {"x": 2, "y": 0}, {"x": 1, "y": 1})) == {}
+    assert terms_of(TruncatedSeries.monomial(XY, {"x": 2, "y": 2}, {"x": 1}, 0)) == {}
     assert terms_of(q_bracket(3, q_mono(e=9, cap=8))) == {(0,): 1}
     assert terms_of(q_bracket(0, q_mono(e=9, cap=8))) == {}
     assert terms_of(geom_inverse(q_mono(e=9, cap=8))) == {(0,): 1}
@@ -465,6 +466,8 @@ def test_a_negative_exponent_raises_at_the_edge():
         TruncatedSeries(XY, caps, {(1, -1): 1})
     with pytest.raises(ValueError):
         TruncatedSeries.monomial(XY, caps, {"y": -1})
+    with pytest.raises(ValueError, match="unknown variables"):
+        TruncatedSeries.monomial(XY, caps, {"z": 1})
     with pytest.raises(ValueError):
         TruncatedSeries.one(XY, caps).coefficient({"x": -1})
     with pytest.raises(ValueError):
