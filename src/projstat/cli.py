@@ -1,7 +1,7 @@
 """Command-line front end: stats tables, identity verifiers, bijections.
 
 Exit codes are a contract: 0 for MATCH / success, 1 for MISMATCH,
-2 for usage or runtime errors.  ``--json`` output carries ``schema: 1``.
+2 for usage or runtime errors.  JSON output carries ``schema: 1``.
 The enumeration budget defaults to 10^6 elements and can be overridden
 with the PROJSTAT_BUDGET environment variable or --budget.
 
@@ -21,7 +21,7 @@ import json
 import sys
 
 from .bijections import bipartite_from_tuple, nvec_decode, nvec_encode, order_involution
-from .groups import format_window, make_group, parse_group, parse_int, parse_window
+from .groups import ascii_digits, format_window, make_group, parse_group, parse_int, parse_window
 from .identities import VERIFIERS
 from .rsk import rs_correspondence, rs_transpose_map, tableau_descents
 from .stats import bn_descent_split, des_set, distribution, stat_record
@@ -36,61 +36,47 @@ def _int(text: str) -> int:
 
 
 def _int_list(text: str) -> tuple[int, ...]:
-    """Comma-separated ASCII digits, as the group and window parsers take them."""
-    parts = [part.strip() for part in text.split(",")]
-    if not all(part.isascii() and part.isdigit() for part in parts):
-        # int() also reads "1_0", "+1" and non-ASCII digits
+    """Comma-separated ASCII digits, as the group and window parsers take
+    them; the empty text is the empty list."""
+    parts = [part.strip() for part in text.split(",")] if text else []
+    if not all(map(ascii_digits, parts)):
         raise argparse.ArgumentTypeError(f"expected comma-separated ASCII digits, got {text!r}")
     return tuple(int(part) for part in parts)
 
 
-def _emit_table(rows: list[tuple], header: tuple | None = None) -> str:
-    cols = [header] + rows if header else rows
-    widths = [max(len(str(row[i])) for row in cols) for i in range(len(cols[0]))]
-    lines = []
-    for row in cols:
-        lines.append("  ".join(str(v).ljust(w) for v, w in zip(row, widths)).rstrip())
-    return "\n".join(lines)
-
-
-def _emit_csv(rows: list[tuple], header: tuple) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue().rstrip("\n")
-
-
-def _emit(args, payload: dict, rows: list[tuple], header: tuple, table_header=True) -> None:
+def _emit(args, payload: dict, rows=None, header=("field", "value"), table_header=True) -> None:
+    """Print the payload as JSON, or the rows (default: the payload's
+    fields) as CSV or a table; a list or bool cell is JSON-encoded."""
     if args.format == "json":
         print(json.dumps({"schema": 1, **payload}, sort_keys=True))
-    elif args.format == "csv":
-        print(_emit_csv(rows, header))
-    else:
-        print(_emit_table(rows, header if table_header else None))
+        return
+    rows = [[json.dumps(v) if isinstance(v, (list, bool)) else v for v in row]
+            for row in (payload.items() if rows is None else rows)]
+    if args.format == "csv":
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows([header, *rows])
+        print(buf.getvalue().rstrip("\n"))
+        return
+    cols = [header, *rows] if table_header else rows
+    widths = [max(len(str(row[i])) for row in cols) for i in range(len(cols[0]))]
+    lines = ("  ".join(str(v).ljust(w) for v, w in zip(row, widths)).rstrip() for row in cols)
+    print("\n".join(lines))
 
 
 def cmd_stats(args) -> int:
     group = parse_group(args.group)
-    budget = args.budget
     if args.element and args.dist:
         raise ValueError("--dist lists a whole group; drop the element argument")
     if args.element:
         g = parse_window(args.element, group)
         rec = stat_record(g).to_json()
         payload = {"group": str(group), "element": format_window(g), "stats": rec}
-        rows = [(k, json.dumps(v) if isinstance(v, list) else v) for k, v in rec.items()]
-        _emit(args, payload, rows, ("stat", "value"))
+        _emit(args, payload, rec.items(), ("stat", "value"))
         return 0
-    hist = distribution(group, ("des", "fmaj", "col"), budget)
+    hist = distribution(group, ("des", "fmaj", "col"), args.budget)
     rows = [(d, f, c, cnt) for (d, f, c), cnt in sorted(hist.items())]
-    payload = {
-        "group": str(group),
-        "distribution": [
-            {"des": d, "fmaj": f, "col": c, "count": cnt} for d, f, c, cnt in rows
-        ],
-    }
-    _emit(args, payload, rows, ("des", "fmaj", "col", "count"))
+    dist = [{"des": d, "fmaj": f, "col": c, "count": cnt} for d, f, c, cnt in rows]
+    _emit(args, {"group": str(group), "distribution": dist}, rows, ("des", "fmaj", "col", "count"))
     return 0
 
 
@@ -105,8 +91,6 @@ def _verify_flags() -> dict:
 
 
 def cmd_verify(args) -> int:
-    if args.json:
-        args.format = "json"
     params = inspect.signature(VERIFIERS[args.identity]).parameters
     kwargs = {n: getattr(args, n) for n in _verify_flags() if getattr(args, n) is not None}
     for name, value in kwargs.items():
@@ -131,100 +115,69 @@ def cmd_verify(args) -> int:
     if report.first_mismatch:
         rows.append(("firstMismatch", json.dumps(report.first_mismatch)))
     rows += [("note", note) for note in report.notes]
-    _emit(args, report.to_json(), rows, ("field", "value"), table_header=False)
+    _emit(args, report.to_json(), rows, table_header=False)
     return 0 if report.matched else 1
 
 
-def _bijection_group(args, window: str):
-    if args.group:
-        return parse_group(args.group)
-    # infer B_n from the window length when no group is given
-    n = window.count(",") + 1
-    return make_group(2, 1, 1, n)
-
-
 def cmd_bijection(args) -> int:
-    needs = {"nvec": ("group", "f"), "bipartite": ("group", "element")}.get(args.kind, ("element",))
+    kind = args.kind
+    needs = {"nvec": ("group", "f"), "bipartite": ("group", "element")}.get(kind, ("element",))
     for name in needs:
         if getattr(args, name) is None:
-            raise ValueError(f"{args.kind} needs " + ("an element" if name == "element" else f"--{name}"))
-    if args.kind == "nvec":
+            what = "an element" if name == "element" else f"--{name}"
+            raise ValueError(f"{kind} needs {what}")
+    if args.group or "group" in needs:
         group = parse_group(args.group)
+    else:  # B_n, n from the window length
+        group = make_group(2, 1, 1, args.element.count(",") + 1)
+    if kind == "nvec":
         f = _int_list(args.f)
         g, lam, h = nvec_encode(f, group)
-        back = nvec_decode(g, lam, h)
         payload = {
-            "kind": "nvec",
+            "kind": kind,
             "f": list(f),
             "element": format_window(g),
             "lambda": list(lam),
             "h": h,
-            "roundTrip": list(back) == list(f),
+            "roundTrip": list(nvec_decode(g, lam, h)) == list(f),
         }
-        rows = [(k, json.dumps(v) if isinstance(v, list) else v) for k, v in payload.items()]
-        _emit(args, payload, rows, ("field", "value"))
-        return 0
-    if args.kind == "bipartite":
-        group = parse_group(args.group)
+    else:
         g = parse_window(args.element, group)
-        bp = bipartite_from_tuple(
-            g, _int_list(args.lam), _int_list(args.mu), args.h, args.k
-        )
-        payload = {
-            "kind": "bipartite",
-            "element": format_window(g),
+        payload = {"kind": kind, "element": format_window(g)}
+    if kind == "bipartite":
+        bp = bipartite_from_tuple(g, _int_list(args.lam), _int_list(args.mu), args.h, args.k)
+        payload |= {
             "row1": list(bp.row1),
             "row2": list(bp.row2),
             "columnSumClass": bp.column_sum_class(group.r, group.s),
         }
-        rows = [(k, json.dumps(v) if isinstance(v, list) else v) for k, v in payload.items()]
-        _emit(args, payload, rows, ("field", "value"))
-        return 0
-    if args.kind == "order-involution":
-        group = _bijection_group(args, args.element)
-        g = parse_window(args.element, group)
+    elif kind == "order-involution":
         image = order_involution(g)
-        payload = {
-            "kind": "order-involution",
-            "element": format_window(g),
+        payload |= {
             "image": format_window(image),
             "desPrimeOfElement": sorted(des_set(g, "PRIME")),
             "desOfImage": sorted(des_set(image, "COLOR")),
             "colPreserved": stat_record(g).col == stat_record(image).col,
         }
-        rows = [(k, json.dumps(v) if isinstance(v, list) else v) for k, v in payload.items()]
-        _emit(args, payload, rows, ("field", "value"))
-        return 0
-    if args.kind in ("rs", "rs-transpose"):
-        group = _bijection_group(args, args.element)
-        g = parse_window(args.element, group)
+    elif kind in ("rs", "rs-transpose"):
         (p0, p1), (q0, q1) = rs_correspondence(g)
-        payload = {
-            "kind": args.kind,
-            "element": format_window(g),
-            "P0": [list(row) for row in p0],
-            "P1": [list(row) for row in p1],
-            "Q0": [list(row) for row in q0],
-            "Q1": [list(row) for row in q1],
-        }
-        if args.kind == "rs-transpose":
-            image = rs_transpose_map(g)
-            split_g = bn_descent_split(g)
-            payload.update(
-                image=format_window(image),
-                negPreserved=sorted(split_g.neg)
-                == sorted(bn_descent_split(image).neg),
-                desTransported=des_set(g, "COLOR") == des_set(image, "PRIME"),
-            )
+        for name, tableau in (("P0", p0), ("P1", p1), ("Q0", q0), ("Q1", q1)):
+            payload[name] = [list(row) for row in tableau]
+        if kind == "rs":
+            payload |= {
+                "desQ0": sorted(tableau_descents(q0)),
+                "desQ1": sorted(tableau_descents(q1)),
+            }
         else:
-            payload.update(
-                desQ0=sorted(tableau_descents(q0)),
-                desQ1=sorted(tableau_descents(q1)),
-            )
-        rows = [(k, json.dumps(v) if isinstance(v, (list, bool)) else v) for k, v in payload.items()]
-        _emit(args, payload, rows, ("field", "value"))
-        return 0
-    raise ValueError(f"unknown bijection kind {args.kind!r}")
+            image = rs_transpose_map(g)
+            payload |= {
+                "image": format_window(image),
+                "negPreserved": sorted(bn_descent_split(g).neg)
+                == sorted(bn_descent_split(image).neg),
+                "desTransported": des_set(g, "COLOR") == des_set(image, "PRIME"),
+            }
+    _emit(args, payload)
+    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -256,8 +209,10 @@ def build_parser() -> argparse.ArgumentParser:
     for name in _verify_flags():
         aliases = ("--caps",) if name == "qmax" else ()
         p_verify.add_argument(f"--{name}", *aliases, type=_int_list if name == "parts" else _int)
-    p_verify.add_argument("--json", action="store_true", help="JSON report on stdout")
     p_verify.add_argument("--format", choices=("table", "json", "csv"), default="table")
+    p_verify.add_argument(
+        "--json", action="store_const", const="json", dest="format", help="same as --format json"
+    )
     p_verify.set_defaults(func=cmd_verify)
 
     p_bij = sub.add_parser("bijection", help="apply one of the explicit bijections")
@@ -267,8 +222,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_bij.add_argument("element", nargs="?", help="window notation input")
     p_bij.add_argument("--group", default=None, help="group descriptor (default: B_n)")
     p_bij.add_argument("--f", default=None, help="comma-separated vector for nvec")
-    p_bij.add_argument("--lam", default="", help="partition, e.g. 1,0")
-    p_bij.add_argument("--mu", default="", help="partition, e.g. 0,0")
+    p_bij.add_argument("--lam", default="", help="partition, e.g. 1,0 (default: empty)")
+    p_bij.add_argument("--mu", default="", help="partition, e.g. 0,0 (default: empty)")
     p_bij.add_argument("--h", type=_int, default=0)
     p_bij.add_argument("--k", type=_int, default=0)
     p_bij.add_argument("--format", choices=("table", "json", "csv"), default="table")

@@ -51,7 +51,9 @@ def _decimal(n: int) -> str:
     digits: str() of an int refuses more than 4300 digits."""
     if n < 10**1000:
         return str(n)
-    k = (n.bit_length() - 1) * 3 // 10  # 10^k <= 2^(bits - 1) <= n
+    # log10(2) > 0.301029995, so 10^k <= 2^(bits - 1) <= n, and k falls
+    # short of log10(n) by under 2 while bits < 10^9
+    k = (n.bit_length() - 1) * 301029995 // 10**9
     while 10 ** (k + 1) <= n:
         k += 1
     return f"at least 10^{k}"
@@ -210,11 +212,15 @@ def lifts(g: ProjectiveElement) -> list[ColoredPermutation]:
     ]
 
 
+def ascii_digits(text: str) -> bool:
+    """Whether text is one or more ASCII digits; int() also reads "1_0",
+    "+1", " 1" and non-ASCII digits."""
+    return text.isascii() and text.isdigit()
+
+
 def parse_int(text: str) -> int:
-    """An optional '-' and ASCII digits; int() also reads "1_0", "+1", " 1"
-    and non-ASCII digits."""
-    digits = text[1:] if text.startswith("-") else text
-    if not (digits.isascii() and digits.isdigit()):
+    """An optional '-' and ASCII digits (:func:`ascii_digits`)."""
+    if not ascii_digits(text[1:] if text.startswith("-") else text):
         raise ValueError(f"expected an integer in ASCII digits, got {text!r}")
     return int(text)
 
@@ -278,9 +284,9 @@ def parse_group(text: str) -> GroupDescriptor:
     if len(body) != 4:
         raise ParseError("expected four comma-separated parameters", 2)
     try:
-        if not all(part.isascii() and part.isdigit() for part in body):
-            raise ValueError  # int() also reads "1_0", "+1" and non-ASCII digits
-        r, p, s, n = (int(part) for part in body)
+        if not all(map(ascii_digits, body)):
+            raise ValueError
+        r, p, s, n = (int(part) for part in body)  # ValueError past 4300 digits
     except ValueError:
         raise ParseError(f"non-integer group parameter in {stripped!r}", 2) from None
     return make_group(r, p, s, n)

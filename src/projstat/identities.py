@@ -229,11 +229,23 @@ def verify_signed_multinomial(n: int, parts, budget: int | None = None) -> Verif
     parts = tuple(parts)
     if not parts or any(x < 0 for x in parts) or sum(parts) != n:
         raise CompositionError(f"{parts} is not a composition of {n}")
-    count = _multinomial(n, parts)
     if budget is None:
         budget = enumeration_budget()
-    if count > budget:
-        raise BudgetExceededError(count, budget, "filling count")
+    # multinomial(n; parts) is the product of C(m, k) over the running sums
+    # m, refused as soon as the running product passes the budget; C(m, j)
+    # with j = min(k, m - k) is at least 2^j, so a j past 64 that alone
+    # passes the budget is refused by that bound, without computing C(m, j)
+    count, m = 1, 0
+    for k in parts:
+        m += k
+        j = min(k, m - k)
+        if j > 64 and j >= budget.bit_length():
+            bound = count << budget.bit_length()
+            raise BudgetExceededError(bound, budget, "filling count at least")
+        count *= math.comb(m, j)
+        if count > budget:
+            what = "filling count" if m == n else "filling count at least"
+            raise BudgetExceededError(count, budget, what)
     lhs = 0
     for sigma in _block_fillings(tuple(range(1, n + 1)), parts):
         lhs += -1 if inversions(sigma) % 2 else 1

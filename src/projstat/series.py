@@ -227,6 +227,8 @@ class TruncatedSeries:
         by the given modulus (the component extraction {F}_M)."""
         fields = _layout(self.caps)[0]
         idx = [(fields[self.vars.index(v)], d) for v, d in divisors.items() if d > 1]
+        if not idx:  # series are immutable
+            return self
         return self._with(self.caps, {
             key: coeff
             for key, coeff in self.terms.items()

@@ -1,11 +1,14 @@
+import csv
+import io
 import json
+import time
 from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from projstat.cli import main
+from projstat.cli import build_parser, main
 
 # `projstat verify ... --json` for every verify command in README.md and in
 # this file, one default run per identity and a few with explicit caps: the
@@ -140,6 +143,23 @@ def test_bijection_bipartite(capsys):
     assert payload["row2"] == [1, 1]
 
 
+def test_bijection_bipartite_defaults_to_empty_partitions(capsys):
+    code, out, _ = run(capsys, "bijection", "bipartite", "[1,2]", "--group", "G(2,1,1,2)")
+    assert code == 0
+    assert "row1            [0, 0]" in out.splitlines()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["bijection", "nvec", "--group", "G(2,1,1,2)", "--f", ""], "need 2 nonnegative entries, got ()"),
+        (["verify", "signed-multinomial", "--n", "3", "--parts", ""], "() is not a composition of 3"),
+    ],
+)
+def test_an_empty_int_list_reaches_its_own_error(capsys, argv, message):
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
 def test_bijection_order_involution(capsys):
     code, out, _ = run(
         capsys, "bijection", "order-involution", "[1^1,2^1]", "--format", "json"
@@ -184,6 +204,55 @@ def test_mismatch_exits_1(capsys, monkeypatch):
     assert code == 1
     assert "MISMATCH" in out
     assert "firstMismatch" in out
+
+
+# the field/value commands: every kind of bijection and the stats of one element
+FIELD_VALUE_COMMANDS = [
+    ["stats", "G(6,2,3,8)", "[2^2,7^3,6^3,4^5,8^1,1^1,5^3,3^2]"],
+    ["bijection", "nvec", "--group", "G(2,1,1,2)", "--f", "3,1"],
+    ["bijection", "bipartite", "[1^1,2^1]", "--group", "G(2,1,1,2)", "--lam", "1,0", "--mu", "0,0"],
+    ["bijection", "order-involution", "[1^1,2^1]"],
+    ["bijection", "rs", "[5,-2,-1,-4,6,-3,-7]"],
+    ["bijection", "rs-transpose", "[5,-2,-1,-4,6,-3,-7]"],
+]
+
+
+@pytest.mark.parametrize("argv", FIELD_VALUE_COMMANDS, ids=lambda argv: argv[1])
+def test_table_and_csv_rows_are_the_json_fields(capsys, argv):
+    _, out, _ = run(capsys, *argv, "--format", "json")
+    payload = json.loads(out)
+    del payload["schema"]
+    fields = payload["stats"] if argv[0] == "stats" else payload
+    cells = {k: json.dumps(v) if isinstance(v, (list, bool)) else str(v) for k, v in fields.items()}
+    header = ["stat" if argv[0] == "stats" else "field", "value"]
+
+    code, out, _ = run(capsys, *argv, "--format", "csv")
+    rows = list(csv.reader(io.StringIO(out)))
+    assert (code, rows[0], len(rows) - 1, dict(rows[1:])) == (0, header, len(cells), cells)
+
+    code, out, _ = run(capsys, *argv, "--format", "table")
+    lines = [line.split(None, 1) for line in out.splitlines()]
+    assert (code, lines[0], len(lines) - 1, dict(lines[1:])) == (0, header, len(cells), cells)
+
+
+def test_verify_json_flag_is_format_json(capsys):
+    argv = ["verify", "lift", "--r", "2", "--n", "2"]
+    assert not hasattr(build_parser().parse_args([*argv, "--json"]), "json")
+    # argparse: the last of --json and --format wins
+    code, out, _ = run(capsys, *argv, "--json", "--format", "table")
+    assert (code, out.splitlines()[0]) == (0, "identity  lift")
+    code, out, _ = run(capsys, *argv, "--format", "table", "--json")
+    assert (code, json.loads(out)["outcome"]) == (0, "MATCH")
+
+
+@pytest.mark.parametrize("n", [300_000, 10**6])
+def test_signed_multinomial_refuses_a_huge_filling_count_at_once(capsys, monkeypatch, n):
+    # multinomial(n; n/2, n/2) >= 2^(n/2), so no factorial is computed
+    monkeypatch.delenv("PROJSTAT_BUDGET", raising=False)
+    start = time.perf_counter()
+    result = run(capsys, "verify", "signed-multinomial", "--n", str(n), "--parts", f"{n // 2},{n // 2}")
+    assert time.perf_counter() - start < 2
+    assert result == (2, "", "error: filling count at least 1048576 exceeds enumeration budget 1000000\n")
 
 
 @pytest.mark.parametrize("entry", GOLDEN, ids=lambda entry: " ".join(entry["argv"][1:-1]))

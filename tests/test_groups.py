@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import example, given, settings
@@ -14,6 +15,7 @@ from projstat.groups import (
     ParseError,
     RangeError,
     GroupMismatchError,
+    _decimal,
     canonicalize,
     enumerate_elements,
     format_window,
@@ -320,12 +322,21 @@ def test_budget_message_never_prints_a_huge_order():
         next(enumerate_elements(make_group(10**1001 - 1, 1, 1, 1)))
 
 
+def test_decimal_bound_of_a_huge_count_is_quick():
+    start = time.perf_counter()
+    assert _decimal(2**500_000) == "at least 10^150514"
+    assert time.perf_counter() - start < 1
+    for n in (10**1000, 10**1001 - 1, 10**1001, 7 * 10**5000, 2**20_000, 2**20_000 - 1):
+        k = int(_decimal(n).removeprefix("at least 10^"))
+        assert 10**k <= n < 10 ** (k + 1)
+
+
 def test_parsers_take_ascii_digits_only():
     B2 = make_group(2, 1, 1, 2)
     for text in ("[²,1]", "[١,2]", "[1^¹,2]", "[１,2]"):
         with pytest.raises(ParseError):
             parse_window(text, B2)
-    for text in ("G(1_0,1,1,1)", "G(١,1,1,1)", "G(+1,1,1,1)", "G(2,1,1,²)"):
+    for text in ("G(1_0,1,1,1)", "G(١,1,1,1)", "G(+1,1,1,1)", "G(2,1,1,²)", f"G({'1' * 5000},1,1,1)"):
         with pytest.raises(ParseError):
             parse_group(text)
     assert parse_group("G( 2 ,1, 1,2 )") == B2

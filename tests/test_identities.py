@@ -1,3 +1,5 @@
+import math
+
 import pytest
 import sympy
 
@@ -136,6 +138,22 @@ def test_signed_multinomial_refuses_before_enumerating(monkeypatch):
     with pytest.raises(BudgetExceededError):
         verify_signed_multinomial(4, (2, 2))
     assert calls == []
+
+
+def test_signed_multinomial_refuses_by_a_running_product():
+    # C(2,2) C(4,2) = 6 passes the budget before C(6,2) is taken
+    with pytest.raises(BudgetExceededError, match="^filling count at least 6 exceeds"):
+        verify_signed_multinomial(6, (2, 2, 2), budget=1)
+    # C(200, 100) >= 2^100, past a budget of 2^20 - 1: refused by 2^20
+    with pytest.raises(BudgetExceededError) as exc:
+        verify_signed_multinomial(200, (100, 100), budget=2**20 - 1)
+    assert exc.value.order == 2**20
+    assert str(exc.value) == "filling count at least 1048576 exceeds enumeration budget 1048575"
+    # 2^100 fits a budget of 2^190, so C(200, 100) is taken exactly
+    with pytest.raises(BudgetExceededError) as exc:
+        verify_signed_multinomial(200, (100, 100), budget=2**190)
+    assert exc.value.order == math.comb(200, 100)
+    assert str(exc.value).startswith(f"filling count {math.comb(200, 100)} exceeds")
 
 
 def test_signed_wreath_examples():

@@ -48,7 +48,7 @@ def test_extract_multiples_examples():
     f = q_bracket(4, q_mono())
     assert terms_of(f.extract_multiples({"q": 2})) == {(0,): 1, (2,): 1}
     assert terms_of(q_bracket(3, q_mono()).extract_multiples({"q": 3})) == {(0,): 1}
-    assert f.extract_multiples({"q": 1}) == f
+    assert f.extract_multiples({"q": 1}) is f
     twice = f.extract_multiples({"q": 2}).extract_multiples({"q": 2})
     assert twice == f.extract_multiples({"q": 2})
 
