@@ -42,7 +42,7 @@ from .groups import (
     residue,
 )
 from .series import RegionError, TruncatedSeries, equal_on, geom_divide, q_bracket
-from .stats import distribution, inversions, stat_record
+from .stats import distribution, permutation_sign, stat_record
 
 MATCH = "MATCH"
 MISMATCH = "MISMATCH"
@@ -140,6 +140,35 @@ def _finish(region, ok, mismatch, count, notes=(), **overrides) -> VerificationR
 # ----------------------------------------------------------------------
 # character twists of the flag major index
 
+def _character_rhs(r: int, p: int, s: int, n: int, eps: int, k: int, caps) -> TruncatedSeries:
+    """The closed form of character-fmaj as G(zeta^k q), for G in Z[q].
+
+    Every zeta comes with a q: the brackets are in base (zeta^k q)^p times
+    eps^((i-1)p), the braces in base zeta^k q or zeta^k eps q.  So G, the
+    product with zeta^k set to 1, has int coefficients, and since the
+    extraction of multiples of p and the truncation act on each monomial,
+    they commute with the substitution q^e -> zeta^(ke) q^e made at the end.
+    """
+    vars_ = ("q",)
+
+    def bracket(length: int, twist: int, qexp: int) -> TruncatedSeries:
+        return q_bracket(length, TruncatedSeries.monomial(vars_, caps, {"q": qexp}, twist))
+
+    g = TruncatedSeries.one(vars_, caps)
+    for i in range(1, n):
+        g = g * bracket(i * r // p, eps ** ((i - 1) * p), p)
+    g = g * bracket(n * r // (p * s), eps ** ((n - 1) * p), p)
+    m = n // 2
+    braces = TruncatedSeries.one(vars_, caps)
+    for i in range(n):
+        braces = braces * bracket(p, eps if i >= n - m else 1, 1)
+    g = g * braces.extract_multiples({"q": p})
+    # the constant term stays the int 1 of the bracket product
+    return TruncatedSeries(vars_, caps, {
+        (e,): zeta_pow(r, k * e) * c if e else c for (e,), c in g.exp_terms.items()
+    })
+
+
 @_identity("character-fmaj")
 def verify_character_fmaj(
     r: int, p: int = 1, s: int = 1, n: int = 3, eps: int = 1, k: int = 0, budget: int | None = None
@@ -148,7 +177,8 @@ def verify_character_fmaj(
 
     The closed form is the bracket product [r/p] [2r/p] ... [(n-1)r/p]
     [nr/(ps)] in base (eps^(i-1) zeta^k q)^p, times the extracted component
-    of [p]^(n-m) [p]^m with alternating twist, m = floor(n/2).
+    of [p]^(n-m) [p]^m with alternating twist, m = floor(n/2).  It is built
+    over Z[q] and then twisted by q -> zeta^k q (:func:`_character_rhs`).
     """
     group = make_group(r, p, s, n)
     if eps not in (1, -1):
@@ -160,7 +190,6 @@ def verify_character_fmaj(
             f"s={s} does not divide kn={k * n}: zeta^(k c(g)) depends on the lift"
         )
     counts = distribution(group, ("signAbs", "colorClass", "fmaj"), budget)
-    m = n // 2
     # No term of either side is truncated: a bracket of length L in base
     # c q^p has degree exactly p(L-1), the braces before extraction n(p-1),
     # and the cap is at least the sum of those and the top fmaj.
@@ -178,22 +207,7 @@ def verify_character_fmaj(
         scalar = zeta_pow(r, k * cclass) * (sign if eps == -1 else 1)
         lhs_terms[(fmaj,)] = lhs_terms.get((fmaj,), 0) + scalar * cnt
     lhs = TruncatedSeries(vars_, caps, lhs_terms)
-
-    def bracket(length: int, scalar, qexp: int) -> TruncatedSeries:
-        base = TruncatedSeries.monomial(vars_, caps, {"q": qexp}, scalar)
-        return q_bracket(length, base)
-
-    rhs = TruncatedSeries.one(vars_, caps)
-    zkp = zeta_pow(r, k * p)
-    for i in range(1, n):
-        rhs = rhs * bracket(i * r // p, zkp * eps ** ((i - 1) * p), p)
-    rhs = rhs * bracket(n * r // (p * s), zkp * eps ** ((n - 1) * p), p)
-    braces = TruncatedSeries.one(vars_, caps)
-    for _ in range(n - m):
-        braces = braces * bracket(p, zeta_pow(r, k), 1)
-    for _ in range(m):
-        braces = braces * bracket(p, zeta_pow(r, k) * eps, 1)
-    rhs = rhs * braces.extract_multiples({"q": p})
+    rhs = _character_rhs(r, p, s, n, eps, k, caps)
     return _finish(caps, *equal_on(lhs, rhs), group.order)
 
 
@@ -248,7 +262,7 @@ def verify_signed_multinomial(n: int, parts, budget: int | None = None) -> Verif
             raise BudgetExceededError(count, budget, what)
     lhs = 0
     for sigma in _block_fillings(tuple(range(1, n + 1)), parts):
-        lhs += -1 if inversions(sigma) % 2 else 1
+        lhs += permutation_sign(sigma)
     odd = sum(1 for x in parts if x % 2)
     rhs = 0 if odd >= 2 else _multinomial(n // 2, [x // 2 for x in parts])
     ok = lhs == rhs

@@ -78,6 +78,26 @@ def test_distribution_matches_stat_record(group):
         assert distribution(group, keys) == reference, keys
 
 
+# key tuples that KEY_TUPLES misses, for the other folds of the first
+# position: inv whole, inv mod 2 and no inv, with the color sum kept mod r
+# (colorClass) and mod p
+FOLD_KEY_TUPLES = [
+    ("invAbs",),
+    ("signAbs",),
+    ("invAbs", "colorClass"),
+    ("desA", "signAbs"),
+    ("col",),
+]
+
+
+@pytest.mark.parametrize("group", [g for g in GROUPS if g.n <= 5], ids=str)
+def test_distribution_folds_the_first_position(group):
+    records = [stat_record(g) for g in enumerate_elements(group)]
+    for keys in FOLD_KEY_TUPLES:
+        reference = Counter(tuple(getattr(rec, key) for key in keys) for rec in records)
+        assert distribution(group, keys) == reference, keys
+
+
 def test_parity_grid_covers_rank_one_quotients():
     # n = 1 with p > 1: the one position is both the last (colors below r/s)
     # and the first (color sum divisible by p)
@@ -170,8 +190,8 @@ def test_carlitz_des_reports_mismatch_on_shifted_histogram(monkeypatch):
 
 # one small run of every identity through the CLI, and the enumeration seam
 # a wrong value goes through: the histogram for the verifiers built on
-# distribution, the per-element records for lift, the inversion count for
-# signed-multinomial
+# distribution, the per-element records for lift, the sign of each filling
+# for signed-multinomial
 NEGATIVE_CONTROLS = {
     "character-fmaj": ["--r", "2", "--n", "2"],
     "signed-multinomial": ["--n", "4", "--parts", "2,2"],
@@ -187,8 +207,8 @@ NEGATIVE_CONTROLS = {
 
 def _perturb(monkeypatch, name):
     if name == "signed-multinomial":
-        real = identities.inversions
-        monkeypatch.setattr(identities, "inversions", lambda sigma: real(sigma) + 1)
+        real = identities.permutation_sign
+        monkeypatch.setattr(identities, "permutation_sign", lambda sigma: -real(sigma))
     elif name == "lift":
         # the identity element's fmaj is off by one, its lifts' are not
         def perturbed(g):

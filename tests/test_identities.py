@@ -1,11 +1,13 @@
 import math
+import time
 
 import pytest
 import sympy
 
 from projstat import identities
-from projstat.groups import BudgetExceededError, DivisibilityError, residue
-from projstat.series import TruncatedSeries, geom_divide
+from projstat.cyclotomic import CycInt, zeta_pow
+from projstat.groups import BudgetExceededError, DivisibilityError, make_group, residue
+from projstat.series import TruncatedSeries, geom_divide, q_bracket
 from projstat.stats import distribution
 from projstat.identities import (
     CharacterConditionError,
@@ -39,10 +41,10 @@ def test_character_gessel_simion_s3():
     assert report.matched
 
 
-def _character_groups():
-    """Every admissible (r, p, s, n) with r <= 6 and 1 <= n <= 3."""
+def _character_groups(nmax=3):
+    """Every admissible (r, p, s, n) with r <= 6 and 1 <= n <= nmax."""
     for r in range(1, 7):
-        for n in range(1, 4):
+        for n in range(1, nmax + 1):
             for p in range(1, r + 1):
                 for s in range(1, r + 1):
                     if r % p == 0 and r % s == 0 and (r * n) % (p * s) == 0:
@@ -94,6 +96,69 @@ def test_character_higher_conductors(r, p, s, n, eps, k):
     assert verify_character_fmaj(r, p, s, n, eps, k).matched
 
 
+def _cyclotomic_bracket_product(r, p, s, n, eps, k, caps):
+    """The closed form of character-fmaj built directly in Z[zeta_r]: each
+    bracket in its twisted base, multiplied term by term."""
+    vars_ = ("q",)
+
+    def bracket(length, scalar, qexp):
+        return q_bracket(length, TruncatedSeries.monomial(vars_, caps, {"q": qexp}, scalar))
+
+    rhs = TruncatedSeries.one(vars_, caps)
+    zkp = zeta_pow(r, k * p)
+    for i in range(1, n):
+        rhs = rhs * bracket(i * r // p, zkp * eps ** ((i - 1) * p), p)
+    rhs = rhs * bracket(n * r // (p * s), zkp * eps ** ((n - 1) * p), p)
+    braces = TruncatedSeries.one(vars_, caps)
+    for _ in range(n - n // 2):
+        braces = braces * bracket(p, zeta_pow(r, k), 1)
+    for _ in range(n // 2):
+        braces = braces * bracket(p, zeta_pow(r, k) * eps, 1)
+    return rhs * braces.extract_multiples({"q": p})
+
+
+def test_character_closed_form_is_the_cyclotomic_bracket_product():
+    # G(zeta^k q) with G over Z[q] has the same terms, printed the same way
+    # (the constant term an int), as the product taken in Z[zeta_r], at the
+    # untruncated cap and at half of it
+    runs = 0
+    for r, p, s, n in _character_groups(nmax=4):
+        top = p * sum(i * r // p - 1 for i in range(1, n)) + p * (n * r // (p * s) - 1) + n * (p - 1)
+        for eps in (1, -1):
+            for k in range(r // p):
+                if (k * n) % s:
+                    continue
+                for cap in (top, top // 2):
+                    args = (r, p, s, n, eps, k, {"q": cap})
+                    got = identities._character_rhs(*args).exp_terms
+                    want = _cyclotomic_bracket_product(*args).exp_terms
+                    assert {e: str(c) for e, c in got.items()} == {
+                        e: str(c) for e, c in want.items()
+                    }, args
+                runs += 1
+    assert runs == 494
+
+
+def test_character_multiplies_in_z_zeta_once_per_term(monkeypatch):
+    # two products per histogram bucket on the enumeration side, and at most
+    # one per term of the closed form for the twist q -> zeta^k q
+    calls = []
+    real = CycInt.__mul__
+
+    def counting(self, other):
+        calls.append(other)
+        return real(self, other)
+
+    monkeypatch.setattr(CycInt, "__mul__", counting)
+    monkeypatch.setattr(CycInt, "__rmul__", counting)
+    group = make_group(6, 1, 1, 4)
+    buckets = len(distribution(group, ("signAbs", "colorClass", "fmaj")))
+    report = verify_character_fmaj(6, 1, 1, 4, -1, 1)
+    assert report.matched
+    assert (buckets, report.region["q"]) == (112, 56)
+    assert len(calls) <= 2 * buckets + report.region["q"] + 1
+
+
 def test_character_conditions_refused():
     with pytest.raises(CharacterConditionError):
         verify_character_fmaj(6, 2, 3, 4, 1, 1)  # s=3 does not divide kn=4
@@ -130,7 +195,7 @@ def test_signed_multinomial_refuses_before_enumerating(monkeypatch):
     assert report.matched and report.element_count == 6
     assert report.params == {"n": 4, "parts": [2, 2]}
     calls = []
-    monkeypatch.setattr(identities, "inversions", lambda sigma: calls.append(sigma) or 0)
+    monkeypatch.setattr(identities, "permutation_sign", lambda sigma: calls.append(sigma) or 1)
     with pytest.raises(BudgetExceededError) as exc:
         verify_signed_multinomial(16, (8, 8), budget=12_869)
     assert (exc.value.order, exc.value.budget) == (12_870, 12_869)
@@ -154,6 +219,17 @@ def test_signed_multinomial_refuses_by_a_running_product():
         verify_signed_multinomial(200, (100, 100), budget=2**190)
     assert exc.value.order == math.comb(200, 100)
     assert str(exc.value).startswith(f"filling count {math.comb(200, 100)} exceeds")
+
+
+def test_signed_multinomial_signs_each_filling_in_linear_time():
+    # 2000 fillings of 2000 values, then one filling of 20000: each sign is
+    # read from the cycles of the filling, not from its inversions
+    started = time.perf_counter()
+    assert verify_signed_multinomial(2000, (1, 1999)).matched
+    assert time.perf_counter() - started < 5
+    started = time.perf_counter()
+    assert verify_signed_multinomial(20000, (20000,)).matched
+    assert time.perf_counter() - started < 1
 
 
 def test_signed_wreath_examples():
