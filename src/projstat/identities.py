@@ -261,7 +261,8 @@ def verify_signed_multinomial(n: int, parts, budget: int | None = None) -> Verif
             what = "filling count" if m == n else "filling count at least"
             raise BudgetExceededError(count, budget, what)
     lhs = 0
-    for sigma in _block_fillings(tuple(range(1, n + 1)), parts):
+    # a zero part holds no values and flips no sign; the walk recurses per part
+    for sigma in _block_fillings(tuple(range(1, n + 1)), tuple(x for x in parts if x)):
         lhs += permutation_sign(sigma)
     odd = sum(1 for x in parts if x % 2)
     rhs = 0 if odd >= 2 else _multinomial(n // 2, [x // 2 for x in parts])

@@ -33,7 +33,6 @@ from operator import itemgetter
 from .groups import (
     GroupDescriptor,
     ProjectiveElement,
-    canonical_windows,
     check_budget,
     residue,
 )
@@ -223,24 +222,28 @@ def stat_record(g: ProjectiveElement) -> StatRecord:
 DISTRIBUTION_KEYS = ("des", "fdes", "fmaj", "col", "desA", "invAbs", "signAbs", "colorClass")
 INVERSE_KEYS = {"ides": "des", "ifmaj": "fmaj", "icol": "col"}
 
-# A leaf record is (lambda_1, fmaj, col, desA, inv|g|, color sum); a record
-# of the inverse path appends the record of g^-1 at this offset.
+# A record of _rank_dp is (lambda_1, fmaj, col, desA, inv|g|, color sum);
+# one of _tableau_pairs holds the statistics at these places.
 _RECORD_INDEX = {"fdes": 0, "fmaj": 1, "col": 2, "desA": 3, "invAbs": 4}
-_INVERSE_OFFSET = 6
+_PAIRED_INDEX = {"des": 0, "fdes": 1, "fmaj": 2, "col": 3, "desA": 4, "colorClass": 5}
+
+
+def _getter(indices: list[int]):
+    """The function taking a tuple to the tuple of its items at ``indices``."""
+    if len(indices) == 1:
+        return lambda rec: (rec[indices[0]],)
+    return itemgetter(*indices) if indices else lambda rec: ()
 
 
 def _field(key: str, r: int, s: int):
     """The function taking a record to the value of one statistic."""
-    off = 0
-    if key in INVERSE_KEYS:
-        key, off = INVERSE_KEYS[key], _INVERSE_OFFSET
     if key == "des":
-        return lambda rec: (s * rec[off] + r - s) // r
+        return lambda rec: (s * rec[0] + r - s) // r
     if key == "signAbs":
-        return lambda rec: -1 if rec[off + 4] & 1 else 1
+        return lambda rec: -1 if rec[4] & 1 else 1
     if key == "colorClass":
-        return lambda rec: rec[off + 5] % r
-    return itemgetter(off + _RECORD_INDEX[key])
+        return lambda rec: rec[5] % r
+    return itemgetter(_RECORD_INDEX[key])
 
 
 def _rank_dp(group: GroupDescriptor, keys) -> dict[tuple, int]:
@@ -314,42 +317,119 @@ def _rank_dp(group: GroupDescriptor, keys) -> dict[tuple, int]:
     }
 
 
-def _window_record(sigma, colors, r: int, rs: int) -> tuple:
-    """The leaf record of one window, by the suffix recurrences.
+def _addable(shape: tuple) -> list[tuple]:
+    """(c, row, shape with a cell added at the end of that row of component c)
+    for every cell that keeps each component a partition."""
+    out = []
+    for c, part in enumerate(shape):
+        for row in range(len(part) + 1):
+            size = part[row] if row < len(part) else 0
+            if row == 0 or part[row - 1] > size:
+                grown = part[:row] + (size + 1,) + part[row + 1:]
+                out.append((c, row, shape[:c] + (grown,) + shape[c + 1:]))
+    return out
 
-    The window need not be the canonical lift: k_n = R_{r/s}(c_n) and the
-    differences R_r(c_i - c_{i+1}) do not see a global shift by r/s.
+
+def _tableau_dp(r: int, n: int, step_d: int, step_sum: int, first: bool) -> dict:
+    """Standard multi-tableaux with r components and n cells, by a forward DP.
+
+    Position i goes to the end of a row of component c_i, and i < n is in
+    D iff c_i < c_{i+1}, or c_i = c_{i+1} and i+1 goes to a strictly lower
+    row than i.  A state is (multishape, c and row of the last position,
+    c_1 if ``first`` else 0); it maps step_d*|D| + step_sum*sum(D) to the
+    number of tableaux.
     """
-    v1, c1 = sigma[-1], colors[-1]
-    h, k = 0, c1 % rs
-    fmaj, col, csum, des_a, inv, used = k, k, c1, 0, 0, 1 << v1
-    for v, c in zip(reversed(sigma[:-1]), reversed(colors[:-1])):
-        if c == c1 and v > v1:
-            h += 1
-        k += (c - c1) % r
-        fmaj += r * h + k
-        col += c % rs
-        csum += c
-        des_a += _key_color(v, c) > _key_color(v1, c1)
-        inv += (used & ((1 << v) - 1)).bit_count()
-        used |= 1 << v
-        v1, c1 = v, c
-    return (r * h + k, fmaj, col, des_a, inv, csum)
+    empty = ((),) * r
+    states = {(empty[:c] + ((1,),) + empty[c + 1:], c, 0, c * first): {0: 1} for c in range(r)}
+    moves = {}
+    for i in range(1, n):
+        step = step_d + i * step_sum
+        nxt = {}
+        for (shape, c, row, c1), counts in states.items():
+            if shape not in moves:
+                moves[shape] = _addable(shape)
+            for c2, row2, shape2 in moves[shape]:
+                target = nxt.setdefault((shape2, c2, row2, c1), {})
+                d = step if c < c2 or (c == c2 and row2 > row) else 0
+                for acc, count in counts.items():
+                    target[acc + d] = target.get(acc + d, 0) + count
+        states = nxt
+    return states
 
 
-def _with_inverse(group: GroupDescriptor) -> Counter:
-    """Records of g followed by records of g^-1, one window at a time."""
-    r, rs = group.r, group.r // group.s
-    records = Counter()
-    for sigma, colors in canonical_windows(group):
-        pos = sorted(range(len(sigma)), key=sigma.__getitem__)
-        inv_sigma = tuple(i + 1 for i in pos)
-        inv_colors = tuple(-colors[i] % r for i in pos)
-        records[
-            _window_record(sigma, colors, r, rs)
-            + _window_record(inv_sigma, inv_colors, r, rs)
-        ] += 1
-    return records
+def _inverse_shape(shape: tuple) -> tuple:
+    """The multishape of P for the tableaux of g^-1: component -c mod r of
+    the result is component c of ``shape``."""
+    return shape[:1] + shape[:0:-1]
+
+
+def _tableau_pairs(group: GroupDescriptor, keys: tuple) -> Counter:
+    """The histogram of keys, inverse keys among them, by standard multi-tableaux.
+
+    Color-by-color Robinson-Schensted takes a lift g of G(r,p,n) to a pair
+    (P, Q) of standard multi-tableaux of one multishape lambda, the color-c
+    subword giving component c.  Q records the positions, so i < n is a
+    descent of g in the color order iff i is in D of Q (:func:`_tableau_dp`),
+    and with the telescoped suffix recurrences
+
+        lambda_1 = r*|D| + c_1 - c_n + R_{r/s}(c_n),
+        fmaj = r*sum(D) + sum_c c*|lambda^c| - n*c_n + n*R_{r/s}(c_n),
+
+    col = sum_c R_{r/s}(c)*|lambda^c| and desA = |D|.  P, with component c
+    moved to -c, is the Q of g^-1, whose records are read off it alike.  So
+    the histogram is the sum over lambda with p | sum_c c*|lambda^c| of the
+    histogram of g's keys over the Q of shape lambda times that of the
+    inverse keys over the tableaux of shape -lambda (:func:`_inverse_shape`).
+    Taking only the Q whose position n has a color below r/s takes each
+    class of G(r,p,s,n) once, by its canonical lift.
+    """
+    r, p, s, n = group.r, group.p, group.s, group.n
+    rs = r // s
+    read = {INVERSE_KEYS.get(key, key) for key in keys}
+    w = n.bit_length()  # |D| < n
+    states = _tableau_dp(
+        r, n, int(bool(read & {"des", "fdes", "desA"})), int("fmaj" in read) << w, bool(read & {"des", "fdes"})
+    )
+    at = sorted(range(len(keys)), key=lambda i: keys[i] in INVERSE_KEYS)  # g's keys first
+    own = [keys[i] for i in at if keys[i] not in INVERSE_KEYS]
+    inv = [INVERSE_KEYS[keys[i]] for i in at if keys[i] in INVERSE_KEYS]
+    own_get, inv_get = (_getter([_PAIRED_INDEX[key] for key in side]) for side in (own, inv))
+    # with s = 1 every Q is canonical, and g's keys may be read as g^-1's
+    shared = s == 1 and own == inv
+    canonical, every, sums = {}, {}, {}
+    for (shape, cn, _, c1), counts in states.items():
+        if shape not in sums:
+            sizes = [sum(part) for part in shape]
+            sums[shape] = (
+                sum(c * size for c, size in enumerate(sizes)),
+                sum(c % rs * size for c, size in enumerate(sizes)),
+            )
+            every[shape] = {}
+            canonical[shape] = every[shape] if shared else {}
+        csum, col = sums[shape]
+        base, shift, right = c1 - cn + cn % rs, csum + n * (cn % rs - cn), every[shape]
+        left = None if shared or cn >= rs else canonical[shape]
+        for acc, count in counts.items():
+            n_d = acc & ((1 << w) - 1)
+            lam1 = r * n_d + base
+            # the fields of _PAIRED_INDEX
+            rec = ((s * lam1 + r - s) // r, lam1, r * (acc >> w) + shift, col, n_d, csum % r)
+            b = inv_get(rec)
+            right[b] = right.get(b, 0) + count
+            if left is not None:
+                a = own_get(rec)
+                left[a] = left.get(a, 0) + count
+    pairs = {}
+    for shape, left in canonical.items():
+        if sums[shape][0] % p == 0:
+            right = every[_inverse_shape(shape)]
+            for a, x in left.items():
+                row = pairs.setdefault(a, {})
+                for b, y in right.items():
+                    row[b] = row.get(b, 0) + x * y
+    # a + b holds the keys in the order at; put each back in its place in keys
+    order = _getter(sorted(range(len(keys)), key=at.__getitem__))
+    return Counter({order(a + b): count for a, row in pairs.items() for b, count in row.items()})
 
 
 def distribution(group: GroupDescriptor, keys, budget: int | None = None) -> Counter:
@@ -376,13 +456,19 @@ def distribution(group: GroupDescriptor, keys, budget: int | None = None) -> Cou
     polynomial in n and r, not proportional to the group order: B_10 (order
     3.7*10^9) takes about 0.06 s on one Xeon core under Python 3.11.  The
     last position takes colors below r/s, and the first, whose rank is
-    folded away, only those making the color sum divisible by p.  Inverse
-    keys need g^-1, which has no such recurrence; they take one pass per
-    element over raw windows.
+    folded away, only those making the color sum divisible by p.
 
-    Raises ValueError for any other key, and BudgetExceededError (before
-    any work) when the group order exceeds the budget; for the DP that
-    order is a loose bound on the work.
+    Inverse keys need g^-1, which has no such recurrence.  Color-by-color
+    Robinson-Schensted reads the records of g off its recording tableaux
+    and those of g^-1 off its insertion tableaux, so the joint histogram is
+    a sum over multishapes of products of two tableau histograms, each
+    built by one forward DP over standard multi-tableaux
+    (:func:`_tableau_pairs`), again polynomial in n.  The tableaux do not
+    see inv|g|, so ``invAbs`` and ``signAbs`` do not pair with inverse keys.
+
+    Raises ValueError for any other key or pairing, and BudgetExceededError
+    (before any work) when the group order exceeds the budget; for the DPs
+    that order is a loose bound on the work.
     """
     keys = tuple(keys)
     for key in keys:
@@ -391,14 +477,15 @@ def distribution(group: GroupDescriptor, keys, budget: int | None = None) -> Cou
                 f"no histogram for statistic {key!r}; have "
                 f"{', '.join(DISTRIBUTION_KEYS + tuple(INVERSE_KEYS))}"
             )
+    paired = any(key in INVERSE_KEYS for key in keys)
+    if paired and ("invAbs" in keys or "signAbs" in keys):
+        raise ValueError("invAbs and signAbs do not pair with statistics of g^-1")
     check_budget(group, budget)
-    if any(key in INVERSE_KEYS for key in keys):
-        records = _with_inverse(group)
-    else:
-        records = _rank_dp(group, keys)
+    if paired:
+        return _tableau_pairs(group, keys)
     fields = [_field(key, group.r, group.s) for key in keys]
     hist = Counter()
-    for rec, count in records.items():
+    for rec, count in _rank_dp(group, keys).items():
         hist[tuple(f(rec) for f in fields)] += count
     return hist
 

@@ -102,6 +102,16 @@ def test_verify_signed_multinomial_parts(capsys):
     assert code == 0
 
 
+def test_verify_signed_multinomial_ignores_zero_parts(capsys):
+    # 3000 empty blocks hold no values: one filling, the identity, of sign 1
+    parts = [0] * 3000 + [3]
+    argv = ["--n", "3", "--parts", ",".join(map(str, parts)), "--json"]
+    code, out, err = run(capsys, "verify", "signed-multinomial", *argv)
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert (report["outcome"], report["count"], report["params"]["parts"]) == ("MATCH", 1, parts)
+
+
 def test_bijection_rs(capsys):
     code, out, _ = run(capsys, "bijection", "rs", "[5,-2,-1,-4,6,-3,-7]", "--format", "json")
     assert code == 0

@@ -13,15 +13,17 @@ from collections import Counter
 
 import pytest
 
-from projstat import cli, identities, stats
+from projstat import cli, identities, rsk, stats
 from projstat.groups import (
     BUDGET_ENV_VAR,
     BudgetExceededError,
+    ColoredPermutation,
+    ProjectiveElement,
     enumerate_elements,
     inverse,
     make_group,
 )
-from projstat.stats import distribution, stat_record
+from projstat.stats import des_set, distribution, stat_record
 
 # every key tuple a verifier or the CLI asks for, then all keys at once
 KEY_TUPLES = [
@@ -33,7 +35,9 @@ KEY_TUPLES = [
     ("des", "ides", "fmaj", "ifmaj", "col", "icol"),  # six-stats
     ("fmaj", "ifmaj"),  # hilbert
     stats.DISTRIBUTION_KEYS,
-    stats.DISTRIBUTION_KEYS + tuple(stats.INVERSE_KEYS),
+    # every key that pairs with the statistics of g^-1
+    tuple(key for key in stats.DISTRIBUTION_KEYS if key not in ("invAbs", "signAbs"))
+    + tuple(stats.INVERSE_KEYS),
 ]
 
 
@@ -98,6 +102,52 @@ def test_distribution_folds_the_first_position(group):
         assert distribution(group, keys) == reference, keys
 
 
+def _rs_cells(sigma, colors, r):
+    """Color-by-color Robinson-Schensted of one window.  Returns the cells
+    of Q (the positions of the color-c subword, in component c) and of P
+    (its values, in component -c mod r), each as {entry: (component, row)}."""
+    values, positions = [[] for _ in range(r)], [[] for _ in range(r)]
+    for i, (v, c) in enumerate(zip(sigma, colors), start=1):
+        rsk._insert(values[c], positions[c], v, i)
+
+    def cells(tableaux, component):
+        return {
+            x: (component(c), row)
+            for c, rows in enumerate(tableaux)
+            for row, xs in enumerate(rows)
+            for x in xs
+        }
+
+    return cells(positions, lambda c: c), cells(values, lambda c: -c % r)
+
+
+def _tableau_records(cells, r, rs, n):
+    """D, lambda_1 and fmaj read off a standard multi-tableau: i in D iff
+    c_i < c_{i+1}, or c_i = c_{i+1} and i+1 lies in a strictly lower row."""
+    (c1, _), (cn, _) = cells[1], cells[n]
+    descents = {
+        i for i in range(1, n)
+        if cells[i][0] < cells[i + 1][0] or (cells[i][0] == cells[i + 1][0] and cells[i + 1][1] > cells[i][1])
+    }
+    csum = sum(c for c, _ in cells.values())
+    lam1 = r * len(descents) + c1 - cn + cn % rs
+    return descents, lam1, r * sum(descents) + csum - n * cn + n * (cn % rs)
+
+
+@pytest.mark.parametrize("group", [g for g in GROUPS if g.n <= 5], ids=str)
+def test_records_of_g_and_its_inverse_read_off_the_rs_tableaux(group):
+    r, rs, n = group.r, group.r // group.s, group.n
+    for g in enumerate_elements(group):
+        q_cells, p_cells = _rs_cells(g.sigma, g.colors, r)
+        rec, irec = stat_record(g), stat_record(inverse(g))
+        assert _tableau_records(q_cells, r, rs, n) == (des_set(g) - {0}, rec.fdes, rec.fmaj)
+        # the lift of g^-1 with color -c_i at position sigma_i, which P reads
+        sigma_inv = tuple(sorted(range(1, n + 1), key=lambda v: g.sigma[v - 1]))
+        lift = ColoredPermutation(sigma_inv, tuple(-g.colors[i - 1] % r for i in sigma_inv))
+        descents = des_set(ProjectiveElement(group, lift)) - {0}
+        assert _tableau_records(p_cells, r, rs, n) == (descents, irec.fdes, irec.fmaj)
+
+
 def test_parity_grid_covers_rank_one_quotients():
     # n = 1 with p > 1: the one position is both the last (colors below r/s)
     # and the first (color sum divisible by p)
@@ -128,6 +178,22 @@ def test_verifiers_match_past_enumeration(name, params):
     assert (report.outcome, report.element_count) == (identities.MATCH, group.order)
 
 
+# six-stats and hilbert count the elements of every rank <= nmax, and hilbert
+# those of the dual G(r,s,p,n) too
+@pytest.mark.parametrize(
+    "name, params, ranked",
+    [
+        ("hilbert", dict(r=2, nmax=7, qmax=10), 2 * sum(make_group(2, 1, 1, n).order for n in range(1, 8))),
+        ("six-stats", dict(r=2, nmax=8, umax=8, tmax=3, qmax=8), sum(make_group(2, 1, 1, n).order for n in range(1, 9))),
+    ],
+)
+def test_inverse_verifiers_match_past_enumeration(name, params, ranked):
+    started = time.perf_counter()
+    report = identities.VERIFIERS[name](**params, budget=10**10)
+    assert time.perf_counter() - started < 10
+    assert (report.outcome, report.element_count) == (identities.MATCH, ranked)
+
+
 def test_stats_dist_past_enumeration(capsys):
     argv = ["--budget", "10000000000", "stats", "G(2,1,1,10)", "--dist", "--format", "json"]
     assert cli.main(argv) == 0
@@ -146,7 +212,7 @@ def test_budget_refused_before_any_work(monkeypatch, keys):
     # an explicit budget overrides the environment, as for enumerate_elements
     assert sum(distribution(group, keys, budget=group.order).values()) == group.order
     monkeypatch.setattr(stats, "_rank_dp", _refuse_work)
-    monkeypatch.setattr(stats, "canonical_windows", _refuse_work)
+    monkeypatch.setattr(stats, "_tableau_dp", _refuse_work)
     with pytest.raises(BudgetExceededError):
         distribution(group, keys)
     with pytest.raises(BudgetExceededError) as exc:
@@ -159,6 +225,13 @@ def test_unknown_key_refused():
         distribution(make_group(2, 1, 1, 2), ("des", "maj"))
     with pytest.raises(ValueError, match="icolorClass"):
         distribution(make_group(2, 1, 1, 2), ("icolorClass",))
+
+
+@pytest.mark.parametrize("keys", [("invAbs", "ides"), ("signAbs", "ifmaj")])
+def test_inversions_do_not_pair_with_inverse_keys(keys):
+    # the tableaux of g and g^-1 do not see inv|g|
+    with pytest.raises(ValueError, match=keys[0]):
+        distribution(make_group(2, 1, 1, 2), keys)
 
 
 # ----------------------------------------------------------------------
@@ -222,8 +295,8 @@ def _perturb(monkeypatch, name):
         monkeypatch.setattr(identities, "distribution", _shifted(distribution))
 
 
-def _verify_json(capsys, name):
-    code = cli.main(["verify", name, *NEGATIVE_CONTROLS[name], "--json"])
+def _verify_json(capsys, name, controls=NEGATIVE_CONTROLS):
+    code = cli.main(["verify", name, *controls[name], "--json"])
     return code, json.loads(capsys.readouterr().out)
 
 
@@ -239,6 +312,30 @@ def test_verify_reports_mismatch_on_perturbed_enumeration(monkeypatch, capsys, n
     code, report = _verify_json(capsys, name)
     assert (code, report["outcome"]) == (1, "MISMATCH")
     assert report["firstMismatch"] is not None
+
+
+SIX_KEYS = ("des", "ides", "fmaj", "ifmaj", "col", "icol")
+PAIRING_CONTROLS = {
+    "hilbert": ["--r", "3", "--nmax", "2", "--qmax", "4"],
+    "six-stats": ["--r", "3", "--nmax", "2", "--tmax", "2", "--qmax", "4", "--umax", "2"],
+}
+
+
+def test_pairing_each_shape_with_itself_departs(monkeypatch, capsys):
+    # the tableaux of g^-1 have shape -lambda; pairing A_lambda with A_lambda
+    # moves the histogram when r >= 3 and cannot when r = 2, where -lambda =
+    # lambda, and hilbert and six-stats on G(3,1,1,n) then report MISMATCH
+    groups = [make_group(3, 1, 1, 2), make_group(4, 2, 1, 2), make_group(2, 1, 1, 3)]
+    before = [distribution(group, SIX_KEYS) for group in groups]
+    for name in PAIRING_CONTROLS:
+        assert _verify_json(capsys, name, PAIRING_CONTROLS)[1]["outcome"] == "MATCH"
+    monkeypatch.setattr(stats, "_inverse_shape", lambda shape: shape)
+    after = [distribution(group, SIX_KEYS) for group in groups]
+    assert [a != b for a, b in zip(after, before)] == [True, True, False]
+    for name in PAIRING_CONTROLS:
+        code, report = _verify_json(capsys, name, PAIRING_CONTROLS)
+        assert (code, report["outcome"]) == (1, "MISMATCH")
+        assert report["firstMismatch"] is not None
 
 
 def _cli_histogram(capsys, group_text):
