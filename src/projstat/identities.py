@@ -41,8 +41,8 @@ from .groups import (
     make_group,
     residue,
 )
-from .series import RegionError, TruncatedSeries, equal_on, geom_divide, q_bracket
-from .stats import distribution, permutation_sign, stat_record
+from .series import RegionError, TruncatedSeries, equal_on, geom_divide, packing, q_bracket
+from .stats import distribution, stat_record
 
 MATCH = "MATCH"
 MISMATCH = "MISMATCH"
@@ -214,15 +214,27 @@ def verify_character_fmaj(
 # ----------------------------------------------------------------------
 # signed enumeration of permutations with prescribed descent blocks
 
-def _block_fillings(values: tuple[int, ...], parts: tuple[int, ...]):
-    if not parts:
-        yield ()
-        return
-    for chosen in itertools.combinations(values, parts[0]):
-        taken = set(chosen)
-        rest = tuple(v for v in values if v not in taken)
-        for tail in _block_fillings(rest, parts[1:]):
-            yield chosen + tail
+def _signed_fillings(parts: tuple[int, ...]) -> int:
+    """The sum of (-1)^inv over the permutations whose blocks of sizes parts
+    each increase.  Such a filling is a word w with content parts, w_v the
+    block of value v, and its inversions are the pairs v < v' with
+    w_v > w_v'.  A DP over the values 1..n in turn, whose state is the
+    number of values used per block: giving v to block j adds one inversion
+    per value already in a later block.  A zero part holds no values and
+    flips no sign, so it is dropped."""
+    parts = tuple(x for x in parts if x)
+    states = {(0,) * len(parts): 1}
+    for _ in range(sum(parts)):
+        nxt = {}
+        for used, count in states.items():
+            later = 0  # values already in the blocks after j
+            for j in reversed(range(len(parts))):
+                if used[j] < parts[j]:
+                    key = used[:j] + (used[j] + 1,) + used[j + 1 :]
+                    nxt[key] = nxt.get(key, 0) + (-count if later & 1 else count)
+                later += used[j]
+        states = nxt
+    return states[parts]
 
 
 def _multinomial(total: int, parts) -> int:
@@ -238,7 +250,8 @@ def verify_signed_multinomial(n: int, parts, budget: int | None = None) -> Verif
 
     The closed form is 0 when at least two block sizes are odd, and the
     multinomial coefficient of the halved block sizes otherwise.  The
-    multinomial(n; parts) fillings are counted against the budget first.
+    multinomial(n; parts) fillings are counted against the budget first,
+    then signed by a DP over words (:func:`_signed_fillings`).
     """
     parts = tuple(parts)
     if not parts or any(x < 0 for x in parts) or sum(parts) != n:
@@ -260,10 +273,7 @@ def verify_signed_multinomial(n: int, parts, budget: int | None = None) -> Verif
         if count > budget:
             what = "filling count" if m == n else "filling count at least"
             raise BudgetExceededError(count, budget, what)
-    lhs = 0
-    # a zero part holds no values and flips no sign; the walk recurses per part
-    for sigma in _block_fillings(tuple(range(1, n + 1)), tuple(x for x in parts if x)):
-        lhs += permutation_sign(sigma)
+    lhs = _signed_fillings(parts)
     odd = sum(1 for x in parts if x % 2)
     rhs = 0 if odd >= 2 else _multinomial(n // 2, [x // 2 for x in parts])
     ok = lhs == rhs
@@ -528,25 +538,63 @@ def _quotient_divisor(r: int, p: int, s: int) -> int:
     return p * s // gcd(p * s, r)
 
 
+def _divide_layers(layers, step, bias, guard) -> None:
+    """Divide in place a product kept as u-degree layers of packed terms by
+    1 - M, for M of u-degree 1 packed as step: layer[n] += M layer[n-1] for
+    n ascending, without the terms past the caps (see :func:`packing`)."""
+    for lower, upper in zip(layers, layers[1:]):
+        for key, coeff in lower.items():
+            key += step
+            if not (key + bias) & guard:
+                upper[key] = upper[key] + coeff if key in upper else coeff
+
+
 def _lattice_walk(vars_, caps, monomial, r, residues, ibounds, jbounds):
     """Yield (imax, jmax, products) for imax in ibounds, then jmax in jbounds
-    (ascending): products maps each residue c to the product of 1/(1 - M) over
-    i <= imax, j <= jmax, i + j = c (mod r), M with exponents monomial(i, j).
+    (ascending): products maps each residue c (0 <= c < r) to the product of
+    1/(1 - M) over i <= imax, j <= jmax, i + j = c (mod r), M with exponents
+    monomial(i, j), whose u-degree must be 1.
     A row bound's start extends the last one's by the new rows, and that start
-    is extended by each new column strip: each point once per row bound."""
+    is extended by each new column strip: each point once per row bound.
+
+    Since every M has u-degree 1, a product is kept as one dict of packed
+    terms per u-degree, u <= caps["u"], and divided by 1 - M layer by layer
+    (:func:`_divide_layers`): each term below the top layer takes one step,
+    and the top layer is never read.  Each point's M is packed once, and the
+    layers are merged into a series only at each yield."""
+    pack, bias, guard = packing(vars_, caps)
+    steps = {}  # (i, j) -> packed M, for the points of the residues within the caps
+    for i, j in itertools.product(range(ibounds[-1] + 1), range(jbounds[-1] + 1)):
+        if (i + j) % r in residues:
+            exps = monomial(i, j)
+            if exps.get("u") != 1:
+                raise ValueError(f"lattice monomial {exps} at ({i}, {j}) has u-degree other than 1")
+            step = pack(exps)
+            if step is not None:  # past the caps, 1/(1 - M) truncates to 1
+                steps[i, j] = step
 
     def extend(products, rows, cols):
-        points = list(itertools.product(rows, cols))
-        return {c: _divide(f, *(monomial(i, j) for i, j in points if (i + j - c) % r == 0))
-                for c, f in products.items()}
+        for i, j in itertools.product(rows, cols):
+            if (i, j) in steps:
+                _divide_layers(products[(i + j) % r], steps[i, j], bias, guard)
 
-    start, i0 = dict.fromkeys(residues, TruncatedSeries.one(vars_, caps)), 0
+    def merged(layers):
+        out = TruncatedSeries(vars_, caps)
+        for layer in layers:  # the u-degrees keep the layers' keys apart
+            out.terms.update(layer)
+        return out
+
+    start = {c: [{0: 1}] + [{} for _ in range(caps["u"])] for c in residues}
+    i0 = 0
     for imax in ibounds:
-        start, i0 = extend(start, range(i0, imax + 1), range(jbounds[0] + 1)), imax + 1
-        products, j0 = start, jbounds[0] + 1
+        extend(start, range(i0, imax + 1), range(jbounds[0] + 1))
+        i0 = imax + 1
+        products = {c: [dict(layer) for layer in layers] for c, layers in start.items()}
+        j0 = jbounds[0] + 1
         for jmax in jbounds:
-            products, j0 = extend(products, range(imax + 1), range(j0, jmax + 1)), jmax + 1
-            yield imax, jmax, products
+            extend(products, range(imax + 1), range(j0, jmax + 1))
+            j0 = jmax + 1
+            yield imax, jmax, {c: merged(layers) for c, layers in products.items()}
 
 
 def _rank_sum(vars_, caps, keys, r, p, s, nmax, d, budget):

@@ -302,6 +302,16 @@ def q_bracket(n: int, base: TruncatedSeries) -> TruncatedSeries:
     return base._with(base.caps, terms)
 
 
+def packing(vars_, caps) -> tuple:
+    """(pack, bias, guard) of the packed layout under caps, for walking
+    packed terms by hand: pack(exps) is the key of an exponent mapping (None
+    past the caps), and a sum k of two keys within the caps lies within them
+    iff (k + bias) & guard == 0.  A series' ``terms`` take such keys."""
+    template = TruncatedSeries(vars_, caps)
+    _, bias, guard = _layout(template.caps)
+    return lambda exps: template._pack(template.exp_vector(exps)), bias, guard
+
+
 def geom_inverse(monomial: TruncatedSeries) -> TruncatedSeries:
     """The truncated expansion of 1/(1 - M) for a scaled monomial M.
 

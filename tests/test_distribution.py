@@ -263,8 +263,8 @@ def test_carlitz_des_reports_mismatch_on_shifted_histogram(monkeypatch):
 
 # one small run of every identity through the CLI, and the enumeration seam
 # a wrong value goes through: the histogram for the verifiers built on
-# distribution, the per-element records for lift, the sign of each filling
-# for signed-multinomial
+# distribution, the per-element records for lift, the signed count of the
+# word DP for signed-multinomial
 NEGATIVE_CONTROLS = {
     "character-fmaj": ["--r", "2", "--n", "2"],
     "signed-multinomial": ["--n", "4", "--parts", "2,2"],
@@ -280,8 +280,8 @@ NEGATIVE_CONTROLS = {
 
 def _perturb(monkeypatch, name):
     if name == "signed-multinomial":
-        real = identities.permutation_sign
-        monkeypatch.setattr(identities, "permutation_sign", lambda sigma: -real(sigma))
+        real = identities._signed_fillings
+        monkeypatch.setattr(identities, "_signed_fillings", lambda parts: -real(parts))
     elif name == "lift":
         # the identity element's fmaj is off by one, its lifts' are not
         def perturbed(g):

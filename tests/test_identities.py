@@ -1,3 +1,4 @@
+import itertools
 import math
 import time
 
@@ -8,7 +9,7 @@ from projstat import identities
 from projstat.cyclotomic import CycInt, zeta_pow
 from projstat.groups import BudgetExceededError, DivisibilityError, make_group, residue
 from projstat.series import TruncatedSeries, geom_divide, q_bracket
-from projstat.stats import distribution
+from projstat.stats import distribution, permutation_sign
 from projstat.identities import (
     CharacterConditionError,
     CompositionError,
@@ -195,7 +196,7 @@ def test_signed_multinomial_refuses_before_enumerating(monkeypatch):
     assert report.matched and report.element_count == 6
     assert report.params == {"n": 4, "parts": [2, 2]}
     calls = []
-    monkeypatch.setattr(identities, "permutation_sign", lambda sigma: calls.append(sigma) or 1)
+    monkeypatch.setattr(identities, "_signed_fillings", lambda parts: calls.append(parts) or 0)
     with pytest.raises(BudgetExceededError) as exc:
         verify_signed_multinomial(16, (8, 8), budget=12_869)
     assert (exc.value.order, exc.value.budget) == (12_870, 12_869)
@@ -222,14 +223,48 @@ def test_signed_multinomial_refuses_by_a_running_product():
 
 
 def test_signed_multinomial_signs_each_filling_in_linear_time():
-    # 2000 fillings of 2000 values, then one filling of 20000: each sign is
-    # read from the cycles of the filling, not from its inversions
+    # 2000 fillings of 2000 values, then one filling of 20000: the word DP
+    # keeps at most two states per value, not one walk per filling
     started = time.perf_counter()
     assert verify_signed_multinomial(2000, (1, 1999)).matched
     assert time.perf_counter() - started < 5
     started = time.perf_counter()
     assert verify_signed_multinomial(20000, (20000,)).matched
     assert time.perf_counter() - started < 1
+
+
+def test_signed_multinomial_work_follows_the_states_not_the_fillings():
+    # 10^5 fillings of 10^5 values: 2 * 10^5 DP states, where a walk over
+    # the fillings took 10^10 steps
+    started = time.perf_counter()
+    report = verify_signed_multinomial(100_000, (1, 99_999))
+    assert report.matched and report.element_count == 100_000
+    assert time.perf_counter() - started < 5
+
+
+def _block_fillings(values, parts):
+    """Every filling of the blocks: the increasing blocks of each permutation."""
+    if not parts:
+        yield ()
+        return
+    for chosen in itertools.combinations(values, parts[0]):
+        rest = tuple(v for v in values if v not in chosen)
+        for tail in _block_fillings(rest, parts[1:]):
+            yield chosen + tail
+
+
+def test_signed_fillings_equal_the_signed_walk_over_every_filling():
+    # all compositions with n <= 8 and at most 4 parts, zero parts included
+    checked = 0
+    for n in range(9):
+        for length in range(1, 5):
+            compositions = (p for p in itertools.product(range(n + 1), repeat=length) if sum(p) == n)
+            for parts in compositions:
+                fillings = _block_fillings(tuple(range(1, n + 1)), parts)
+                want = sum(permutation_sign(sigma) for sigma in fillings)
+                assert identities._signed_fillings(parts) == want, parts
+                checked += 1
+    assert checked == 714
 
 
 def test_signed_wreath_examples():
@@ -358,21 +393,32 @@ def _rectangle_product(vars_, caps, monomial, r, c, imax, jmax):
 @pytest.mark.parametrize("r, s", [(r, s) for r in range(1, 5) for s in range(1, r + 1) if r % s == 0])
 def test_lattice_walk_equals_the_product_over_each_rectangle(r, s):
     # six-stats' monomials and bounds min(k r/s, qmax), k <= 4: past qmax = 5
-    # they collapse when r/s >= 2; at r/s = 1 six-stats reads every residue
+    # they collapse when r/s >= 2; at r/s = 1 six-stats reads every residue.
+    # The walk keeps one layer per u-degree up to the u cap: cap 1 steps one
+    # layer below the top, cap 5 four
     rs, qmax = r // s, 5
     vars_ = ("u", "q1", "q2", "a1", "a2")
-    caps = {"u": 2, "q1": qmax, "q2": qmax, "a1": qmax, "a2": qmax}
     monomial = lambda i, j: {"u": 1, "q1": i, "q2": j, "a1": residue(i, rs), "a2": residue(j, rs)}
     bounds = sorted({min(k * rs, qmax) for k in range(5)})
-    for ibounds, jbounds in ((bounds, bounds), (bounds[1:], bounds), (bounds, bounds[-2:])):
-        walk = identities._lattice_walk(vars_, caps, monomial, r, range(r), ibounds, jbounds)
-        seen = []
-        for imax, jmax, products in walk:
-            seen.append((imax, jmax))
-            assert sorted(products) == list(range(r))
-            for c, product in products.items():
-                assert product == _rectangle_product(vars_, caps, monomial, r, c, imax, jmax)
-        assert seen == [(i, j) for i in ibounds for j in jbounds]
+    for ucap in (1, 2, 3, 5):
+        caps = {"u": ucap, "q1": qmax, "q2": qmax, "a1": qmax, "a2": qmax}
+        for ibounds, jbounds in ((bounds, bounds), (bounds[1:], bounds), (bounds, bounds[-2:])):
+            walk = identities._lattice_walk(vars_, caps, monomial, r, range(r), ibounds, jbounds)
+            seen = []
+            for imax, jmax, products in walk:
+                seen.append((imax, jmax))
+                assert sorted(products) == list(range(r))
+                for c, product in products.items():
+                    assert product == _rectangle_product(vars_, caps, monomial, r, c, imax, jmax)
+            assert seen == [(i, j) for i in ibounds for j in jbounds]
+
+
+@pytest.mark.parametrize("u", [0, 2])
+def test_lattice_walk_refuses_a_monomial_whose_u_degree_is_not_1(u):
+    vars_, caps = ("u", "q1", "q2"), {"u": 3, "q1": 4, "q2": 4}
+    monomial = lambda i, j: {"u": u if (i, j) == (1, 2) else 1, "q1": i, "q2": j}
+    with pytest.raises(ValueError, match=r"u-degree other than 1"):
+        next(identities._lattice_walk(vars_, caps, monomial, 1, [0], [4], [4]))
 
 
 @pytest.mark.parametrize(
@@ -395,17 +441,44 @@ def test_hilbert_walks_each_needed_residue_once(monkeypatch, r, p, s, needed):
 
 
 def test_lattice_products_cost_one_division_per_point_and_row_bound(monkeypatch):
-    # six-stats divides 105 lattice points plus 30 chain factors, hilbert
-    # 169 points plus 24 chain factors; built per block and class, they were
-    # 355 and 448
-    calls = []
-    real = identities.geom_divide
-    monkeypatch.setattr(identities, "geom_divide", lambda *args: calls.append(1) or real(*args))
+    # six-stats applies 105 lattice points and divides by 30 chain factors,
+    # hilbert 169 points and 24 chain factors (at most 135 and 193 steps in
+    # all); built per block and class, they were 355 and 448 divisions
+    points, divisions = [], []
+    real_layers, real_divide = identities._divide_layers, identities.geom_divide
+    monkeypatch.setattr(identities, "_divide_layers", lambda *a: points.append(1) or real_layers(*a))
+    monkeypatch.setattr(identities, "geom_divide", lambda *a: divisions.append(1) or real_divide(*a))
     assert verify_six_stats(2, 1, 1, nmax=4, tmax=4, qmax=12).matched
-    assert len(calls) <= 135
-    calls.clear()
+    assert (len(points), len(divisions)) == (105, 30)
+    points.clear()
+    divisions.clear()
     assert verify_hilbert(2, 2, 1, nmax=3, qmax=12).matched
-    assert len(calls) <= 193
+    assert (len(points), len(divisions)) == (169, 24)
+
+
+@pytest.mark.parametrize(
+    "verify, args, first",
+    [
+        (verify_six_stats, dict(nmax=4, tmax=4, qmax=12), {"u": 1, "t1": 4, "q1": 8}),
+        (verify_hilbert, dict(nmax=3, qmax=8), {"u": 1, "q1": 8}),
+    ],
+)
+def test_a_walk_one_row_short_is_reported(monkeypatch, verify, args, first):
+    # the top row bound is walked one lower but reported as asked, so the
+    # products of the last row bounds lack the points of its top row
+    real = identities._lattice_walk
+
+    def one_row_short(vars_, caps, monomial, r, residues, ibounds, jbounds):
+        lowered = [*ibounds[:-1], ibounds[-1] - 1]
+        walk = real(vars_, caps, monomial, r, residues, lowered, jbounds)
+        for (imax, jmax), (_, _, products) in zip(itertools.product(ibounds, jbounds), walk):
+            yield imax, jmax, products
+
+    assert verify(2, 1, 1, **args).matched
+    monkeypatch.setattr(identities, "_lattice_walk", one_row_short)
+    report = verify(2, 1, 1, **args)
+    assert report.outcome == identities.MISMATCH
+    assert report.first_mismatch == {"monomial": first, "lhs": 0, "rhs": 1}
 
 
 @pytest.mark.parametrize("name", ["six-stats", "hilbert"])
