@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import inspect
 import io
 import json
@@ -198,7 +199,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_stats.add_argument("element", nargs="?", help="window notation, e.g. [2^2,1,3]")
     p_stats.add_argument("--dist", action="store_true", help="force the distribution table")
     p_stats.add_argument("--format", choices=("table", "json", "csv"), default="table")
-    p_stats.set_defaults(func=cmd_stats)
 
     p_verify = sub.add_parser(
         "verify",
@@ -213,7 +213,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument(
         "--json", action="store_const", const="json", dest="format", help="same as --format json"
     )
-    p_verify.set_defaults(func=cmd_verify)
 
     p_bij = sub.add_parser("bijection", help="apply one of the explicit bijections")
     p_bij.add_argument(
@@ -227,15 +226,21 @@ def build_parser() -> argparse.ArgumentParser:
     p_bij.add_argument("--h", type=_int, default=0)
     p_bij.add_argument("--k", type=_int, default=0)
     p_bij.add_argument("--format", choices=("table", "json", "csv"), default="table")
-    p_bij.set_defaults(func=cmd_bijection)
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of :func:`main`, built once per process; parsing leaves no
+    state in it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        # looked up at call time, so a rebound cmd_* is the one run
+        return globals()[f"cmd_{args.command}"](args)
     except BrokenPipeError:  # pragma: no cover
         return 0
     except Exception as exc:

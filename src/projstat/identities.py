@@ -30,7 +30,7 @@ import time
 from dataclasses import dataclass
 from math import gcd
 
-from .cyclotomic import zeta_pow
+from .cyclotomic import CycInt, zeta_pow
 from .groups import (
     BudgetExceededError,
     canonicalize,
@@ -189,7 +189,9 @@ def verify_character_fmaj(
         raise CharacterConditionError(
             f"s={s} does not divide kn={k * n}: zeta^(k c(g)) depends on the lift"
         )
-    counts = distribution(group, ("signAbs", "colorClass", "fmaj"), budget)
+    # the sign and the color class only where the twist reads them
+    keys = ("fmaj",) + ("signAbs",) * (eps == -1) + ("colorClass",) * (k != 0)
+    counts = distribution(group, keys, budget)
     # No term of either side is truncated: a bracket of length L in base
     # c q^p has degree exactly p(L-1), the braces before extraction n(p-1),
     # and the cap is at least the sum of those and the top fmaj.
@@ -198,14 +200,16 @@ def verify_character_fmaj(
         + p * (n * r // (p * s) - 1)
         + n * (p - 1)
     )
-    max_fmaj = max((fmaj for _, _, fmaj in counts), default=0)
+    max_fmaj = max((values[0] for values in counts), default=0)
     caps = {"q": max(deg_bound, max_fmaj)}
     vars_ = ("q",)
 
-    lhs_terms: dict[tuple[int, ...], object] = {}
-    for (sign, cclass, fmaj), cnt in counts.items():
-        scalar = zeta_pow(r, k * cclass) * (sign if eps == -1 else 1)
-        lhs_terms[(fmaj,)] = lhs_terms.get((fmaj,), 0) + scalar * cnt
+    # per fmaj, the signed count of each power zeta^(k colorClass)
+    powers: dict[int, list[int]] = {}
+    for values, cnt in counts.items():
+        row = powers.setdefault(values[0], [0] * r)
+        row[k * values[-1] % r if k else 0] += values[1] * cnt if eps == -1 else cnt
+    lhs_terms = {(fmaj,): CycInt(r, row) for fmaj, row in powers.items()}
     lhs = TruncatedSeries(vars_, caps, lhs_terms)
     rhs = _character_rhs(r, p, s, n, eps, k, caps)
     return _finish(caps, *equal_on(lhs, rhs), group.order)

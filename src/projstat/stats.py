@@ -246,6 +246,66 @@ def _field(key: str, r: int, s: int):
     return itemgetter(_RECORD_INDEX[key])
 
 
+def _rank_classes(n: int, m: int, period: int, inv: int):
+    """The rank classes of the step that places an entry left of m placed ones.
+
+    A state's rank slot holds a class of ranks of the leftmost placed entry:
+    an exact rank j1 < n (a one-rank class), or n + a for the ranks in
+    [0, m-1] congruent to a mod ``period``, its count being that of each
+    rank.  The new entry takes a rank j in [0, m].  Returns
+
+    - ``spread``: (class, inversions added) for the classes of j in [0, m]
+      mod ``period``, which a color change makes, its side being fixed by
+      the colors;
+    - ``sizes``: the number of ranks per class a state may hold;
+    - ``splits``: per such class, (j, inversions added, j above j1, number
+      of ranks j1 of the class on that side) for each j and side, which a
+      step of the same color makes.
+
+    At m = 0 the one class is the sentinel's rank 0.
+    """
+    spread = []
+    for a in range(min(period, m + 1)):
+        ranks = range(a, m + 1, period)
+        spread.append((ranks[0] if len(ranks) == 1 else n + a, a * inv))
+    classes = {j1: range(j1, j1 + 1) for j1 in range(max(m, 1))}
+    classes |= {n + a: range(a, m, period) for a in range(min(period, m)) if len(range(a, m, period)) > 1}
+    sizes = {x: len(ranks) for x, ranks in classes.items()}
+    splits = {}
+    for x, ranks in classes.items():
+        splits[x] = []
+        for j in range(m + 1):
+            under = sum(1 for j1 in ranks if j1 < j)
+            for side, weight in ((True, under), (False, len(ranks) - under)):
+                if weight:
+                    splits[x].append((j, j % period * inv, side, weight))
+    return spread, sizes, splits
+
+
+def _rank_step(states: dict, moves: list, classes, mod: int, mask: int) -> dict:
+    """The states after placing one more entry left of the placed ones.
+
+    ``moves[c1]`` lists per color c the fields added when the entry lies
+    below its neighbour, of color c1, and when above; ``classes`` is
+    :func:`_rank_classes` of the step.
+    """
+    spread, sizes, splits = classes
+    nxt = {}
+    for (x, c1, csum, acc), count in states.items():
+        for c, (lo, hi) in enumerate(moves[c1]):
+            csum_c = (csum + c) % mod
+            if c == c1:
+                for j, dinv, side, weight in splits[x]:
+                    key = (j, c, csum_c, (acc + dinv + (hi if side else lo)) & mask)
+                    nxt[key] = nxt.get(key, 0) + count * weight
+            else:
+                total = count * sizes[x]
+                for y, dinv in spread:
+                    key = (y, c, csum_c, (acc + dinv + lo) & mask)
+                    nxt[key] = nxt.get(key, 0) + total
+    return nxt
+
+
 def _rank_dp(group: GroupDescriptor, keys) -> dict[tuple, int]:
     """Leaf records of the whole group by a right-to-left DP over relative ranks.
 
@@ -255,14 +315,21 @@ def _rank_dp(group: GroupDescriptor, keys) -> dict[tuple, int]:
     d = r*[c = c1 and j > j1] + R_r(c - c1); lambda_1 is the sum of the
     steps and fmaj the sum of i*d over positions i (1-based).  A sentinel
     neighbour of color 0 above every value makes the last position fit.  A
-    state is (j1, c1, color sum mod r or p, the fields packed w bits apart);
-    a field no key reads stays 0, and inv is kept mod 2 for signAbs alone.
+    state is (class of j1, c1, color sum mod r or p, the fields packed w
+    bits apart); a field no key reads stays 0, and inv is kept mod 2 for
+    signAbs alone.
+
+    A step to a color c != c1 is decided by the colors alone, so the rank
+    j it takes matters only through j * inv: it makes one state per rank
+    class (:func:`_rank_classes`), all ranks, or the even and the odd ranks
+    for signAbs, or each rank alone for invAbs.  Only a step of the same
+    color splits a class, by the number of its ranks below each new rank.
 
     The first position's rank is not carried further, so it is not expanded:
-    the last states are folded into (c1, color sum, side of j1, fields) with
-    the number of ranks j behind each, 2 classes per j1 when inv is not read,
-    4 (by the parity of j) for signAbs alone and n for invAbs.  Only the
-    colors c that make the color sum divisible by p are then applied.
+    for the colors c != c1 the last states are summed over their classes
+    first, and c = c1 splits each class by the side of j1 the rank falls on,
+    weighted by the number of ranks behind each.  Only the colors c that
+    make the color sum divisible by p are applied.
     """
     r, p, s, n = group.r, group.p, group.s, group.n
     rs, want = r // s, set(keys)
@@ -273,11 +340,9 @@ def _rank_dp(group: GroupDescriptor, keys) -> dict[tuple, int]:
     )
     mask = -1 if "invAbs" in want else (2 << 4 * w) - 1
     mod = r if "colorClass" in want else p
+    # j * inv is kept whole for invAbs, mod 2 for signAbs, and is 0 otherwise
+    period = n if "invAbs" in want else 2 if "signAbs" in want else 1
     states, leaves = {(0, 0, 0, 0): 1}, {}  # the sentinel
-    # the first position's rank j counts only through its side of j1 and
-    # j * inv, which is kept whole for invAbs and mod 2 otherwise (j % n = j)
-    period = n if "invAbs" in want else 2
-    folds = [Counter((j > j1, j % period * inv) for j in range(n)) for j1 in range(n)]
     for i in range(n - 1, -1, -1):
         step = lam + (i + 1) * fmaj
         # per neighbour color c1 and color c: the fields added below the
@@ -292,27 +357,37 @@ def _rank_dp(group: GroupDescriptor, keys) -> dict[tuple, int]:
                 moves[c1].append((lo, lo + (c == c1) * r * step + (above - below) * des_a))
         if not i:
             break
-        nxt = {}
-        for (j1, c1, csum, acc), count in states.items():
-            for c, (lo, hi) in enumerate(moves[c1]):
-                csum_c = (csum + c) % mod
-                for j in range(n - i):
-                    key = (j, c, csum_c, (acc + j * inv + (hi if j > j1 else lo)) & mask)
-                    nxt[key] = nxt.get(key, 0) + count
-        states = nxt
-    # the first position: fold the states over j1 and j, then take only the
-    # colors c that make the color sum divisible by p
-    folded = {}
-    for (j1, c1, csum, acc), count in states.items():
-        for (side, dinv), size in folds[j1].items():
-            key = (c1, csum, side, (acc + dinv) & mask)
-            folded[key] = folded.get(key, 0) + count * size
-    for (c1, csum, side, acc), count in folded.items():
-        for c in range(-csum % p, len(moves[c1]), p):
-            key = ((csum + c) % mod, (acc + moves[c1][c][side]) & mask)
-            leaves[key] = leaves.get(key, 0) + count
+        states = _rank_step(states, moves, _rank_classes(n, n - 1 - i, period, inv), mod, mask)
+    # the first position: c = c1 splits each class by side, and the states
+    # are merged over their classes for the other colors c
+    _, sizes, splits = _rank_classes(n, n - 1, period, inv)
+    anywhere = Counter(j % period * inv for j in range(n))
+    folds = {}
+    for x, split in splits.items():
+        folds[x] = Counter()
+        for _, dinv, side, weight in split:
+            folds[x][dinv, side] += weight
+    merged = {}
+    for (x, c1, csum, acc), count in states.items():
+        key = (c1, csum, acc)
+        merged[key] = merged.get(key, 0) + count * sizes[x]
+        if (csum + c1) % p == 0:
+            lo, hi = moves[c1][c1]
+            csum_c = (csum + c1) % mod
+            for (dinv, side), weight in folds[x].items():
+                key = (csum_c, (acc + dinv + (hi if side else lo)) & mask)
+                leaves[key] = leaves.get(key, 0) + count * weight
+    for (c1, csum, acc), count in merged.items():
+        row = moves[c1]
+        for c in range(-csum % p, len(row), p):
+            if c != c1:
+                base, csum_c = acc + row[c][0], (csum + c) % mod
+                for dinv, weight in anywhere.items():
+                    key = (csum_c, (base + dinv) & mask)
+                    leaves[key] = leaves.get(key, 0) + count * weight
+    low = (1 << w) - 1
     return {
-        tuple(acc >> f * w & ((1 << w) - 1) for f in range(4)) + (acc >> 4 * w, csum): count
+        (acc & low, acc >> w & low, acc >> 2 * w & low, acc >> 3 * w & low, acc >> 4 * w, csum): count
         for (csum, acc), count in leaves.items()
     }
 
@@ -451,12 +526,14 @@ def distribution(group: GroupDescriptor, keys, budget: int | None = None) -> Cou
 
     that see the values only through comparisons with the right neighbour,
     and so do desA and inv.  :func:`_rank_dp` fills windows right to left
-    by relative rank, keeping only the rank and color of the leftmost
-    placed entry, the color sum and the fields the keys read.  Its work is
-    polynomial in n and r, not proportional to the group order: B_10 (order
-    3.7*10^9) takes about 0.06 s on one Xeon core under Python 3.11.  The
-    last position takes colors below r/s, and the first, whose rank is
-    folded away, only those making the color sum divisible by p.
+    by relative rank, keeping only the color of the leftmost placed entry,
+    its rank or, after a color change, its class of ranks (all ranks, the
+    even or the odd ones for ``signAbs``, each alone for ``invAbs``), the
+    color sum and the fields the keys read.  Its work is polynomial in n
+    and r, not proportional to the group order: B_10 (order 3.7*10^9)
+    takes about 0.1 s on one Xeon vCPU under Python 3.11.  The last
+    position takes colors below r/s, and the first, whose rank is folded
+    away, only those making the color sum divisible by p.
 
     Inverse keys need g^-1, which has no such recurrence.  Color-by-color
     Robinson-Schensted reads the records of g off its recording tableaux
@@ -484,10 +561,11 @@ def distribution(group: GroupDescriptor, keys, budget: int | None = None) -> Cou
     if paired:
         return _tableau_pairs(group, keys)
     fields = [_field(key, group.r, group.s) for key in keys]
-    hist = Counter()
+    hist = {}
     for rec, count in _rank_dp(group, keys).items():
-        hist[tuple(f(rec) for f in fields)] += count
-    return hist
+        key = tuple([f(rec) for f in fields])
+        hist[key] = hist.get(key, 0) + count
+    return Counter(hist)
 
 
 def fmaj_prime(g: ProjectiveElement) -> int:

@@ -8,7 +8,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from projstat import cli
 from projstat.cli import build_parser, main
+from projstat.groups import BUDGET_ENV_VAR
 
 # `projstat verify ... --json` for every verify command in README.md and in
 # this file, one default run per identity and a few with explicit caps: the
@@ -243,6 +245,27 @@ def test_table_and_csv_rows_are_the_json_fields(capsys, argv):
     code, out, _ = run(capsys, *argv, "--format", "table")
     lines = [line.split(None, 1) for line in out.splitlines()]
     assert (code, lines[0], len(lines) - 1, dict(lines[1:])) == (0, header, len(cells), cells)
+
+
+# main() parses with one parser per process: nothing of a call may reach the next
+def test_the_shared_parser_keeps_nothing_between_calls(capsys, monkeypatch):
+    assert cli._parser() is cli._parser()
+    monkeypatch.delenv(BUDGET_ENV_VAR, raising=False)
+    argv = ["stats", "G(2,1,1,3)", "--dist"]
+    code, _, err = run(capsys, "--budget", "5", *argv)
+    assert (code, "exceeds enumeration budget 5" in err) == (2, True)
+    assert run(capsys, *argv)[0] == 0
+    argv = ["verify", "lift", "--r", "2", "--n", "2"]
+    code, out, _ = run(capsys, *argv, "--json")
+    assert (code, json.loads(out)["outcome"]) == (0, "MATCH")
+    code, out, _ = run(capsys, *argv)
+    assert (code, out.splitlines()[0]) == (0, "identity  lift")
+
+
+def test_a_rebound_command_runs_after_the_parser_exists(capsys, monkeypatch):
+    assert run(capsys, "stats", "G(2,1,1,1)")[0] == 0
+    monkeypatch.setattr(cli, "cmd_stats", lambda args: 7)
+    assert run(capsys, "stats", "G(2,1,1,1)")[0] == 7
 
 
 def test_verify_json_flag_is_format_json(capsys):

@@ -12,6 +12,8 @@ import time
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from projstat import cli, identities, rsk, stats
 from projstat.groups import (
@@ -27,7 +29,11 @@ from projstat.stats import des_set, distribution, stat_record
 
 # every key tuple a verifier or the CLI asks for, then all keys at once
 KEY_TUPLES = [
-    ("signAbs", "colorClass", "fmaj"),  # character-fmaj
+    # character-fmaj: the sign for eps = -1, the color class for k != 0
+    ("fmaj",),
+    ("fmaj", "signAbs"),
+    ("fmaj", "colorClass"),
+    ("fmaj", "signAbs", "colorClass"),
     ("fmaj", "col", "desA", "signAbs"),  # signed-wreath
     ("des", "fmaj", "col"),  # carlitz-des, projstat stats --dist
     ("fdes", "fmaj"),  # carlitz-fdes
@@ -80,6 +86,37 @@ def test_distribution_matches_stat_record(group):
             tuple(_value(rec, irec, key) for key in keys) for rec, irec in records
         )
         assert distribution(group, keys) == reference, keys
+
+
+# past the grid: r up to 8 and any subset of the keys, in any order, which
+# reaches every rank class (all ranks, even and odd, each rank alone)
+WIDE_GROUPS = _admissible_groups(8, 2 * 10**4)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(WIDE_GROUPS), st.lists(st.sampled_from(stats.DISTRIBUTION_KEYS), unique=True))
+def test_distribution_matches_stat_record_on_random_groups_and_keys(group, keys):
+    reference = Counter(
+        tuple(getattr(rec, key) for key in keys) for rec in map(stat_record, enumerate_elements(group))
+    )
+    assert distribution(group, keys) == reference
+
+
+def test_rank_classes_cut_the_states(monkeypatch):
+    # one state per exact rank of the leftmost entry made 9464 states over the
+    # steps of G(6,1,1,6); with a class per color change there are 7098
+    sizes = []
+    real = stats._rank_step
+
+    def counting(*args):
+        states = real(*args)
+        sizes.append(len(states))
+        return states
+
+    monkeypatch.setattr(stats, "_rank_step", counting)
+    distribution(make_group(6, 1, 1, 6), ("des", "fmaj", "col"), budget=10**8)
+    assert len(sizes) == 5
+    assert sum(sizes) <= 7098
 
 
 # key tuples that KEY_TUPLES misses, for the other folds of the first
@@ -259,6 +296,53 @@ def test_carlitz_des_reports_mismatch_on_shifted_histogram(monkeypatch):
     # the identity element (des, fmaj, col) = (0, 0, 0) moved to (0, 0, 1)
     # (the monomial lists nonzero exponents only: this is the constant term)
     assert report.first_mismatch == {"monomial": {}, "lhs": 1, "rhs": 0}
+
+
+def _moved(real, key, to):
+    """distribution, with one element of the smallest key moved to the value
+    ``to`` gives in the statistic ``key``, when the keys hold it."""
+
+    def perturbed(group, keys, budget=None):
+        hist = real(group, keys, budget)
+        if key in keys:
+            at, first = keys.index(key), min(hist)
+            hist[first] -= 1
+            hist[first[:at] + (to(first[at]),) + first[at + 1:]] += 1
+        return +hist
+
+    return perturbed
+
+
+# eps = -1 and k = 1 read both the sign and the color class
+CHARACTER_ARGS = dict(r=4, p=1, s=1, n=3, eps=-1, k=1)
+
+
+@pytest.mark.parametrize("key, to", [("signAbs", lambda v: -v), ("colorClass", lambda v: (v + 1) % 4)])
+def test_character_fmaj_reports_mismatch_on_one_perturbed_key(monkeypatch, key, to):
+    assert identities.verify_character_fmaj(**CHARACTER_ARGS).matched
+    monkeypatch.setattr(identities, "distribution", _moved(distribution, key, to))
+    assert identities.verify_character_fmaj(**CHARACTER_ARGS).outcome == identities.MISMATCH
+
+
+@pytest.mark.parametrize(
+    "eps, k, keys",
+    [
+        (1, 0, ("fmaj",)),
+        (-1, 0, ("fmaj", "signAbs")),
+        (1, 1, ("fmaj", "colorClass")),
+        (-1, 1, ("fmaj", "signAbs", "colorClass")),
+    ],
+)
+def test_character_fmaj_asks_only_the_keys_it_reads(monkeypatch, eps, k, keys):
+    asked = []
+
+    def recording(group, keys, budget=None):
+        asked.append(tuple(keys))
+        return distribution(group, keys, budget)
+
+    monkeypatch.setattr(identities, "distribution", recording)
+    assert identities.verify_character_fmaj(**{**CHARACTER_ARGS, "eps": eps, "k": k}).matched
+    assert asked == [keys]
 
 
 # one small run of every identity through the CLI, and the enumeration seam

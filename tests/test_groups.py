@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import time
 
@@ -13,6 +14,7 @@ from projstat.groups import (
     DivisibilityError,
     MembershipError,
     ParseError,
+    ProjectiveElement,
     RangeError,
     GroupMismatchError,
     _decimal,
@@ -28,6 +30,7 @@ from projstat.groups import (
     parse_window,
     residue,
 )
+from projstat.stats import stat_record
 
 
 # --- independent oracle: monomial matrices over Z[zeta_r] ------------------
@@ -371,3 +374,62 @@ def test_parse_group_raises_only_parse_and_group_errors(text):
         pass
     except ValueError as exc:  # make_group's own check
         assert "must be a positive integer" in str(exc)
+
+
+# --- random admissible groups ---------------------------------------------------
+
+
+@st.composite
+def _group_and_lifts(draw, count):
+    """A random admissible G(r,p,s,n) with r <= 8, and ``count`` random lifts
+    in G(r,p,n) of its elements: any window with color sum divisible by p."""
+    r = draw(st.integers(1, 8))
+    divisors = [d for d in range(1, r + 1) if r % d == 0]
+    p, s = draw(st.sampled_from(divisors)), draw(st.sampled_from(divisors))
+    step = p * s // math.gcd(p * s, r)  # ps | rn iff step | n
+    group = make_group(r, p, s, step * draw(st.integers(1, max(1, 6 // step))))
+    out = []
+    for _ in range(count):
+        sigma = tuple(draw(st.permutations(range(1, group.n + 1))))
+        colors = draw(st.lists(st.integers(0, r - 1), min_size=group.n, max_size=group.n))
+        colors[-1] = (colors[-1] - sum(colors) % p) % r
+        out.append(ColoredPermutation(sigma, tuple(colors)))
+    return group, out
+
+
+@settings(max_examples=100, deadline=None)
+@given(_group_and_lifts(3))
+def test_group_axioms_on_random_groups(drawn):
+    group, lifts_ = drawn
+    a, b, c = (canonicalize(lift, group) for lift in lifts_)
+    e = identity(group)
+    ab = multiply(a, b)
+    # the product is again a canonical element: color sum divisible by p and
+    # last color below r/s
+    assert sum(ab.colors) % group.p == 0 and ab.colors[-1] < group.r // group.s
+    assert multiply(ab, c) == multiply(a, multiply(b, c))
+    assert multiply(e, a) == a == multiply(a, e)
+    assert multiply(a, inverse(a)) == e == multiply(inverse(a), a)
+    assert inverse(inverse(a)) == a
+    assert inverse(ab) == multiply(inverse(b), inverse(a))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_group_and_lifts(2))
+def test_classes_and_statistics_do_not_depend_on_the_lift(drawn):
+    group, (x, y) = drawn
+    g, h = canonicalize(x, group), canonicalize(y, group)
+    assert x in lifts(g)
+    rec = stat_record(g)
+    # the statistics built on lambda(g), read off any lift in place of the
+    # canonical one, are g's
+    class_fields = lambda rec: (rec.lam, rec.fmaj, rec.fdes, rec.des, rec.col, rec.invAbs, rec.hdes)
+    for lift in lifts(g):
+        assert canonicalize(lift, group) == g
+        assert class_fields(stat_record(ProjectiveElement(group, lift))) == class_fields(rec)
+    # the product of two classes is the class of the product of any lifts
+    cover = make_group(group.r, group.p, 1, group.n)
+    for lx in lifts(g):
+        for ly in lifts(h):
+            product = multiply(canonicalize(lx, cover), canonicalize(ly, cover))
+            assert canonicalize(product.lift, group) == multiply(g, h)

@@ -141,8 +141,9 @@ def test_character_closed_form_is_the_cyclotomic_bracket_product():
 
 
 def test_character_multiplies_in_z_zeta_once_per_term(monkeypatch):
-    # two products per histogram bucket on the enumeration side, and at most
-    # one per term of the closed form for the twist q -> zeta^k q
+    # the enumeration side builds each coefficient from its counts per power
+    # of zeta, with no product; the closed form takes at most one per term
+    # for the twist q -> zeta^k q
     calls = []
     real = CycInt.__mul__
 
@@ -152,12 +153,10 @@ def test_character_multiplies_in_z_zeta_once_per_term(monkeypatch):
 
     monkeypatch.setattr(CycInt, "__mul__", counting)
     monkeypatch.setattr(CycInt, "__rmul__", counting)
-    group = make_group(6, 1, 1, 4)
-    buckets = len(distribution(group, ("signAbs", "colorClass", "fmaj")))
     report = verify_character_fmaj(6, 1, 1, 4, -1, 1)
     assert report.matched
-    assert (buckets, report.region["q"]) == (112, 56)
-    assert len(calls) <= 2 * buckets + report.region["q"] + 1
+    assert report.region["q"] == 56
+    assert len(calls) <= report.region["q"] + 1
 
 
 def test_character_conditions_refused():
