@@ -542,6 +542,15 @@ def _quotient_divisor(r: int, p: int, s: int) -> int:
     return p * s // gcd(p * s, r)
 
 
+def _joined(vars_, caps, parts) -> TruncatedSeries:
+    """The series whose packed terms are those of the dicts in parts, which
+    hold no key twice (their u- or t-degrees differ)."""
+    out = TruncatedSeries(vars_, caps)
+    for terms in parts:
+        out.terms.update(terms)
+    return out
+
+
 def _divide_layers(layers, step, bias, guard) -> None:
     """Divide in place a product kept as u-degree layers of packed terms by
     1 - M, for M of u-degree 1 packed as step: layer[n] += M layer[n-1] for
@@ -560,6 +569,12 @@ def _lattice_walk(vars_, caps, monomial, r, residues, ibounds, jbounds):
     monomial(i, j), whose u-degree must be 1.
     A row bound's start extends the last one's by the new rows, and that start
     is extended by each new column strip: each point once per row bound.
+    A strip's points are applied from its far corner, in descending i + j.
+    The factors commute, so the products are the same, but a high-degree
+    point then steps through layers that are still small, and most of its
+    steps would fall past the caps anyway; the low-degree points, whose
+    steps stay within them, come last.  On hilbert(1,1,1, nmax 5, qmax 11)
+    that is 16,188 step attempts instead of 59,881 in ascending (i, j).
 
     Since every M has u-degree 1, a product is kept as one dict of packed
     terms per u-degree, u <= caps["u"], and divided by 1 - M layer by layer
@@ -578,15 +593,9 @@ def _lattice_walk(vars_, caps, monomial, r, residues, ibounds, jbounds):
                 steps[i, j] = step
 
     def extend(products, rows, cols):
-        for i, j in itertools.product(rows, cols):
+        for i, j in sorted(itertools.product(rows, cols), key=sum, reverse=True):
             if (i, j) in steps:
                 _divide_layers(products[(i + j) % r], steps[i, j], bias, guard)
-
-    def merged(layers):
-        out = TruncatedSeries(vars_, caps)
-        for layer in layers:  # the u-degrees keep the layers' keys apart
-            out.terms.update(layer)
-        return out
 
     start = {c: [{0: 1}] + [{} for _ in range(caps["u"])] for c in residues}
     i0 = 0
@@ -598,7 +607,7 @@ def _lattice_walk(vars_, caps, monomial, r, residues, ibounds, jbounds):
         for jmax in jbounds:
             extend(products, range(imax + 1), range(j0, jmax + 1))
             j0 = jmax + 1
-            yield imax, jmax, {c: merged(layers) for c, layers in products.items()}
+            yield imax, jmax, {c: _joined(vars_, caps, layers) for c, layers in products.items()}
 
 
 def _rank_sum(vars_, caps, keys, r, p, s, nmax, d, budget):
@@ -607,11 +616,15 @@ def _rank_sum(vars_, caps, keys, r, p, s, nmax, d, budget):
     The sum over ranks n <= nmax divisible by d of u^n times the histogram
     of ``keys`` over G(r,p,s,n) (laid out as vars_[1:]), divided for
     i = 1, 2 by the chain of carlitz-des in (t_i, q_i).  When vars_ has
-    t1, t2, every term is also divided by (1-t1)(1-t2); otherwise the t_i
+    t1, t2, the sum is also divided by (1-t1)(1-t2); otherwise the t_i
     are dropped.  The rank-0 term is the constant s.
+
+    The chains keep each rank at its own u-degree, so the ranks' terms are
+    collected without adding series, and the factors (1-t1)(1-t2) that all
+    ranks share divide the sum once, not each rank.
     """
     ts = ("t1", "t2") if "t1" in vars_ else (None, None)
-    out = TruncatedSeries.zero(vars_, caps)
+    ranks = []
     count = 0
     for rank in range(0, nmax + 1, d):
         hist = {(0,) * len(keys): s}
@@ -620,11 +633,9 @@ def _rank_sum(vars_, caps, keys, r, p, s, nmax, d, budget):
             count += group.order
             hist = distribution(group, keys, budget)
         term = TruncatedSeries(vars_, caps, {(rank, *key): c for key, c in hist.items()})
-        monomials = [{t: 1} for t in ts if t]
-        for t, q in zip(ts, ("q1", "q2")):
-            monomials += _chain(t, q, r, s, rank, s, 1)
-        out = out + _divide(term, *monomials)
-    return out, count
+        chains = [m for t, q in zip(ts, ("q1", "q2")) for m in _chain(t, q, r, s, rank, s, 1)]
+        ranks.append(_divide(term, *chains).terms)
+    return _divide(_joined(vars_, caps, ranks), *({t: 1} for t in ts if t)), count
 
 
 @_identity("six-stats")
@@ -642,10 +653,14 @@ def verify_six_stats(
 
     LHS: the double k-sum over k1, k2 <= tmax of t1^k1 t2^k2 times the
     lattice products of 1/(1 - u a1^.. a2^.. q1^i q2^j) over i <= min(k1 r/s,
-    qmax), j <= min(k2 r/s, qmax), i+j = l r/s mod r, each block added as
-    one :func:`_lattice_walk` produces it, then extracted at u^d q1^p with
-    d = sp/gcd(sp, r).  RHS: the u^n-graded enumeration sums with their
+    qmax), j <= min(k2 r/s, qmax), i+j = l r/s mod r, extracted at u^d q1^p
+    with d = sp/gcd(sp, r).  RHS: the u^n-graded enumeration sums with their
     denominator factors, over the ranks n <= nmax divisible by d.
+
+    Each block is extracted as :func:`_lattice_walk` yields it, since the
+    extraction commutes with the shift by t1^k1 t2^k2, and its terms are
+    then placed at each (k1, k2) that reaches it.  The k that share a bound
+    partition 0..tmax, so no two blocks meet and nothing is added.
     """
     d = _quotient_divisor(r, p, s)
     rs = r // s
@@ -659,12 +674,15 @@ def verify_six_stats(
     monomial = lambda i, j: {"u": 1, "q1": i, "q2": j, "a1": residue(i, rs), "a2": residue(j, rs)}
 
     ks = {b: [*g] for b, g in itertools.groupby(range(tmax + 1), lambda k: min(k * rs, qmax))}
-    zero = total = TruncatedSeries.zero(vars_, caps)
+    pack = packing(vars_, caps)[0]
+    zero = TruncatedSeries.zero(vars_, caps)
+    blocks = []
     walk = _lattice_walk(vars_, caps, monomial, r, range(0, r, rs), [*ks], [*ks])
     for imax, jmax, products in walk:
-        tk = {(0, k1, k2, 0, 0, 0, 0): 1 for k1 in ks[imax] for k2 in ks[jmax]}
-        total = total + TruncatedSeries(vars_, caps, tk) * sum(products.values(), zero)
-    lhs = total.extract_multiples({"u": d, "q1": p})
+        block = sum(products.values(), zero).extract_multiples({"u": d, "q1": p}).terms
+        for shift in (pack({"t1": k1, "t2": k2}) for k1 in ks[imax] for k2 in ks[jmax]):
+            blocks.append({key + shift: c for key, c in block.items()})
+    lhs = _joined(vars_, caps, blocks)
     keys = ("des", "ides", "fmaj", "ifmaj", "col", "icol")
     rhs, count = _rank_sum(vars_, caps, keys, r, p, s, nmax, d, budget)
 

@@ -85,13 +85,18 @@ class TruncatedSeries:
 
     def _pack(self, exps) -> int | None:
         """The packed key of an exponent tuple; None when beyond the caps.
-        A negative exponent would borrow across fields, so it raises."""
-        if len(exps) != len(self.caps) or min(exps, default=0) < 0:
+        A negative exponent would borrow across fields, so it raises, also
+        after an exponent beyond its cap."""
+        if len(exps) != len(self.caps):
             raise ValueError(f"need {len(self.caps)} nonnegative exponents, got {exps}")
-        if any(e > c for e, c in zip(exps, self.caps)):
-            return None
-        fields = _layout(self.caps)[0]
-        return sum(e << shift for e, (shift, _) in zip(exps, fields))
+        key, inside = 0, True
+        for e, cap, (shift, _) in zip(exps, self.caps, _layout(self.caps)[0]):
+            if e > cap:
+                inside = False
+            elif e < 0:
+                raise ValueError(f"need {len(self.caps)} nonnegative exponents, got {exps}")
+            key += e << shift
+        return key if inside else None
 
     def _packed(self, caps: tuple[int, ...]) -> dict:
         """The terms packed under caps (componentwise <= self.caps), without
@@ -229,11 +234,10 @@ class TruncatedSeries:
         idx = [(fields[self.vars.index(v)], d) for v, d in divisors.items() if d > 1]
         if not idx:  # series are immutable
             return self
-        return self._with(self.caps, {
-            key: coeff
-            for key, coeff in self.terms.items()
-            if all(((key >> shift) & mask) % d == 0 for (shift, mask), d in idx)
-        })
+        terms = self.terms
+        for (shift, mask), d in idx:  # one divisor at a time
+            terms = {key: c for key, c in terms.items() if ((key >> shift) & mask) % d == 0}
+        return self._with(self.caps, terms)
 
     def _single_term(self) -> tuple[int, object]:
         if len(self.terms) != 1:

@@ -26,9 +26,11 @@ col = sum of R_{r/s}(c_i).
 
 from __future__ import annotations
 
+import functools
 from collections import Counter
 from dataclasses import dataclass
 from operator import itemgetter
+from types import MappingProxyType
 
 from .groups import (
     GroupDescriptor,
@@ -246,6 +248,7 @@ def _field(key: str, r: int, s: int):
     return itemgetter(_RECORD_INDEX[key])
 
 
+@functools.lru_cache
 def _rank_classes(n: int, m: int, period: int, inv: int):
     """The rank classes of the step that places an entry left of m placed ones.
 
@@ -262,7 +265,8 @@ def _rank_classes(n: int, m: int, period: int, inv: int):
       of ranks j1 of the class on that side) for each j and side, which a
       step of the same color makes.
 
-    At m = 0 the one class is the sentinel's rank 0.
+    At m = 0 the one class is the sentinel's rank 0.  The tables depend
+    only on the arguments, so they are built once and are read-only.
     """
     spread = []
     for a in range(min(period, m + 1)):
@@ -279,7 +283,8 @@ def _rank_classes(n: int, m: int, period: int, inv: int):
             for side, weight in ((True, under), (False, len(ranks) - under)):
                 if weight:
                     splits[x].append((j, j % period * inv, side, weight))
-    return spread, sizes, splits
+    splits = {x: tuple(split) for x, split in splits.items()}
+    return tuple(spread), MappingProxyType(sizes), MappingProxyType(splits)
 
 
 def _rank_step(states: dict, moves: list, classes, mod: int, mask: int) -> dict:
@@ -292,6 +297,7 @@ def _rank_step(states: dict, moves: list, classes, mod: int, mask: int) -> dict:
     spread, sizes, splits = classes
     nxt = {}
     for (x, c1, csum, acc), count in states.items():
+        total = count * sizes[x]
         for c, (lo, hi) in enumerate(moves[c1]):
             csum_c = (csum + c) % mod
             if c == c1:
@@ -299,7 +305,6 @@ def _rank_step(states: dict, moves: list, classes, mod: int, mask: int) -> dict:
                     key = (j, c, csum_c, (acc + dinv + (hi if side else lo)) & mask)
                     nxt[key] = nxt.get(key, 0) + count * weight
             else:
-                total = count * sizes[x]
                 for y, dinv in spread:
                     key = (y, c, csum_c, (acc + dinv + lo) & mask)
                     nxt[key] = nxt.get(key, 0) + total

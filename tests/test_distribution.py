@@ -119,6 +119,24 @@ def test_rank_classes_cut_the_states(monkeypatch):
     assert sum(sizes) <= 7098
 
 
+def test_rank_classes_are_built_once_and_read_only():
+    # the tables depend only on (n, m, period, inv), so every DP step with
+    # those arguments shares one copy, which no caller can change
+    stats._rank_classes.cache_clear()
+    built = []
+    for _ in range(2):
+        for keys in (("des", "fmaj", "col"), ("fmaj", "signAbs"), ("invAbs",)):
+            distribution(make_group(2, 1, 1, 4), keys)
+        built.append(stats._rank_classes.cache_info().misses)
+    assert built[0] > 0 and built[1] == built[0]
+    spread, sizes, splits = stats._rank_classes(4, 2, 2, 1)
+    assert isinstance(spread, tuple) and all(isinstance(split, tuple) for split in splits.values())
+    with pytest.raises(TypeError):
+        sizes[0] = 5
+    with pytest.raises(TypeError):
+        splits[0] = ()
+
+
 # key tuples that KEY_TUPLES misses, for the other folds of the first
 # position: inv whole, inv mod 2 and no inv, with the color sum kept mod r
 # (colorClass) and mod p

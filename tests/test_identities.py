@@ -440,19 +440,129 @@ def test_hilbert_walks_each_needed_residue_once(monkeypatch, r, p, s, needed):
 
 
 def test_lattice_products_cost_one_division_per_point_and_row_bound(monkeypatch):
-    # six-stats applies 105 lattice points and divides by 30 chain factors,
-    # hilbert 169 points and 24 chain factors (at most 135 and 193 steps in
-    # all); built per block and class, they were 355 and 448 divisions
+    # six-stats applies 105 lattice points and divides by 22 chain factors
+    # (20 in the ranks' chains, then (1-t1)(1-t2) once for all ranks; 30 when
+    # every rank divided by them), hilbert 169 points and 24 chain factors;
+    # built per block and class, they were 355 and 448 divisions
     points, divisions = [], []
     real_layers, real_divide = identities._divide_layers, identities.geom_divide
     monkeypatch.setattr(identities, "_divide_layers", lambda *a: points.append(1) or real_layers(*a))
     monkeypatch.setattr(identities, "geom_divide", lambda *a: divisions.append(1) or real_divide(*a))
     assert verify_six_stats(2, 1, 1, nmax=4, tmax=4, qmax=12).matched
-    assert (len(points), len(divisions)) == (105, 30)
+    assert (len(points), len(divisions)) == (105, 22)
     points.clear()
     divisions.clear()
     assert verify_hilbert(2, 2, 1, nmax=3, qmax=12).matched
     assert (len(points), len(divisions)) == (169, 24)
+
+
+def test_far_corner_first_cuts_the_step_attempts(monkeypatch):
+    # a division steps each term below the top layer once; applying a strip's
+    # points in descending i + j lets the high-degree points step through
+    # small layers.  In ascending (i, j) the counts were 59,881, 17,605 and
+    # 7,747
+    attempts = []
+    real = identities._divide_layers
+
+    def counting(layers, step, bias, guard):
+        attempts.append(sum(len(layer) for layer in layers[:-1]))
+        return real(layers, step, bias, guard)
+
+    monkeypatch.setattr(identities, "_divide_layers", counting)
+    for verify, args, want in (
+        (verify_hilbert, (1, 1, 1, 5, 11), 16188),
+        (verify_hilbert, (2, 2, 1, 3, 12), 9409),
+        (verify_six_stats, (2, 1, 1, 4, 4, 12), 7527),
+    ):
+        attempts.clear()
+        assert verify(*args).matched
+        assert sum(attempts) == want
+
+
+def _six_stats_sides_reference(r, p, s, nmax, tmax, qmax, umax):
+    """six-stats' two sides built by series arithmetic: each (k1, k2) block
+    is a sum of rectangle products times t1^k1 t2^k2, added into one total
+    that is extracted at the end; each rank is divided by its whole chain,
+    (1-t1)(1-t2) included, and added."""
+    d, rs = p * s // math.gcd(p * s, r), r // s
+    vars_ = ("u", "t1", "t2", "q1", "q2", "a1", "a2")
+    caps = {"u": min(umax, nmax), "t1": tmax, "t2": tmax}
+    caps |= {v: qmax for v in ("q1", "q2", "a1", "a2")}
+    mono = lambda exps: TruncatedSeries.monomial(vars_, caps, exps)
+    monomial = lambda i, j: {"u": 1, "q1": i, "q2": j, "a1": residue(i, rs), "a2": residue(j, rs)}
+    zero = TruncatedSeries.zero(vars_, caps)
+    rectangles = {}
+    lhs = zero
+    for k1, k2 in itertools.product(range(tmax + 1), repeat=2):
+        imax, jmax = min(k1 * rs, qmax), min(k2 * rs, qmax)
+        if (imax, jmax) not in rectangles:
+            rectangles[imax, jmax] = sum(
+                (_rectangle_product(vars_, caps, monomial, r, l * rs, imax, jmax) for l in range(s)), zero
+            )
+        lhs = lhs + mono({"t1": k1, "t2": k2}) * rectangles[imax, jmax]
+    lhs = lhs.extract_multiples({"u": d, "q1": p})
+    rhs = zero
+    for n in range(0, nmax + 1, d):
+        keys = ("des", "ides", "fmaj", "ifmaj", "col", "icol")
+        hist = distribution(make_group(r, p, s, n), keys) if n else {(0,) * 6: s}
+        term = TruncatedSeries(vars_, caps, {(n, *key): c for key, c in hist.items()})
+        for t, q in (("t1", "q1"), ("t2", "q2")):
+            factors = [{t: 1}] + [{t: s, q: j * r} for j in range(1, n)] + [{t: 1, q: n * r // s}] * (n > 0)
+            for exps in factors:
+                term = geom_divide(term, mono(exps))
+        rhs = rhs + term
+    return lhs, rhs
+
+
+def _hilbert_lhs_reference(r, p, s, qmax, nmax):
+    """hilbert's main lattice side: the rectangle products of the classes
+    l r/s (l < s), added and extracted at u^d q1^p."""
+    d = p * s // math.gcd(p * s, r)
+    vars_, caps = ("u", "q1", "q2"), {"u": nmax, "q1": qmax, "q2": qmax}
+    monomial = lambda i, j: {"u": 1, "q1": i, "q2": j}
+    total = TruncatedSeries.zero(vars_, caps)
+    for l in range(s):
+        total = total + _rectangle_product(vars_, caps, monomial, r, l * r // s % r, qmax, qmax)
+    return total.extract_multiples({"u": d, "q1": p})
+
+
+def _compared_sides(verify, *args, **kwargs):
+    """The report and the (lhs, rhs) of the verifier's first comparison."""
+    seen = []
+    real = identities.equal_on
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(identities, "equal_on", lambda a, b, *rest: seen.append((a, b)) or real(a, b, *rest))
+        report = verify(*args, **kwargs)
+    return report, seen[0]
+
+
+@pytest.mark.parametrize("r, p, s", [(1, 1, 1), (2, 1, 1), (2, 2, 1), (2, 1, 2), (2, 2, 2), (4, 2, 2), (4, 1, 4)])
+def test_each_side_equals_its_series_arithmetic_reference(r, p, s):
+    # a bug shared by both sides would still MATCH, so each side is checked
+    # on its own against a reference built by series + and *
+    report, (lhs, rhs) = _compared_sides(verify_six_stats, r, p, s, nmax=3, tmax=3, qmax=5, umax=3)
+    assert report.matched
+    want_lhs, want_rhs = _six_stats_sides_reference(r, p, s, nmax=3, tmax=3, qmax=5, umax=3)
+    assert (lhs.caps, lhs.terms) == (want_lhs.caps, want_lhs.terms)
+    assert (rhs.caps, rhs.terms) == (want_rhs.caps, want_rhs.terms)
+    report, (lhs, _) = _compared_sides(verify_hilbert, r, p, s, nmax=3, qmax=6)
+    assert report.matched
+    want = _hilbert_lhs_reference(r, p, s, qmax=6, nmax=3)
+    assert (lhs.caps, lhs.terms) == (want.caps, want.terms)
+
+
+def test_dropping_the_shared_t_division_is_reported(monkeypatch):
+    # (1-t1)(1-t2) divides the whole rank sum; without it the enumeration
+    # side has no t-degree at rank 0
+    real = identities._divide
+    shared = ({"t1": 1}, {"t2": 1})
+    without_shared = lambda series, *ms: real(series, *(m for m in ms if m not in shared))
+    monkeypatch.setattr(identities, "_divide", without_shared)
+    for args, first in (((2, 1, 1), {"monomial": {"t2": 1}, "lhs": 1, "rhs": 0}),
+                        ((2, 1, 2), {"monomial": {"t2": 1}, "lhs": 2, "rhs": 0})):
+        report = verify_six_stats(*args, nmax=2, tmax=3, qmax=6, umax=2)
+        assert report.outcome == identities.MISMATCH
+        assert report.first_mismatch == first
 
 
 @pytest.mark.parametrize(

@@ -473,3 +473,38 @@ def test_a_negative_exponent_raises_at_the_edge():
     with pytest.raises(ValueError):
         TruncatedSeries.one(XY, {"x": 4, "y": -1})
     assert TruncatedSeries.one(XY, caps).coefficient({"x": 5}) == 0
+
+
+def test_pack_checks_every_exponent_before_dropping_a_term():
+    caps = {"x": 2, "y": 3, "z": 1}
+    xyz = ("x", "y", "z")
+    # a negative exponent raises also after an exponent past its cap
+    for exps in ((5, -1, 0), (3, 4, -1), (-1, 9, 9)):
+        with pytest.raises(ValueError, match="nonnegative exponents"):
+            TruncatedSeries(xyz, caps, {exps: 1})
+    # so does a wrong length, short or long
+    for exps in ((1, 1), (1, 1, 1, 0), ()):
+        with pytest.raises(ValueError, match="nonnegative exponents"):
+            TruncatedSeries(xyz, caps, {exps: 1})
+    # an exponent past its cap drops the term, wherever it sits
+    for exps in ((3, 0, 0), (0, 4, 0), (0, 0, 2), (2, 3, 2)):
+        assert not TruncatedSeries(xyz, caps, {exps: 1}).terms
+    # exponents at the caps are kept and read back
+    at_caps = TruncatedSeries(xyz, caps, {(2, 3, 1): 7, (0, 0, 0): 1})
+    assert terms_of(at_caps) == {(2, 3, 1): 7, (0, 0, 0): 1}
+
+
+def test_extract_multiples_by_two_divisors_equals_the_per_term_filter():
+    rng = random.Random(7)
+    vars_, caps = ("u", "t", "q1", "q2"), {"u": 5, "t": 3, "q1": 9, "q2": 4}
+    terms = {
+        tuple(rng.randint(0, caps[v] + 1) for v in vars_): rng.randint(-3, 3) for _ in range(300)
+    }
+    f = TruncatedSeries(vars_, caps, terms)
+    for du, dq in ((2, 3), (3, 2), (1, 4), (4, 1), (5, 5)):
+        want = {e: c for e, c in terms_of(f).items() if e[0] % du == 0 and e[2] % dq == 0}
+        got = f.extract_multiples({"u": du, "q1": dq})
+        assert terms_of(got) == want
+        assert got.caps == f.caps
+        # the order of the divisors does not matter
+        assert got == f.extract_multiples({"q1": dq, "u": du})
