@@ -250,29 +250,20 @@ def check_budget(group: GroupDescriptor, budget: int | None = None) -> None:
         raise BudgetExceededError(group.order, budget, f"{group}: group order")
 
 
-def canonical_windows(group: GroupDescriptor):
-    """Yield the canonical lift of every element as raw (sigma, colors) tuples.
+def enumerate_elements(group: GroupDescriptor, budget: int | None = None):
+    """Yield every element of the group exactly once, as its canonical lift.
 
     The order is lexicographic by the one-line form of sigma and then by the
-    color vector, so output is stable across runs.  No budget check: callers
-    run :func:`check_budget` first.
+    color vector, so output is stable across runs.
     """
-    r, p, s, n = group.r, group.p, group.s, group.n
-    rs = r // s
+    check_budget(group, budget)
+    r, p, n, rs = group.r, group.p, group.n, group.r // group.s
     for sigma in itertools.permutations(range(1, n + 1)):
         for prefix in itertools.product(range(r), repeat=n - 1):
             sp = sum(prefix)
             for cn in range(rs):
                 if (sp + cn) % p == 0:
-                    yield sigma, prefix + (cn,)
-
-
-def enumerate_elements(group: GroupDescriptor, budget: int | None = None):
-    """Yield every element of the group exactly once, in the fixed order of
-    :func:`canonical_windows`."""
-    check_budget(group, budget)
-    for sigma, colors in canonical_windows(group):
-        yield ProjectiveElement(group, ColoredPermutation(sigma, colors))
+                    yield ProjectiveElement(group, ColoredPermutation(sigma, prefix + (cn,)))
 
 
 def parse_group(text: str) -> GroupDescriptor:

@@ -34,7 +34,7 @@ class ConstantTermError(ValueError):
 
 
 class RegionError(ValueError):
-    """A comparison region exceeds the valid region of an operand."""
+    """The caps leave nothing to compare."""
 
 
 @functools.lru_cache
@@ -142,10 +142,10 @@ class TruncatedSeries:
         return out
 
     def exp_vector(self, exps: Mapping[str, int]) -> tuple[int, ...]:
-        unknown = [v for v in exps if v not in self.vars]
-        if unknown:
+        if exps.keys() - self.vars:
+            unknown = [v for v in exps if v not in self.vars]
             raise ValueError(f"unknown variables {unknown}; have {self.vars}")
-        return tuple(exps.get(v, 0) for v in self.vars)
+        return tuple([exps.get(v, 0) for v in self.vars])
 
     def _common_caps(self, other) -> tuple[int, ...]:
         if self.vars != other.vars:
@@ -349,24 +349,11 @@ def geom_divide(series: TruncatedSeries, monomial: TruncatedSeries) -> Truncated
 
 
 def equal_on(
-    lhs: TruncatedSeries,
-    rhs: TruncatedSeries,
-    region: Mapping[str, int] | None = None,
+    lhs: TruncatedSeries, rhs: TruncatedSeries
 ) -> tuple[bool, tuple[dict, object, object] | None]:
-    """Compare coefficients on a region; (ok, first mismatch in graded-lex order).
-
-    The default region is the componentwise minimum of both sides' caps.
-    An explicit region beyond that raises RegionError.
-    """
-    shared = lhs._common_caps(rhs)
-    bounds = shared
-    if region is not None:
-        bounds = tuple(region.get(v, s) for v, s in zip(lhs.vars, shared))
-        for v, want, have in zip(lhs.vars, bounds, shared):
-            if want > have:
-                raise RegionError(
-                    f"requested region {v} <= {want} exceeds valid region {v} <= {have}"
-                )
+    """Compare coefficients within the componentwise minimum of both sides'
+    caps; (ok, first mismatch in graded-lex order)."""
+    bounds = lhs._common_caps(rhs)
     a, b = lhs._packed(bounds), rhs._packed(bounds)
     if a == b:
         return True, None

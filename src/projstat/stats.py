@@ -148,21 +148,6 @@ def inversions(sigma: tuple[int, ...]) -> int:
     )
 
 
-def permutation_sign(sigma: tuple[int, ...]) -> int:
-    """(-1)^inversions(sigma) for a permutation of 1..n in one-line
-    notation, read in O(n) as (-1)^(n - number of cycles)."""
-    seen = bytearray(len(sigma) + 1)
-    parity = len(sigma)
-    for start in range(1, len(sigma) + 1):
-        if not seen[start]:
-            parity -= 1
-            v = start
-            while not seen[v]:
-                seen[v] = 1
-                v = sigma[v - 1]
-    return -1 if parity & 1 else 1
-
-
 def stat_record(g: ProjectiveElement) -> StatRecord:
     group = g.group
     r, s, n = group.r, group.s, group.n
@@ -219,33 +204,20 @@ def stat_record(g: ProjectiveElement) -> StatRecord:
 # ----------------------------------------------------------------------
 # histograms over a whole group
 
-# Scalar StatRecord fields that distribution() can histogram, and the
-# statistics of g^-1 it can pair with them.
+# The scalar StatRecord fields that distribution() can histogram, in the
+# order both kernels lay out their records, and the statistics of g^-1 it
+# can pair with them.
 DISTRIBUTION_KEYS = ("des", "fdes", "fmaj", "col", "desA", "invAbs", "signAbs", "colorClass")
 INVERSE_KEYS = {"ides": "des", "ifmaj": "fmaj", "icol": "col"}
 
-# A record of _rank_dp is (lambda_1, fmaj, col, desA, inv|g|, color sum);
-# one of _tableau_pairs holds the statistics at these places.
-_RECORD_INDEX = {"fdes": 0, "fmaj": 1, "col": 2, "desA": 3, "invAbs": 4}
-_PAIRED_INDEX = {"des": 0, "fdes": 1, "fmaj": 2, "col": 3, "desA": 4, "colorClass": 5}
 
-
-def _getter(indices: list[int]):
-    """The function taking a tuple to the tuple of its items at ``indices``."""
-    if len(indices) == 1:
-        return lambda rec: (rec[indices[0]],)
-    return itemgetter(*indices) if indices else lambda rec: ()
-
-
-def _field(key: str, r: int, s: int):
-    """The function taking a record to the value of one statistic."""
-    if key == "des":
-        return lambda rec: (s * rec[0] + r - s) // r
-    if key == "signAbs":
-        return lambda rec: -1 if rec[4] & 1 else 1
-    if key == "colorClass":
-        return lambda rec: rec[5] % r
-    return itemgetter(_RECORD_INDEX[key])
+def _getter(keys, layout=DISTRIBUTION_KEYS):
+    """The function taking a record laid out as ``layout`` to the tuple of
+    its values of ``keys``."""
+    at = [layout.index(key) for key in keys]
+    if len(at) == 1:
+        return lambda rec: (rec[at[0]],)
+    return itemgetter(*at) if at else lambda rec: ()
 
 
 @functools.lru_cache
@@ -311,16 +283,25 @@ def _rank_step(states: dict, moves: list, classes, mod: int, mask: int) -> dict:
     return nxt
 
 
-def _rank_dp(group: GroupDescriptor, keys) -> dict[tuple, int]:
-    """Leaf records of the whole group by a right-to-left DP over relative ranks.
+def _rank_dp(group: GroupDescriptor, keys) -> Counter:
+    """The histogram of keys, no inverse key among them, by a right-to-left
+    DP over relative ranks; no element is built.
 
-    An entry placed left of the m placed ones at relative rank j in [0, m]
-    adds j inversions and lies above its right neighbour, of rank j1, iff
-    j > j1.  That and the two colors give the steps of desA and of lambda,
-    d = r*[c = c1 and j > j1] + R_r(c - c1); lambda_1 is the sum of the
-    steps and fmaj the sum of i*d over positions i (1-based).  A sentinel
-    neighbour of color 0 above every value makes the last position fit.  A
-    state is (class of j1, c1, color sum mod r or p, the fields packed w
+    h_i, k_i and lambda_i are suffix recurrences,
+
+        h_i = h_{i+1} + [c_i = c_{i+1} and sigma_i > sigma_{i+1}],
+        k_i = k_{i+1} + R_r(c_i - c_{i+1}),   k_n = R_{r/s}(c_n),
+        lambda_i = r*h_i + k_i,   fmaj = sum of lambda_i,
+
+    that see the values only through comparisons with the right neighbour,
+    and so do desA and inv.  An entry placed left of the m placed ones at
+    relative rank j in [0, m] adds j inversions and lies above its right
+    neighbour, of rank j1, iff j > j1.  That and the two colors give the
+    steps of desA and of lambda, d = r*[c = c1 and j > j1] + R_r(c - c1);
+    lambda_1 is the sum of the steps and fmaj the sum of i*d over positions
+    i (1-based).  A sentinel neighbour of color 0 above every value makes
+    the last position fit, and that position takes only colors below r/s.
+    A state is (class of j1, c1, color sum mod r or p, the fields packed w
     bits apart); a field no key reads stays 0, and inv is kept mod 2 for
     signAbs alone.
 
@@ -335,6 +316,10 @@ def _rank_dp(group: GroupDescriptor, keys) -> dict[tuple, int]:
     first, and c = c1 splits each class by the side of j1 the rank falls on,
     weighted by the number of ranks behind each.  Only the colors c that
     make the color sum divisible by p are applied.
+
+    The work is polynomial in n and r, not proportional to the group order:
+    B_10 (order 3.7*10^9) takes about 0.1 s on one Xeon vCPU under Python
+    3.11.
     """
     r, p, s, n = group.r, group.p, group.s, group.n
     rs, want = r // s, set(keys)
@@ -390,11 +375,15 @@ def _rank_dp(group: GroupDescriptor, keys) -> dict[tuple, int]:
                 for dinv, weight in anywhere.items():
                     key = (csum_c, (base + dinv) & mask)
                     leaves[key] = leaves.get(key, 0) + count * weight
-    low = (1 << w) - 1
-    return {
-        (acc & low, acc >> w & low, acc >> 2 * w & low, acc >> 3 * w & low, acc >> 4 * w, csum): count
-        for (csum, acc), count in leaves.items()
-    }
+    low, get, hist = (1 << w) - 1, _getter(keys), {}
+    for (csum, acc), count in leaves.items():
+        lam1, inv = acc & low, acc >> 4 * w
+        # laid out as DISTRIBUTION_KEYS
+        rec = ((s * lam1 + r - s) // r, lam1, acc >> w & low, acc >> 2 * w & low, acc >> 3 * w & low,
+               inv, -1 if inv & 1 else 1, csum % r)
+        key = get(rec)
+        hist[key] = hist.get(key, 0) + count
+    return Counter(hist)
 
 
 def _addable(shape: tuple) -> list[tuple]:
@@ -444,11 +433,13 @@ def _inverse_shape(shape: tuple) -> tuple:
 
 
 def _tableau_pairs(group: GroupDescriptor, keys: tuple) -> Counter:
-    """The histogram of keys, inverse keys among them, by standard multi-tableaux.
+    """The histogram of keys, inverse keys among them or not, by standard
+    multi-tableaux; polynomial in n like :func:`_rank_dp`.
 
-    Color-by-color Robinson-Schensted takes a lift g of G(r,p,n) to a pair
-    (P, Q) of standard multi-tableaux of one multishape lambda, the color-c
-    subword giving component c.  Q records the positions, so i < n is a
+    Inverse keys need g^-1, which has no suffix recurrence.  Color-by-color
+    Robinson-Schensted takes a lift g of G(r,p,n) to a pair (P, Q) of
+    standard multi-tableaux of one multishape lambda, the color-c subword
+    giving component c.  Q records the positions, so i < n is a
     descent of g in the color order iff i is in D of Q (:func:`_tableau_dp`),
     and with the telescoped suffix recurrences
 
@@ -461,7 +452,8 @@ def _tableau_pairs(group: GroupDescriptor, keys: tuple) -> Counter:
     histogram of g's keys over the Q of shape lambda times that of the
     inverse keys over the tableaux of shape -lambda (:func:`_inverse_shape`).
     Taking only the Q whose position n has a color below r/s takes each
-    class of G(r,p,s,n) once, by its canonical lift.
+    class of G(r,p,s,n) once, by its canonical lift.  The tableaux do not
+    see inv|g|, so a record holds None for invAbs and signAbs.
     """
     r, p, s, n = group.r, group.p, group.s, group.n
     rs = r // s
@@ -470,10 +462,10 @@ def _tableau_pairs(group: GroupDescriptor, keys: tuple) -> Counter:
     states = _tableau_dp(
         r, n, int(bool(read & {"des", "fdes", "desA"})), int("fmaj" in read) << w, bool(read & {"des", "fdes"})
     )
-    at = sorted(range(len(keys)), key=lambda i: keys[i] in INVERSE_KEYS)  # g's keys first
-    own = [keys[i] for i in at if keys[i] not in INVERSE_KEYS]
-    inv = [INVERSE_KEYS[keys[i]] for i in at if keys[i] in INVERSE_KEYS]
-    own_get, inv_get = (_getter([_PAIRED_INDEX[key] for key in side]) for side in (own, inv))
+    own = [key for key in keys if key not in INVERSE_KEYS]
+    inverse = [key for key in keys if key in INVERSE_KEYS]
+    inv = [INVERSE_KEYS[key] for key in inverse]
+    own_get, inv_get = _getter(own), _getter(inv)
     # with s = 1 every Q is canonical, and g's keys may be read as g^-1's
     shared = s == 1 and own == inv
     canonical, every, sums = {}, {}, {}
@@ -492,8 +484,8 @@ def _tableau_pairs(group: GroupDescriptor, keys: tuple) -> Counter:
         for acc, count in counts.items():
             n_d = acc & ((1 << w) - 1)
             lam1 = r * n_d + base
-            # the fields of _PAIRED_INDEX
-            rec = ((s * lam1 + r - s) // r, lam1, r * (acc >> w) + shift, col, n_d, csum % r)
+            # laid out as DISTRIBUTION_KEYS
+            rec = ((s * lam1 + r - s) // r, lam1, r * (acc >> w) + shift, col, n_d, None, None, csum % r)
             b = inv_get(rec)
             right[b] = right.get(b, 0) + count
             if left is not None:
@@ -507,8 +499,7 @@ def _tableau_pairs(group: GroupDescriptor, keys: tuple) -> Counter:
                 row = pairs.setdefault(a, {})
                 for b, y in right.items():
                     row[b] = row.get(b, 0) + x * y
-    # a + b holds the keys in the order at; put each back in its place in keys
-    order = _getter(sorted(range(len(keys)), key=at.__getitem__))
+    order = _getter(keys, own + inverse)  # a + b holds g's keys, then the inverse keys
     return Counter({order(a + b): count for a, row in pairs.items() for b, count in row.items()})
 
 
@@ -518,35 +509,11 @@ def distribution(group: GroupDescriptor, keys, budget: int | None = None) -> Cou
     Maps each tuple of values of ``keys`` to the number of elements that
     take it.  ``keys`` are scalar :class:`StatRecord` fields from
     :data:`DISTRIBUTION_KEYS`, or ``ides``/``ifmaj``/``icol`` for des, fmaj
-    and col of g^-1.  The result equals the histogram of
-    :func:`stat_record` over :func:`enumerate_elements`, which stays the
-    reference definition.
-
-    Without inverse keys no element is built.  h_i, k_i and lambda_i are
-    suffix recurrences,
-
-        h_i = h_{i+1} + [c_i = c_{i+1} and sigma_i > sigma_{i+1}],
-        k_i = k_{i+1} + R_r(c_i - c_{i+1}),   k_n = R_{r/s}(c_n),
-        lambda_i = r*h_i + k_i,   fmaj = sum of lambda_i,
-
-    that see the values only through comparisons with the right neighbour,
-    and so do desA and inv.  :func:`_rank_dp` fills windows right to left
-    by relative rank, keeping only the color of the leftmost placed entry,
-    its rank or, after a color change, its class of ranks (all ranks, the
-    even or the odd ones for ``signAbs``, each alone for ``invAbs``), the
-    color sum and the fields the keys read.  Its work is polynomial in n
-    and r, not proportional to the group order: B_10 (order 3.7*10^9)
-    takes about 0.1 s on one Xeon vCPU under Python 3.11.  The last
-    position takes colors below r/s, and the first, whose rank is folded
-    away, only those making the color sum divisible by p.
-
-    Inverse keys need g^-1, which has no such recurrence.  Color-by-color
-    Robinson-Schensted reads the records of g off its recording tableaux
-    and those of g^-1 off its insertion tableaux, so the joint histogram is
-    a sum over multishapes of products of two tableau histograms, each
-    built by one forward DP over standard multi-tableaux
-    (:func:`_tableau_pairs`), again polynomial in n.  The tableaux do not
-    see inv|g|, so ``invAbs`` and ``signAbs`` do not pair with inverse keys.
+    and col of g^-1; ``invAbs`` and ``signAbs`` do not pair with the
+    latter.  The result equals the histogram of :func:`stat_record` over
+    :func:`enumerate_elements`, which stays the reference definition, but
+    no element is built: :func:`_tableau_pairs` makes it when the keys hold
+    an inverse key and :func:`_rank_dp` otherwise.
 
     Raises ValueError for any other key or pairing, and BudgetExceededError
     (before any work) when the group order exceeds the budget; for the DPs
@@ -563,14 +530,7 @@ def distribution(group: GroupDescriptor, keys, budget: int | None = None) -> Cou
     if paired and ("invAbs" in keys or "signAbs" in keys):
         raise ValueError("invAbs and signAbs do not pair with statistics of g^-1")
     check_budget(group, budget)
-    if paired:
-        return _tableau_pairs(group, keys)
-    fields = [_field(key, group.r, group.s) for key in keys]
-    hist = {}
-    for rec, count in _rank_dp(group, keys).items():
-        key = tuple([f(rec) for f in fields])
-        hist[key] = hist.get(key, 0) + count
-    return Counter(hist)
+    return (_tableau_pairs if paired else _rank_dp)(group, keys)
 
 
 def fmaj_prime(g: ProjectiveElement) -> int:

@@ -88,6 +88,24 @@ def test_distribution_matches_stat_record(group):
         assert distribution(group, keys) == reference, keys
 
 
+# key tuples without inverse keys, which both kernels build: what the
+# verifiers without a sign key ask for, then every key the tableaux see
+CROSS_KERNEL_KEY_TUPLES = [
+    ("fmaj",),
+    ("fmaj", "colorClass"),
+    ("des", "fmaj", "col"),
+    ("fdes", "fmaj"),
+    ("fdes", "fmaj", "col"),
+    tuple(key for key in stats.DISTRIBUTION_KEYS if key not in ("invAbs", "signAbs")),
+]
+
+
+@pytest.mark.parametrize("group", GROUPS, ids=str)
+def test_tableau_kernel_matches_rank_kernel(group):
+    for keys in CROSS_KERNEL_KEY_TUPLES:
+        assert stats._tableau_pairs(group, keys) == stats._rank_dp(group, keys), keys
+
+
 # past the grid: r up to 8 and any subset of the keys, in any order, which
 # reaches every rank class (all ranks, even and odd, each rank alone)
 WIDE_GROUPS = _admissible_groups(8, 2 * 10**4)

@@ -9,7 +9,7 @@ from projstat import identities
 from projstat.cyclotomic import CycInt, zeta_pow
 from projstat.groups import BudgetExceededError, DivisibilityError, make_group, residue
 from projstat.series import TruncatedSeries, geom_divide, q_bracket
-from projstat.stats import distribution, permutation_sign
+from projstat.stats import distribution, inversions
 from projstat.identities import (
     CharacterConditionError,
     CompositionError,
@@ -260,7 +260,7 @@ def test_signed_fillings_equal_the_signed_walk_over_every_filling():
             compositions = (p for p in itertools.product(range(n + 1), repeat=length) if sum(p) == n)
             for parts in compositions:
                 fillings = _block_fillings(tuple(range(1, n + 1)), parts)
-                want = sum(permutation_sign(sigma) for sigma in fillings)
+                want = sum((-1) ** inversions(sigma) for sigma in fillings)
                 assert identities._signed_fillings(parts) == want, parts
                 checked += 1
     assert checked == 714

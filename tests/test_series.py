@@ -9,7 +9,6 @@ from projstat.cyclotomic import CycInt, zeta_pow
 from projstat.series import (
     ConstantTermError,
     NonMonomialBaseError,
-    RegionError,
     TruncatedSeries,
     equal_on,
     geom_divide,
@@ -107,7 +106,7 @@ def test_ring_op_examples():
 
     lhs = q_bracket(2, q_mono(coeff=-1, cap=4)) * q_bracket(4, q_mono(cap=4))
     rhs = TruncatedSeries(Q, {"q": 4}, {(0,): 1, (4,): -1})
-    ok, mismatch = equal_on(lhs, rhs, {"q": 4})
+    ok, mismatch = equal_on(lhs, rhs)
     assert ok, mismatch
 
 
@@ -222,9 +221,6 @@ def test_truncation_is_sound_against_untruncated_sympy(expression):
     untruncated = TruncatedSeries(XY, (top, top), true)
     assert untruncated.exp_terms == true
     assert equal_on(series, untruncated) == (True, None)
-    for var, cap in zip(XY, caps):
-        with pytest.raises(RegionError):
-            equal_on(series, untruncated, {var: cap + 1})
 
 
 def test_monomial_beyond_the_caps_is_zero():
@@ -271,14 +267,12 @@ def test_bracket_product_identity_rq2():
             assert lhs == rhs
 
 
-def test_equal_on_region_errors_and_mismatch_order():
+def test_equal_on_shared_caps_and_mismatch_order():
     caps = {"q": 8}
-    trunc = geom_inverse(q_mono(cap=8))  # region q <= 8, not exact
+    trunc = geom_inverse(q_mono(cap=8))  # valid for q <= 8, not exact
     other = geom_inverse(q_mono(cap=4))
-    ok, _ = equal_on(trunc, other)  # defaults to the shared region q <= 4
+    ok, _ = equal_on(trunc, other)  # compares on the shared caps q <= 4
     assert ok
-    with pytest.raises(RegionError):
-        equal_on(trunc, other, {"q": 6})
 
     a = TruncatedSeries(Q, caps, {(1,): 1, (3,): 7})
     b = TruncatedSeries(Q, caps, {(1,): 1, (2,): 5})

@@ -21,8 +21,6 @@ from projstat.stats import (
     compare,
     des_set,
     fmaj_prime,
-    inversions,
-    permutation_sign,
     stat_record,
 )
 
@@ -81,13 +79,6 @@ def test_b2_signed_element():
     assert rec.fdes == 1
     assert rec.col == 1
     assert rec.lam == (1, 0)
-
-
-def test_permutation_sign_is_the_parity_of_the_inversions():
-    # (-1)^(n - cycles) against (-1)^inv on every permutation up to n = 6
-    for n in range(7):
-        for sigma in itertools.permutations(range(1, n + 1)):
-            assert permutation_sign(sigma) == (-1) ** inversions(sigma), sigma
 
 
 def test_des_set_examples():
