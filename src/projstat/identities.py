@@ -12,9 +12,9 @@ defaults: ``projstat verify`` builds its flags from it, and the report's
 params are the bound arguments.
 
 Conventions adopted for the degenerate rank-0 terms of the summed
-identities (where the generic denominator expressions collapse):
+identities, all made by :func:`_enumeration_side`:
 
-* the descent/flag-descent Carlitz right-hand sides at n = 0 are 1/(1-t);
+* the Carlitz right-hand sides at n = 0, fdes-trivariate's too, are 1/(1-t);
 * the six-statistics right-hand side at n = 0 is s/((1-t1)(1-t2)), because
   the empty 2-partite partition has every column-sum class at once;
 * the Hilbert-series right-hand side at n = 0 is the constant s.
@@ -28,7 +28,6 @@ import itertools
 import math
 import time
 from dataclasses import dataclass
-from math import gcd
 
 from .cyclotomic import CycInt, zeta_pow
 from .groups import (
@@ -376,6 +375,18 @@ def _divide(series: TruncatedSeries, *monomials) -> TruncatedSeries:
     return series
 
 
+def _enumeration_side(vars_, caps, r, p, s, n, keys, chain, budget, lead=()):
+    """(side, element count): the histogram of keys over G(r,p,s,n), laid out after the
+    exponents lead, divided by 1 - M for M in chain; the caller validates r, p, s first.
+    G(r,p,s,0) is one element, all statistics 0; with a lead (u-graded) it is s, of none."""
+    hist, count = {(0,) * len(keys): s if lead else 1}, 0 if lead else 1
+    if n:
+        group = make_group(r, p, s, n)
+        hist, count = distribution(group, keys, budget), group.order
+    side = TruncatedSeries(vars_, caps, {(*lead, *key): c for key, c in hist.items()})
+    return _divide(side, *chain), count
+
+
 def _ksum(vars_, caps, inner, n, p) -> TruncatedSeries:
     """The k-sum of t^k inner(k)^n over k <= caps["t"], extracted at q^p.
     t is the first variable and inner(k) has no t, so the summands' terms
@@ -415,8 +426,7 @@ def verify_carlitz_des(
     vars_ = ("t", "q", "a")
     caps = {"t": tmax, "q": qmax, "a": amax}
     mono = lambda **e: TruncatedSeries.monomial(vars_, caps, e)
-    # n = 0: G(r,p,s,d) checks p | r and s | r; one element, every statistic 0
-    group = make_group(r, p, s, n or _quotient_divisor(r, p, s))
+    make_group(r, p, s, n or _quotient_divisor(r, p, s))  # at n = 0, checks p | r and s | r
     rs = r // s
     if n and (qmax < rs or (rs > 1 and amax < 1)):
         raise RegionError(f"caps q<={qmax}, a<={amax} leave nothing to compare")
@@ -426,9 +436,9 @@ def verify_carlitz_des(
     inner = lambda k: q_bracket(k + 1, q_rs) + aq * q_bracket(k, q_rs) * br_tail
     lhs = _ksum(vars_, caps, inner, n, p)
 
-    hist = distribution(group, ("des", "fmaj", "col"), budget) if n else {(0, 0, 0): 1}
-    rhs = _divide(TruncatedSeries(vars_, caps, hist), {"t": 1}, *_chain("t", "q", r, s, n, s, 1))
-    return _finish(caps, *equal_on(lhs, rhs), group.order if n else 1, amax=amax)
+    chain = [{"t": 1}, *_chain("t", "q", r, s, n, s, 1)]
+    rhs, count = _enumeration_side(vars_, caps, r, p, s, n, ("des", "fmaj", "col"), chain, budget)
+    return _finish(caps, *equal_on(lhs, rhs), count, amax=amax)
 
 
 @_identity("carlitz-fdes")
@@ -449,15 +459,13 @@ def verify_carlitz_fdes(
     """
     vars_ = ("t", "q")
     caps = {"t": tmax, "q": qmax}
-    # n = 0: G(r,p,s,d) checks p | r and s | r; one element, every statistic 0
-    group = make_group(r, p, s, n or _quotient_divisor(r, p, s))
+    make_group(r, p, s, n or _quotient_divisor(r, p, s))  # at n = 0, checks p | r and s | r
     if n and qmax < 1:
         raise RegionError(f"qmax={qmax} leaves nothing to compare")
     lhs = _fdes_ksum(caps, n, p)
-    hist = distribution(group, ("fdes", "fmaj"), budget) if n else {(0, 0): 1}
-    chain = _chain("t", "q", r, s, n, r, r // s)
-    rhs = _divide(TruncatedSeries(vars_, caps, hist), {"t": 1}, *chain)
-    return _finish(caps, *equal_on(lhs, rhs), group.order if n else 1)
+    chain = [{"t": 1}, *_chain("t", "q", r, s, n, r, r // s)]
+    rhs, count = _enumeration_side(vars_, caps, r, p, s, n, ("fdes", "fmaj"), chain, budget)
+    return _finish(caps, *equal_on(lhs, rhs), count)
 
 
 @_identity("fdes-trivariate")
@@ -493,7 +501,7 @@ def verify_fdes_trivariate(
     elif amax < qmax:
         notes.append(f"amax raised from {amax} to qmax={qmax} for the a=1 collapse")
         amax = qmax
-    group = make_group(r, p, s, n)
+    make_group(r, p, s, n or _quotient_divisor(r, p, s))  # at n = 0, checks p | r and s | r
     rs = r // s
     vars_ = ("t", "q", "a")
     caps = {"t": tmax, "q": qmax, "a": amax}
@@ -520,8 +528,8 @@ def verify_fdes_trivariate(
         blockwise_ok &= equal_on(closed[k], direct)[0]
     lhs = _ksum(vars_, caps, closed.get, n, p)
 
-    hist = distribution(group, ("fdes", "fmaj", "col"), budget)
-    rhs = _divide(TruncatedSeries(vars_, caps, hist), {"t": 1}, *_chain("t", "q", r, s, n, r, rs))
+    chain = [{"t": 1}, *_chain("t", "q", r, s, n, r, rs)]
+    rhs, count = _enumeration_side(vars_, caps, r, p, s, n, ("fdes", "fmaj", "col"), chain, budget)
     ok, mism = equal_on(lhs, rhs)
     a1_ok = equal_on(lhs.collapse_var("a", under="q"), _fdes_ksum({"t": tmax, "q": qmax}, n, p))[0]
     notes += [
@@ -529,7 +537,7 @@ def verify_fdes_trivariate(
         f"closed form matches the enumeration oracle: {ok}",
         f"a=1 specialization equals the flag-descent k-sum: {a1_ok}",
     ]
-    return _finish(caps, ok, mism, group.order, notes, amax=amax)
+    return _finish(caps, ok, mism, count, notes, amax=amax)
 
 
 # ----------------------------------------------------------------------
@@ -539,7 +547,7 @@ def _quotient_divisor(r: int, p: int, s: int) -> int:
     """The least rank d with ps | rd, once make_group has validated r, p, s
     (at rank ps, where ps | rn always holds)."""
     make_group(r, p, s, p * s)
-    return p * s // gcd(p * s, r)
+    return p * s // math.gcd(p * s, r)
 
 
 def _joined(vars_, caps, parts) -> TruncatedSeries:
@@ -617,25 +625,19 @@ def _rank_sum(vars_, caps, keys, r, p, s, nmax, d, budget):
     of ``keys`` over G(r,p,s,n) (laid out as vars_[1:]), divided for
     i = 1, 2 by the chain of carlitz-des in (t_i, q_i).  When vars_ has
     t1, t2, the sum is also divided by (1-t1)(1-t2); otherwise the t_i
-    are dropped.  The rank-0 term is the constant s.
+    are dropped.  Each rank is one :func:`_enumeration_side`.
 
     The chains keep each rank at its own u-degree, so the ranks' terms are
     collected without adding series, and the factors (1-t1)(1-t2) that all
     ranks share divide the sum once, not each rank.
     """
     ts = ("t1", "t2") if "t1" in vars_ else (None, None)
-    ranks = []
-    count = 0
-    for rank in range(0, nmax + 1, d):
-        hist = {(0,) * len(keys): s}
-        if rank:
-            group = make_group(r, p, s, rank)
-            count += group.order
-            hist = distribution(group, keys, budget)
-        term = TruncatedSeries(vars_, caps, {(rank, *key): c for key, c in hist.items()})
-        chains = [m for t, q in zip(ts, ("q1", "q2")) for m in _chain(t, q, r, s, rank, s, 1)]
-        ranks.append(_divide(term, *chains).terms)
-    return _divide(_joined(vars_, caps, ranks), *({t: 1} for t in ts if t)), count
+    sides = []
+    for n in range(0, nmax + 1, d):
+        chain = [m for t, q in zip(ts, ("q1", "q2")) for m in _chain(t, q, r, s, n, s, 1)]
+        sides.append(_enumeration_side(vars_, caps, r, p, s, n, keys, chain, budget, (n,)))
+    joined = _joined(vars_, caps, [side.terms for side, _ in sides])
+    return _divide(joined, *({t: 1} for t in ts if t)), sum(count for _, count in sides)
 
 
 @_identity("six-stats")
@@ -686,12 +688,10 @@ def verify_six_stats(
     keys = ("des", "ides", "fmaj", "ifmaj", "col", "icol")
     rhs, count = _rank_sum(vars_, caps, keys, r, p, s, nmax, d, budget)
 
-    notes = ()
-    if s > 1:
-        notes = (
-            "rank-0 term taken as s/((1-t1)(1-t2)): the empty 2-partite "
-            "partition lies in every column-sum class",
-        )
+    notes = (
+        "rank-0 term taken as s/((1-t1)(1-t2)): the empty 2-partite "
+        "partition lies in every column-sum class",
+    ) * (s > 1)
     return _finish(caps, *equal_on(lhs, rhs), count, notes, d=d, umax=ucap)
 
 

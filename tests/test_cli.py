@@ -77,6 +77,10 @@ def test_verify_exit_codes(capsys):
     assert code == 2
     assert "error:" in err
 
+    # rank 0 is one element, as for the other Carlitz verifiers
+    code, out, _ = run(capsys, "verify", "fdes-trivariate", "--r", "3", "--n", "0", "--json")
+    assert (code, json.loads(out)["count"]) == (0, 1)
+
 
 def test_verify_carlitz_fdes_classical(capsys):
     code, out, _ = run(
@@ -329,6 +333,23 @@ def test_verify_usage_errors_exit_2(capsys, argv, message):
         (["verify", "six-stats", "--r", "0", "--p", "0"], "error: r must be a positive integer, got 0"),
         (["verify", "carlitz-des", "--r", "0", "--n", "0"], "error: r must be a positive integer, got 0"),
         (["verify", "carlitz-fdes", "--r", "0", "--n", "0"], "error: r must be a positive integer, got 0"),
+        (
+            ["verify", "carlitz-des", "--r", "4", "--n", "3", "--qmax", "3"],
+            "error: caps q<=3, a<=3 leave nothing to compare",
+        ),
+        (
+            ["verify", "fdes-trivariate", "--r", "4", "--n", "2", "--qmax", "3"],
+            "error: qmax=3 is smaller than r/s=4",
+        ),
+        # the region is refused before the budget, the group before the region
+        (
+            ["--budget", "1", "verify", "carlitz-des", "--r", "4", "--n", "3", "--qmax", "3"],
+            "error: caps q<=3, a<=3 leave nothing to compare",
+        ),
+        (
+            ["verify", "carlitz-des", "--r", "2", "--s", "0", "--n", "3", "--qmax", "1"],
+            "error: s must be a positive integer, got 0",
+        ),
     ],
 )
 def test_verify_refusals_exit_2(capsys, argv, message):

@@ -324,14 +324,27 @@ def _shifted(real):
     return perturbed
 
 
-def test_carlitz_des_reports_mismatch_on_shifted_histogram(monkeypatch):
-    assert identities.verify_carlitz_des(2, 1, 1, 3, tmax=4, qmax=4).matched
+@pytest.mark.parametrize(
+    "name, monomial",
+    [
+        ("carlitz-des", {}),
+        ("carlitz-fdes", {}),
+        ("fdes-trivariate", {}),
+        ("six-stats", {"u": 1}),
+        ("hilbert", {"u": 1}),
+    ],
+)
+def test_verifiers_report_mismatch_on_shifted_histogram(monkeypatch, name, monomial):
+    verifier = identities.VERIFIERS[name]
+    assert verifier(2).matched
     monkeypatch.setattr(identities, "distribution", _shifted(distribution))
-    report = identities.verify_carlitz_des(2, 1, 1, 3, tmax=4, qmax=4)
+    report = verifier(2)
     assert report.outcome == identities.MISMATCH
-    # the identity element (des, fmaj, col) = (0, 0, 0) moved to (0, 0, 1)
-    # (the monomial lists nonzero exponents only: this is the constant term)
-    assert report.first_mismatch == {"monomial": {}, "lhs": 1, "rhs": 0}
+    # the identity element, all statistics 0, moved one up in its last
+    # statistic; the monomial lists nonzero exponents only, so {} is the
+    # constant term.  Rank 0 of six-stats and hilbert is no histogram, so
+    # their first mismatch is at u^1.
+    assert report.first_mismatch == {"monomial": monomial, "lhs": 1, "rhs": 0}
 
 
 def _moved(real, key, to):

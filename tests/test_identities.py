@@ -8,7 +8,7 @@ import sympy
 from projstat import identities
 from projstat.cyclotomic import CycInt, zeta_pow
 from projstat.groups import BudgetExceededError, DivisibilityError, make_group, residue
-from projstat.series import TruncatedSeries, geom_divide, q_bracket
+from projstat.series import RegionError, TruncatedSeries, geom_divide, q_bracket
 from projstat.stats import distribution, inversions
 from projstat.identities import (
     CharacterConditionError,
@@ -299,17 +299,43 @@ def test_carlitz_fdes_examples():
     assert verify_carlitz_fdes(1, 1, 1, 0).matched
 
 
-@pytest.mark.parametrize("verifier", [verify_carlitz_des, verify_carlitz_fdes])
+@pytest.mark.parametrize(
+    "verifier", [verify_carlitz_des, verify_carlitz_fdes, verify_fdes_trivariate]
+)
 @pytest.mark.parametrize("r,p,s", [(2, 5, 1), (2, 1, 4), (4, 3, 2)])
 def test_carlitz_rank_0_validates_the_group(verifier, r, p, s):
     with pytest.raises(DivisibilityError):
         verifier(r, p, s, 0)
 
 
+@pytest.mark.parametrize(
+    "verifier, args",
+    [
+        (verify_carlitz_des, dict(r=4, n=3, qmax=3)),
+        (verify_carlitz_fdes, dict(r=2, n=3, qmax=0)),
+        (verify_fdes_trivariate, dict(r=4, n=2, qmax=3)),
+    ],
+)
+def test_carlitz_region_refusal_builds_no_histogram(monkeypatch, verifier, args):
+    def unreachable(*a, **k):
+        raise AssertionError("histogram built before the region refusal")
+
+    monkeypatch.setattr(identities, "distribution", unreachable)
+    with pytest.raises(RegionError):
+        verifier(**args)
+
+
 def test_carlitz_fdes_constant_in_t_coefficient():
     # only fmaj-0 elements survive at t^0 on both sides
     report = verify_carlitz_fdes(3, 1, 1, 2, tmax=4, qmax=6)
     assert report.matched
+
+
+def test_fdes_trivariate_examples():
+    # rank 0: one element with every statistic 0, as for carlitz-des and carlitz-fdes
+    for r in (1, 3):
+        report = verify_fdes_trivariate(r, 1, 1, 0)
+        assert (report.outcome, report.element_count) == (identities.MATCH, 1)
 
 
 def test_fdes_trivariate_reports_all_three_checks():
@@ -662,6 +688,38 @@ def test_dropping_the_last_chain_factor_is_reported(monkeypatch, capsys, name, m
     report = json.loads(capsys.readouterr().out)
     assert (code, report["outcome"]) == (1, "MISMATCH")
     assert report["firstMismatch"]["monomial"] == monomial
+
+
+@pytest.mark.parametrize(
+    "name, monomial",
+    [
+        ("carlitz-des", {"t": 1, "q": 6}),
+        ("carlitz-fdes", {"t": 2, "q": 6}),
+        ("fdes-trivariate", {"t": 2, "q": 6}),
+        ("six-stats", {"u": 2, "t2": 2, "q2": 8}),
+        ("hilbert", {"u": 1, "q2": 6}),
+    ],
+)
+def test_a_side_built_one_q_cap_short_is_reported(monkeypatch, capsys, name, monomial):
+    import json
+
+    from projstat import cli
+
+    real = identities._enumeration_side
+
+    def one_q_cap_short(vars_, caps, *args):
+        # built with every q cap one lower, returned under the full caps
+        lowered = {v: cap - v.startswith("q") for v, cap in caps.items()}
+        side, count = real(vars_, lowered, *args)
+        return TruncatedSeries(vars_, caps, side.exp_terms), count
+
+    monkeypatch.setattr(identities, "_enumeration_side", one_q_cap_short)
+    code = cli.main(["verify", name, "--r", "2", "--json"])
+    report = json.loads(capsys.readouterr().out)
+    assert (code, report["outcome"]) == (1, "MISMATCH")
+    assert report["firstMismatch"]["monomial"] == monomial
+    # the terms the lowered caps drop lie at q-degree qmax
+    assert max(e for v, e in monomial.items() if v.startswith("q")) == report["params"]["qmax"]
 
 
 def test_character_enumerates_on_every_call(monkeypatch):
