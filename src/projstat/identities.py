@@ -389,13 +389,38 @@ def _enumeration_side(vars_, caps, r, p, s, n, keys, chain, budget, lead=()):
 
 def _ksum(vars_, caps, inner, n, p) -> TruncatedSeries:
     """The k-sum of t^k inner(k)^n over k <= caps["t"], extracted at q^p.
-    t is the first variable and inner(k) has no t, so the summands' terms
-    lie in distinct t-degrees and are collected without adding."""
-    terms = {}
+    inner(k) has no t and the same caps, so each summand's packed terms are
+    moved to t^k whole, and the summands, in distinct t-degrees, are joined
+    without adding."""
+    pack = packing(vars_, caps)[0]
+    parts = []
     for k in range(caps["t"] + 1):
-        for exps, coeff in (inner(k) ** n).exp_terms.items():
-            terms[(k, *exps[1:])] = coeff
-    return TruncatedSeries(vars_, caps, terms).extract_multiples({"q": p})
+        t_k = pack({"t": k})
+        parts.append({key + t_k: coeff for key, coeff in (inner(k) ** n).terms.items()})
+    return _joined(vars_, caps, parts).extract_multiples({"q": p})
+
+
+def _lattice_heights(vars_, caps, rs):
+    """The sum over lattice heights j <= k of q^j a^(R_{r/s}(j)), as the
+    function of k that builds its blockwise closed form
+
+        [Q+1]_{q^{r/s}} + aq [r/s-1]_{aq} [Q]_{q^{r/s}}
+                        + a q^{Q r/s + 1} [R]_{aq},   k = (r/s) Q + R,
+
+    in the variables t, q, a (t unused) under caps."""
+    mono = lambda **e: TruncatedSeries.monomial(vars_, caps, e)
+    q_rs, aq = mono(q=rs), mono(a=1, q=1)
+    br_tail = q_bracket(rs - 1, aq)
+
+    def closed(k: int) -> TruncatedSeries:
+        quot, rem = divmod(k, rs)
+        return (
+            q_bracket(quot + 1, q_rs)
+            + aq * br_tail * q_bracket(quot, q_rs)
+            + mono(a=1, q=quot * rs + 1) * q_bracket(rem, aq)
+        )
+
+    return closed
 
 
 def _fdes_ksum(caps, n, p) -> TruncatedSeries:
@@ -418,23 +443,20 @@ def verify_carlitz_des(
     """Trivariate Carlitz identity with the descent number.
 
     LHS: extracted k-sum of t^k ([k+1]_{q^{r/s}} + aq [k]_{q^{r/s}}
-    [r/s-1]_{aq})^n.  RHS: the (des, fmaj, col) distribution divided by
+    [r/s-1]_{aq})^n, the lattice-height sum of fdes-trivariate at the
+    heights k r/s.  RHS: the (des, fmaj, col) distribution divided by
     (1-t)(1-t^s q^r)...(1-t^s q^{(n-1)r})(1-t q^{nr/s}).
     """
     if amax is None:
         amax = qmax
     vars_ = ("t", "q", "a")
     caps = {"t": tmax, "q": qmax, "a": amax}
-    mono = lambda **e: TruncatedSeries.monomial(vars_, caps, e)
     make_group(r, p, s, n or _quotient_divisor(r, p, s))  # at n = 0, checks p | r and s | r
     rs = r // s
     if n and (qmax < rs or (rs > 1 and amax < 1)):
         raise RegionError(f"caps q<={qmax}, a<={amax} leave nothing to compare")
-    q_rs = mono(q=rs)
-    aq = mono(a=1, q=1)
-    br_tail = q_bracket(rs - 1, aq)
-    inner = lambda k: q_bracket(k + 1, q_rs) + aq * q_bracket(k, q_rs) * br_tail
-    lhs = _ksum(vars_, caps, inner, n, p)
+    heights = _lattice_heights(vars_, caps, rs)
+    lhs = _ksum(vars_, caps, lambda k: heights(k * rs), n, p)
 
     chain = [{"t": 1}, *_chain("t", "q", r, s, n, s, 1)]
     rhs, count = _enumeration_side(vars_, caps, r, p, s, n, ("des", "fmaj", "col"), chain, budget)
@@ -483,17 +505,13 @@ def verify_fdes_trivariate(
 
     The inner sum over lattice heights j <= k of q^j a^(residue of j) is
     used in two equivalent shapes: the direct sum, and its blockwise
-    closed form
-
-        [Q+1]_{q^{r/s}} + aq [r/s-1]_{aq} [Q]_{q^{r/s}}
-                        + a q^{Q r/s + 1} [R_{r/s}(k)]_{aq},
-
-    where k = (r/s) Q + R.  The enumeration side is the ground truth; the
-    report records that the two shapes agree, that the extracted k-sum
-    matches the (fdes, fmaj, col) enumeration with its denominator
-    factors, and that the a=1 specialization collapses onto the bivariate
-    flag-descent k-sum.  An amax below qmax is raised to qmax, with a note,
-    which keeps the a=1 collapse exact (a-degree <= q-degree).
+    closed form (:func:`_lattice_heights`).  The enumeration side is the
+    ground truth; the report records that the two shapes agree, that the
+    extracted k-sum matches the (fdes, fmaj, col) enumeration with its
+    denominator factors, and that the a=1 specialization collapses onto
+    the bivariate flag-descent k-sum.  An amax below qmax is raised to
+    qmax, with a note, which keeps the a=1 collapse exact (a-degree <=
+    q-degree).
     """
     notes = []
     if amax is None:
@@ -505,27 +523,13 @@ def verify_fdes_trivariate(
     rs = r // s
     vars_ = ("t", "q", "a")
     caps = {"t": tmax, "q": qmax, "a": amax}
-    mono = lambda **e: TruncatedSeries.monomial(vars_, caps, e)
 
-    if qmax < rs:
+    if n and qmax < rs:
         raise RegionError(f"qmax={qmax} is smaller than r/s={rs}")
-    q_rs = mono(q=rs)
-    aq = mono(a=1, q=1)
-    br_tail = q_bracket(rs - 1, aq)
-    blockwise_ok = True
-    closed = {}
-    for k in range(tmax + 1):
-        quot, rem = divmod(k, rs)
-        partial = mono(a=1, q=quot * rs + 1)
-        closed[k] = (
-            q_bracket(quot + 1, q_rs)
-            + aq * br_tail * q_bracket(quot, q_rs)
-            + partial * q_bracket(rem, aq)
-        )
-        direct = TruncatedSeries(
-            vars_, caps, {(0, j, residue(j, rs)): 1 for j in range(k + 1)}
-        )
-        blockwise_ok &= equal_on(closed[k], direct)[0]
+    heights = _lattice_heights(vars_, caps, rs)
+    closed = {k: heights(k) for k in range(tmax + 1)}
+    direct = lambda k: TruncatedSeries(vars_, caps, {(0, j, residue(j, rs)): 1 for j in range(k + 1)})
+    blockwise_ok = all(equal_on(closed[k], direct(k))[0] for k in closed)
     lhs = _ksum(vars_, caps, closed.get, n, p)
 
     chain = [{"t": 1}, *_chain("t", "q", r, s, n, r, rs)]

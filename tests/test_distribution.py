@@ -6,6 +6,7 @@ verifiers built it before they used distribution.
 """
 
 import dataclasses
+import itertools
 import json
 import math
 import time
@@ -135,6 +136,24 @@ def test_rank_classes_cut_the_states(monkeypatch):
     distribution(make_group(6, 1, 1, 6), ("des", "fmaj", "col"), budget=10**8)
     assert len(sizes) == 5
     assert sum(sizes) <= 7098
+
+
+@pytest.mark.parametrize("r", range(1, 9))
+def test_move_table_follows_the_color_order(r):
+    # an entry (v, c) left of its neighbour (v1, c1), v and v1 being 0 < 1 in
+    # either order, adds d = r*[c = c1 and v > v1] + R_r(c - c1) units of
+    # lambda_i, R_{r/s}(c) of col and a desA iff it lies above in the color order
+    step, col, des_a = 1, 1 << 8, 1 << 16
+    for rs in (d for d in range(1, r + 1) if r % d == 0):
+        for colors in (rs, r):  # the last position and an inner one
+            rows, rise = stats._moves(r, rs, colors, step, col, des_a)
+            assert len(rows) == r and all(len(row) == colors for row in rows)
+            for c1, c in itertools.product(range(r), range(colors)):
+                for v, v1 in ((0, 1), (1, 0)):
+                    d = r * (c == c1 and v > v1) + (c - c1) % r
+                    descent = stats._key_color(v, c) > stats._key_color(v1, c1)
+                    fields = rows[c1][c] + (rise if c == c1 and v > v1 else 0)
+                    assert fields == d * step + c % rs * col + descent * des_a, (c1, c, v)
 
 
 def test_rank_classes_are_built_once_and_read_only():
