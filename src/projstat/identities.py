@@ -33,6 +33,7 @@ from .cyclotomic import CycInt, zeta_pow
 from .groups import (
     BudgetExceededError,
     canonicalize,
+    check_budget,
     enumerate_elements,
     enumeration_budget,
     format_window,
@@ -378,11 +379,19 @@ def _divide(series: TruncatedSeries, *monomials) -> TruncatedSeries:
 def _enumeration_side(vars_, caps, r, p, s, n, keys, chain, budget, lead=()):
     """(side, element count): the histogram of keys over G(r,p,s,n), laid out after the
     exponents lead, divided by 1 - M for M in chain; the caller validates r, p, s first.
-    G(r,p,s,0) is one element, all statistics 0; with a lead (u-graded) it is s, of none."""
+    G(r,p,s,0) is one element, all statistics 0; with a lead (u-graded) it is s, of none.
+
+    The histogram is built only within the caps of the variables its keys are laid out
+    in (the division moves terms only upward).  A lead past its caps makes the side 0:
+    the group is still made, the budget still checked and the elements still counted."""
     hist, count = {(0,) * len(keys): s if lead else 1}, 0 if lead else 1
     if n:
         group = make_group(r, p, s, n)
-        hist, count = distribution(group, keys, budget), group.order
+        if any(e > caps[v] for v, e in zip(vars_, lead)):
+            check_budget(group, budget)
+            return TruncatedSeries(vars_, caps), group.order
+        compared = {key: caps[v] for key, v in zip(keys, vars_[len(lead):])}
+        hist, count = distribution(group, keys, budget, compared), group.order
     side = TruncatedSeries(vars_, caps, {(*lead, *key): c for key, c in hist.items()})
     return _divide(side, *chain), count
 
@@ -391,12 +400,16 @@ def _ksum(vars_, caps, inner, n, p) -> TruncatedSeries:
     """The k-sum of t^k inner(k)^n over k <= caps["t"], extracted at q^p.
     inner(k) has no t and the same caps, so each summand's packed terms are
     moved to t^k whole, and the summands, in distinct t-degrees, are joined
-    without adding."""
+    without adding.  Once inner(k) is cut by the caps it stops changing,
+    and the power of the last k is reused."""
     pack = packing(vars_, caps)[0]
-    parts = []
+    parts, last, power = [], None, None
     for k in range(caps["t"] + 1):
+        term = inner(k)
+        if term.terms != last:
+            last, power = term.terms, term ** n
         t_k = pack({"t": k})
-        parts.append({key + t_k: coeff for key, coeff in (inner(k) ** n).terms.items()})
+        parts.append({key + t_k: coeff for key, coeff in power.terms.items()})
     return _joined(vars_, caps, parts).extract_multiples({"q": p})
 
 

@@ -259,7 +259,9 @@ def _rank_classes(n: int, m: int, period: int, inv: int):
     return tuple(spread), MappingProxyType(sizes), MappingProxyType(splits)
 
 
-def _moves(r: int, rs: int, colors: int, step: int, col: int, des_a: int) -> tuple[list, int]:
+def _moves(
+    r: int, rs: int, colors: int, step: int, col: int, des_a: int, neighbours: int | None = None
+) -> tuple[list, int]:
     """(rows, rise): ``rows[c1][c]`` holds the fields added by an entry of
     color c < ``colors`` placed below its neighbour, of color c1, in rank,
     and ``rise`` what an entry of color c1 adds on top of that when it lies
@@ -268,10 +270,40 @@ def _moves(r: int, rs: int, colors: int, step: int, col: int, des_a: int) -> tup
     In the color order an entry lies above its neighbour when it is below
     it in rank iff c < c1 (color 0 counting as the largest), and when it is
     above it in rank iff c <= c1.  ``step`` is what one unit of lambda_i
-    adds, and ``col`` and ``des_a`` the units of col and desA.
+    adds, and ``col`` and ``des_a`` the units of col and desA.  Only the
+    rows of the first ``neighbours`` colors c1 are built, all r by default.
     """
-    rows = [[(c - c1) % r * step + c % rs * col + (c < c1) * des_a for c in range(colors)] for c1 in range(r)]
+    c1s = range(r if neighbours is None else neighbours)
+    rows = [[(c - c1) % r * step + c % rs * col + (c < c1) * des_a for c in range(colors)] for c1 in c1s]
     return rows, r * step + des_a
+
+
+def _guard(fields) -> tuple[int, int]:
+    """(bias, guard) such that (acc + bias) & guard is 0 iff every capped
+    field of the packed int acc is at most its cap.
+
+    ``fields`` holds (shift, width, cap) per field: its values lie below
+    2**width, the bit above them is free, and cap is a nonnegative int or
+    None.  bias lifts each cap to just below that bit, which then guards it
+    (as in :func:`series.packing`).  A field whose cap every value meets
+    gets no guard, so the guard is 0 when no cap can drop anything.
+    """
+    bias = guard = 0
+    for shift, width, cap in fields:
+        if cap is not None and cap < (1 << width) - 1:
+            bias += ((1 << width) - 1 - cap) << shift
+            guard |= 1 << (shift + width)
+    return bias, guard
+
+
+def _lambda_cap(caps: dict, r: int, s: int) -> int | None:
+    """The largest lambda_1 whose fdes and des are within their caps in
+    ``caps`` (des = floor((s*lambda_1 + r - s)/r) grows with lambda_1), or
+    None when neither is capped."""
+    bounds = [caps["fdes"]] if "fdes" in caps else []
+    if "des" in caps:
+        bounds.append((r * caps["des"] + s - 1) // s)
+    return min(bounds, default=None)
 
 
 def _rank_step(states: dict, rows: list, rise: int, classes, mod: int, mask: int) -> dict:
@@ -299,7 +331,7 @@ def _rank_step(states: dict, rows: list, rise: int, classes, mod: int, mask: int
     return nxt
 
 
-def _rank_dp(group: GroupDescriptor, keys) -> Counter:
+def _rank_dp(group: GroupDescriptor, keys, caps=None) -> Counter:
     """The histogram of keys, no inverse key among them, by a right-to-left
     DP over relative ranks; no element is built.
 
@@ -336,27 +368,40 @@ def _rank_dp(group: GroupDescriptor, keys) -> Counter:
     number of ranks j taking it.  c = c1 splits each class by the side of
     j1 the rank falls on, weighted by the number of ranks behind each.
 
+    ``caps`` (see :func:`distribution`) bound fields that only grow: a
+    state with a field past its cap is dropped after each step, and the
+    leaves are cut alike, des and fdes through the lambda_1 field
+    (:func:`_lambda_cap`).  Without caps no state is checked.
+
     The work is polynomial in n and r, not proportional to the group order:
     B_10 (order 3.7*10^9) takes about 0.05 s for (des, fmaj, col) on one
     Xeon vCPU under Python 3.11.
     """
     r, p, s, n = group.r, group.p, group.s, group.n
     rs, want = r // s, set(keys)
-    w = (2 * r * n * n).bit_length()  # lambda_1 < 2rn, so fmaj < 2rn^2
+    # lambda_1 < 2rn, so fmaj < 2rn^2; the top bit of each field guards its cap
+    w = (2 * r * n * n).bit_length() + 1
     lam, fmaj, col, des_a, inv = (
         bool(want & names) << f * w
         for f, names in enumerate(({"des", "fdes"}, {"fmaj"}, {"col"}, {"desA"}, {"invAbs", "signAbs"}))
     )
+    caps = caps or {}
+    field_caps = (_lambda_cap(caps, r, s), *map(caps.get, ("fmaj", "col", "desA", "invAbs")))
+    bias, guard = _guard((f * w, w - 1, cap) for f, cap in enumerate(field_caps))
     mask = -1 if "invAbs" in want else (2 << 4 * w) - 1
     mod = r if "colorClass" in want else p
     # j * inv is kept whole for invAbs, mod 2 for signAbs, and is 0 otherwise
     period = n if "invAbs" in want else 2 if "signAbs" in want else 1
     states = {(0, 0, 0, 0): 1}  # the sentinel
     for i in range(n - 1, -1, -1):
-        rows, rise = _moves(r, rs, rs if i == n - 1 else r, lam + (i + 1) * fmaj, col, des_a)
+        # the last position takes colors below r/s, left of the sentinel's color 0
+        last = i == n - 1
+        rows, rise = _moves(r, rs, rs if last else r, lam + (i + 1) * fmaj, col, des_a, 1 if last else r)
         if not i:
             break
         states = _rank_step(states, rows, rise, _rank_classes(n, n - 1 - i, period, inv), mod, mask)
+        if guard:
+            states = {key: count for key, count in states.items() if not (key[3] + bias) & guard}
     # the first position
     _, sizes, splits = _rank_classes(n, n - 1, period, inv)
     folds = {}  # per class: its size, and (fields added, weight) for c = c1
@@ -393,6 +438,8 @@ def _rank_dp(group: GroupDescriptor, keys) -> Counter:
                         leaf[key] = get(key, 0) + count * weight
     low, get, hist = (1 << w) - 1, _getter(keys), {}
     for csum, leaf in enumerate(leaves):
+        if guard:
+            leaf = {acc: count for acc, count in leaf.items() if not (acc + bias) & guard}
         color_class = csum % r
         for acc, count in leaf.items():
             lam1, inv = acc & low, acc >> 4 * w
@@ -417,14 +464,16 @@ def _addable(shape: tuple) -> list[tuple]:
     return out
 
 
-def _tableau_dp(r: int, n: int, step_d: int, step_sum: int, first: bool) -> dict:
+def _tableau_dp(r: int, n: int, step_d: int, step_sum: int, first: bool, limits=()) -> dict:
     """Standard multi-tableaux with r components and n cells, by a forward DP.
 
     Position i goes to the end of a row of component c_i, and i < n is in
     D iff c_i < c_{i+1}, or c_i = c_{i+1} and i+1 goes to a strictly lower
     row than i.  A state is (multishape, c and row of the last position,
     c_1 if ``first`` else 0); it maps step_d*|D| + step_sum*sum(D) to the
-    number of tableaux.
+    number of tableaux.  |D| and sum(D) only grow, so a count is dropped
+    after a step once it passes every one of ``limits``, pairs (bias,
+    guard) of :func:`_guard`, and a state with no counts left goes with it.
     """
     empty = ((),) * r
     states = {(empty[:c] + ((1,),) + empty[c + 1:], c, 0, c * first): {0: 1} for c in range(r)}
@@ -441,6 +490,10 @@ def _tableau_dp(r: int, n: int, step_d: int, step_sum: int, first: bool) -> dict
                 for acc, count in counts.items():
                     target[acc + d] = target.get(acc + d, 0) + count
         states = nxt
+        if limits:
+            kept = {state: {acc: c for acc, c in counts.items() if any(not (acc + b) & g for b, g in limits)}
+                    for state, counts in nxt.items()}
+            states = {state: counts for state, counts in kept.items() if counts}
     return states
 
 
@@ -450,7 +503,7 @@ def _inverse_shape(shape: tuple) -> tuple:
     return shape[:1] + shape[:0:-1]
 
 
-def _tableau_pairs(group: GroupDescriptor, keys: tuple) -> Counter:
+def _tableau_pairs(group: GroupDescriptor, keys: tuple, caps=None) -> Counter:
     """The histogram of keys, inverse keys among them or not, by standard
     multi-tableaux; polynomial in n like :func:`_rank_dp`.
 
@@ -472,17 +525,35 @@ def _tableau_pairs(group: GroupDescriptor, keys: tuple) -> Counter:
     Taking only the Q whose position n has a color below r/s takes each
     class of G(r,p,s,n) once, by its canonical lift.  The tableaux do not
     see inv|g|, so a record holds None for invAbs and signAbs.
+
+    ``caps`` (see :func:`distribution`) cut each side's histograms before
+    their products, and prune the DP, which feeds both sides, with lower
+    bounds of the records by |D| and sum(D).  A canonical Q has c_n < r/s,
+    so lambda_1 >= r|D| and fmaj >= r*sum(D).  P reads every lift, where
+    c_n - R_{r/s}(c_n) <= r - r/s, so lambda_1 >= r|D| - (r - r/s) and
+    fmaj >= r*sum(D) - n(r - r/s).  A tableau is dropped once it passes the
+    bounds of both sides; a side without caps keeps every tableau.
     """
     r, p, s, n = group.r, group.p, group.s, group.n
     rs = r // s
     read = {INVERSE_KEYS.get(key, key) for key in keys}
-    w = n.bit_length()  # |D| < n
-    states = _tableau_dp(
-        r, n, int(bool(read & {"des", "fdes", "desA"})), int("fmaj" in read) << w, bool(read & {"des", "fdes"})
-    )
+    w = n.bit_length() + 1  # |D| < n; the top bit guards its cap
     own = [key for key in keys if key not in INVERSE_KEYS]
     inverse = [key for key in keys if key in INVERSE_KEYS]
     inv = [INVERSE_KEYS[key] for key in inverse]
+    caps = caps or {}
+    limits = []
+    for side, slack in ((own, 0), (inverse, r - rs)):
+        side_caps = {INVERSE_KEYS.get(key, key): caps[key] for key in side if key in caps}
+        lam1 = _lambda_cap(side_caps, r, s)
+        bounds = [(lam1 + slack) // r] if lam1 is not None else []
+        bounds += [side_caps["desA"]] if "desA" in side_caps else []
+        fmaj = (side_caps["fmaj"] + n * slack) // r if "fmaj" in side_caps else None
+        limits.append(_guard(((0, w - 1, min(bounds, default=None)), (w, (n * n).bit_length(), fmaj))))
+    states = _tableau_dp(
+        r, n, int(bool(read & {"des", "fdes", "desA"})), int("fmaj" in read) << w, bool(read & {"des", "fdes"}),
+        tuple(set(limits)) if all(guard for _, guard in limits) else (),
+    )
     own_get, inv_get = _getter(own), _getter(inv)
     # with s = 1 every Q is canonical, and g's keys may be read as g^-1's
     shared = s == 1 and own == inv
@@ -509,10 +580,15 @@ def _tableau_pairs(group: GroupDescriptor, keys: tuple) -> Counter:
             if left is not None:
                 a = own_get(rec)
                 left[a] = left.get(a, 0) + count
+    own_caps = [(i, caps[key]) for i, key in enumerate(own) if key in caps]
+    inv_caps = [(i, caps[key]) for i, key in enumerate(inverse) if key in caps]
+    within = lambda hist, bounds: {v: c for v, c in hist.items() if all(v[i] <= cap for i, cap in bounds)}
     pairs = {}
     for shape, left in canonical.items():
         if sums[shape][0] % p == 0:
             right = every[_inverse_shape(shape)]
+            if caps:
+                left, right = within(left, own_caps), within(right, inv_caps)
             for a, x in left.items():
                 row = pairs.setdefault(a, {})
                 for b, y in right.items():
@@ -521,7 +597,25 @@ def _tableau_pairs(group: GroupDescriptor, keys: tuple) -> Counter:
     return Counter({order(a + b): count for a, row in pairs.items() for b, count in row.items()})
 
 
-def distribution(group: GroupDescriptor, keys, budget: int | None = None) -> Counter:
+def _largest(group: GroupDescriptor) -> dict:
+    """A bound on the values of each key that takes a cap, over the group.
+
+    With D the descents of g other than 0 (|D| <= n-1, sum(D) <= n(n-1)/2),
+    lambda_1 = r|D| + c_1 - c_n + R_{r/s}(c_n) <= rn - 1 and fmaj = r*sum(D)
+    + sum_i c_i - n*c_n + n*R_{r/s}(c_n) <= rn(n-1)/2 + (r-1)n (see
+    :func:`_tableau_pairs`); des grows with lambda_1, and the statistics
+    of g^-1 share the bounds of g's.
+    """
+    r, s, n = group.r, group.s, group.n
+    fdes = r * n - 1
+    bounds = {
+        "des": (s * fdes + r - s) // r, "fdes": fdes, "fmaj": r * n * (n - 1) // 2 + (r - 1) * n,
+        "col": n * (r // s - 1), "desA": n - 1, "invAbs": n * (n - 1) // 2,
+    }
+    return bounds | {key: bounds[base] for key, base in INVERSE_KEYS.items()}
+
+
+def distribution(group: GroupDescriptor, keys, budget: int | None = None, caps=None) -> Counter:
     """Histogram of the named statistics over the whole group.
 
     Maps each tuple of values of ``keys`` to the number of elements that
@@ -533,9 +627,20 @@ def distribution(group: GroupDescriptor, keys, budget: int | None = None) -> Cou
     no element is built: :func:`_tableau_pairs` makes it when the keys hold
     an inverse key and :func:`_rank_dp` otherwise.
 
-    Raises ValueError for any other key or pairing, and BudgetExceededError
-    (before any work) when the group order exceeds the budget; for the DPs
-    that order is a loose bound on the work.
+    ``caps`` maps some of the keys to the largest value compared; the
+    histogram then holds only the tuples within every cap, which is the
+    reference restricted to the caps.  Every key but ``signAbs`` and
+    ``colorClass`` takes a cap.  Each of them is read off fields that a DP
+    step only adds to, so a DP state whose field has passed a cap makes no
+    tuple within the caps, and the kernels drop it at once.  A cap at or
+    above the bound of :func:`_largest` cuts nothing and is left out, and
+    without caps the kernels check no state.  A caller that divides the
+    histogram by factors 1 - M of nonnegative exponents loses nothing by
+    the caps, since the division only moves terms upward.
+
+    Raises ValueError for any other key, pairing or cap, and
+    BudgetExceededError (before any work) when the group order exceeds the
+    budget; for the DPs that order is a loose bound on the work.
     """
     keys = tuple(keys)
     for key in keys:
@@ -547,8 +652,17 @@ def distribution(group: GroupDescriptor, keys, budget: int | None = None) -> Cou
     paired = any(key in INVERSE_KEYS for key in keys)
     if paired and ("invAbs" in keys or "signAbs" in keys):
         raise ValueError("invAbs and signAbs do not pair with statistics of g^-1")
+    if caps:
+        largest = _largest(group)
+        for key, cap in caps.items():
+            if key not in keys or key not in largest:
+                raise ValueError(f"no cap on {key!r}: a cap goes on one of the keys, not on signAbs or colorClass")
+            if not isinstance(cap, int) or cap < 0:
+                raise ValueError(f"the cap on {key!r} must be a nonnegative int, got {cap!r}")
+        # a cap that no element passes cuts nothing, and is not checked
+        caps = {key: cap for key, cap in caps.items() if cap < largest[key]}
     check_budget(group, budget)
-    return (_tableau_pairs if paired else _rank_dp)(group, keys)
+    return (_tableau_pairs if paired else _rank_dp)(group, keys, caps)
 
 
 def fmaj_prime(g: ProjectiveElement) -> int:

@@ -6,6 +6,7 @@ verifiers built it before they used distribution.
 """
 
 import dataclasses
+import functools
 import itertools
 import json
 import math
@@ -26,6 +27,7 @@ from projstat.groups import (
     inverse,
     make_group,
 )
+from projstat.series import TruncatedSeries
 from projstat.stats import des_set, distribution, stat_record
 
 # every key tuple a verifier or the CLI asks for, then all keys at once
@@ -286,6 +288,25 @@ def test_inverse_verifiers_match_past_enumeration(name, params, ranked):
     assert (report.outcome, report.element_count) == (identities.MATCH, ranked)
 
 
+def test_capped_histograms_reach_past_enumeration():
+    started = time.perf_counter()
+    report = identities.verify_carlitz_des(2, n=20, tmax=8, qmax=8, budget=10**30)
+    assert time.perf_counter() - started < 1
+    assert (report.outcome, report.element_count) == (identities.MATCH, make_group(2, 1, 1, 20).order)
+    started = time.perf_counter()
+    hist = distribution(make_group(2, 1, 1, 20), ("fmaj", "ifmaj"), 10**30, {"fmaj": 10, "ifmaj": 10})
+    assert time.perf_counter() - started < 1
+    # g -> g^-1 swaps fmaj and ifmaj, and only the identity has fmaj 0
+    assert hist == Counter({(b, a): count for (a, b), count in hist.items()})
+    assert [(key, count) for key, count in hist.items() if key[0] == 0] == [((0, 0), 1)]
+    assert max(max(key) for key in hist) == 10
+    # the same histograms of B_1..B_20 against the Hilbert series' closed form
+    started = time.perf_counter()
+    report = identities.verify_hilbert(2, nmax=20, qmax=10, budget=10**30)
+    assert time.perf_counter() - started < 10
+    assert report.matched
+
+
 def test_stats_dist_past_enumeration(capsys):
     argv = ["--budget", "10000000000", "stats", "G(2,1,1,10)", "--dist", "--format", "json"]
     assert cli.main(argv) == 0
@@ -327,14 +348,124 @@ def test_inversions_do_not_pair_with_inverse_keys(keys):
 
 
 # ----------------------------------------------------------------------
+# caps: the histogram within the caps, by kernels that drop what passes them
+
+# key tuples holding every key that takes a cap, with and without inverse keys
+CAPPED_KEY_TUPLES = [
+    ("des", "fmaj", "col"),
+    ("fdes", "fmaj", "col"),
+    ("des", "fdes", "fmaj", "col", "desA", "invAbs"),
+    ("des", "ides", "fmaj", "ifmaj", "col", "icol"),
+    ("fmaj", "ifmaj"),
+    ("fdes", "desA", "ides", "ifmaj", "icol"),
+]
+
+
+@functools.lru_cache(maxsize=1)
+def _records(group):
+    return [(stat_record(g), stat_record(inverse(g))) for g in enumerate_elements(group)]
+
+
+@functools.lru_cache(maxsize=len(CAPPED_KEY_TUPLES))
+def _reference(group, keys):
+    return Counter(tuple(_value(rec, irec, key) for key in keys) for rec, irec in _records(group))
+
+
+@pytest.mark.parametrize("group", GROUPS, ids=str)
+@settings(max_examples=6, deadline=None)
+@given(data=st.data())
+def test_capped_kernels_match_the_reference_within_the_caps(group, data):
+    keys = data.draw(st.sampled_from(CAPPED_KEY_TUPLES))
+    reference = _reference(group, keys)
+    largest = [max(values[i] for values in reference) for i in range(len(keys))]
+    # distribution skips the caps at or above these bounds
+    assert all(value <= stats._largest(group)[key] for key, value in zip(keys, largest))
+    caps = {
+        key: data.draw(st.integers(0, largest[keys.index(key)] + 1), label=key)
+        for key in data.draw(st.lists(st.sampled_from(keys), unique=True), label="capped")
+    }
+    within = Counter({
+        values: count for values, count in reference.items()
+        if all(values[keys.index(key)] <= cap for key, cap in caps.items())
+    })
+    paired = any(key in stats.INVERSE_KEYS for key in keys)
+    kernels = [stats._tableau_pairs] * ("invAbs" not in keys) + [stats._rank_dp] * (not paired)
+    for kernel in kernels:
+        assert kernel(group, keys, caps) == within, kernel.__name__
+    assert distribution(group, keys, caps=caps) == within
+
+
+@pytest.mark.parametrize("caps", [{"signAbs": 0}, {"colorClass": 1}, {"col": 2}, {"fmaj": -1}, {"fmaj": 2.5}])
+def test_caps_refused_where_they_cannot_prune(caps):
+    # signAbs and colorClass do not grow along the DPs, col is not a key here
+    with pytest.raises(ValueError, match=next(iter(caps))):
+        distribution(make_group(2, 1, 1, 2), ("fmaj", "signAbs", "colorClass"), caps=caps)
+
+
+def _pruned_one_lower(real):
+    """distribution, pruning one below every cap it is passed."""
+
+    def mutant(group, keys, budget=None, caps=None):
+        return real(group, keys, budget, {key: cap - 1 for key, cap in caps.items()})
+
+    return mutant
+
+
+@pytest.mark.parametrize("name", ["carlitz-des", "carlitz-fdes", "fdes-trivariate", "six-stats", "hilbert"])
+def test_verifiers_report_mismatch_when_pruned_one_below_the_caps(monkeypatch, name):
+    verifier = identities.VERIFIERS[name]
+    assert verifier(2).matched
+    monkeypatch.setattr(identities, "distribution", _pruned_one_lower(distribution))
+    report = verifier(2)
+    assert report.outcome == identities.MISMATCH
+    # the lost terms lie at a cap, and the chain divisions move them only upward
+    monomial = report.first_mismatch["monomial"]
+    assert any(exp == report.region[var] for var, exp in monomial.items()), monomial
+
+
+def test_six_stats_builds_no_histogram_past_the_u_cap(monkeypatch):
+    built = []
+
+    def recording(group, keys, budget=None, caps=None):
+        built.append(group.n)
+        return distribution(group, keys, budget, caps)
+
+    monkeypatch.setattr(identities, "distribution", recording)
+    report = identities.verify_six_stats(2, 1, 1, nmax=4, umax=3)
+    # rank 4 lies past u^3, yet its 384 elements are still counted
+    assert (report.outcome, report.element_count) == (identities.MATCH, 442)
+    assert built == [1, 2, 3]
+    # and the budget still refuses it, after ranks 1..3
+    built.clear()
+    with pytest.raises(BudgetExceededError):
+        identities.verify_six_stats(2, 1, 1, nmax=4, umax=3, budget=383)
+    assert built == [1, 2, 3]
+
+
+def test_k_sum_reuses_the_power_of_a_cut_inner_sum(monkeypatch):
+    # at r/s = 4 and qmax = 8 the lattice heights 4k stop growing at k = 2,
+    # so 3 of the 9 powers are taken
+    powers = []
+    real = TruncatedSeries.__pow__
+
+    def counting(series, exponent):
+        powers.append(exponent)
+        return real(series, exponent)
+
+    monkeypatch.setattr(TruncatedSeries, "__pow__", counting)
+    assert identities.verify_carlitz_des(4, n=2, tmax=8, qmax=8).matched
+    assert powers == [2, 2, 2]
+
+
+# ----------------------------------------------------------------------
 # negative controls: a wrong histogram must show in the verdict
 
 def _shifted(real):
     """distribution, with one element moved from the smallest key to the key
     one higher in its last statistic."""
 
-    def perturbed(group, keys, budget=None):
-        hist = real(group, keys, budget)
+    def perturbed(group, keys, budget=None, caps=None):
+        hist = real(group, keys, budget, caps)
         first = min(hist)
         hist[first] -= 1
         hist[first[:-1] + (first[-1] + 1,)] += 1
@@ -370,8 +501,8 @@ def _moved(real, key, to):
     """distribution, with one element of the smallest key moved to the value
     ``to`` gives in the statistic ``key``, when the keys hold it."""
 
-    def perturbed(group, keys, budget=None):
-        hist = real(group, keys, budget)
+    def perturbed(group, keys, budget=None, caps=None):
+        hist = real(group, keys, budget, caps)
         if key in keys:
             at, first = keys.index(key), min(hist)
             hist[first] -= 1

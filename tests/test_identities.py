@@ -393,9 +393,9 @@ def test_hilbert_with_p_equal_s_enumerates_each_rank_once(monkeypatch):
 
     calls = []
 
-    def counting(group, keys, budget=None):
+    def counting(group, keys, budget=None, caps=None):
         calls.append(group)
-        return distribution(group, keys, budget)
+        return distribution(group, keys, budget, caps)
 
     monkeypatch.setattr(identities, "distribution", counting)
     report = verify_hilbert(2, 1, 1, nmax=3, qmax=8)
@@ -467,16 +467,17 @@ def test_hilbert_walks_each_needed_residue_once(monkeypatch, r, p, s, needed):
 
 
 def test_lattice_products_cost_one_division_per_point_and_row_bound(monkeypatch):
-    # six-stats applies 105 lattice points and divides by 22 chain factors
-    # (20 in the ranks' chains, then (1-t1)(1-t2) once for all ranks; 30 when
-    # every rank divided by them), hilbert 169 points and 24 chain factors;
-    # built per block and class, they were 355 and 448 divisions
+    # six-stats applies 105 lattice points and divides by 14 chain factors
+    # (12 in the chains of ranks 1..3, then (1-t1)(1-t2) once for all ranks;
+    # 30 when every rank divided by them, 22 when rank 4, past u^3, was
+    # divided too), hilbert 169 points and 24 chain factors; built per block
+    # and class, they were 355 and 448 divisions
     points, divisions = [], []
     real_layers, real_divide = identities._divide_layers, identities.geom_divide
     monkeypatch.setattr(identities, "_divide_layers", lambda *a: points.append(1) or real_layers(*a))
     monkeypatch.setattr(identities, "geom_divide", lambda *a: divisions.append(1) or real_divide(*a))
     assert verify_six_stats(2, 1, 1, nmax=4, tmax=4, qmax=12).matched
-    assert (len(points), len(divisions)) == (105, 22)
+    assert (len(points), len(divisions)) == (105, 14)
     points.clear()
     divisions.clear()
     assert verify_hilbert(2, 2, 1, nmax=3, qmax=12).matched
