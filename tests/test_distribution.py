@@ -6,7 +6,6 @@ verifiers built it before they used distribution.
 """
 
 import dataclasses
-import functools
 import itertools
 import json
 import math
@@ -81,14 +80,51 @@ def _value(rec, irec, key):
     return getattr(rec, key)
 
 
+# key tuples holding every key that takes a cap, with and without inverse keys
+CAPPED_KEY_TUPLES = [
+    ("des", "fmaj", "col"),
+    ("fdes", "fmaj", "col"),
+    ("des", "fdes", "fmaj", "col", "desA", "invAbs"),
+    ("des", "ides", "fmaj", "ifmaj", "col", "icol"),
+    ("fmaj", "ifmaj"),
+    ("fdes", "desA", "ides", "ifmaj", "icol"),
+]
+
+
 @pytest.mark.parametrize("group", GROUPS, ids=str)
 def test_distribution_matches_stat_record(group):
     records = [(stat_record(g), stat_record(inverse(g))) for g in enumerate_elements(group)]
+
+    def reference(keys):
+        return Counter(tuple(_value(rec, irec, key) for key in keys) for rec, irec in records)
+
     for keys in KEY_TUPLES:
-        reference = Counter(
-            tuple(_value(rec, irec, key) for key in keys) for rec, irec in records
-        )
-        assert distribution(group, keys) == reference, keys
+        assert distribution(group, keys) == reference(keys), keys
+
+    # within caps, from none cut to all cut, or past every packed field:
+    # the reference restricted to the caps, from both kernels that apply
+    @settings(max_examples=6, deadline=None)
+    @given(st.sampled_from(CAPPED_KEY_TUPLES), st.data())
+    def within_caps(keys, data):
+        whole = reference(keys)
+        top = {key: max(values[i] for values in whole) for i, key in enumerate(keys)}
+        # distribution skips the caps at or above these bounds
+        assert all(top[key] <= bound for key, bound in stats._largest(group).items() if key in keys)
+        caps = {
+            key: data.draw(st.integers(0, top[key] + 1) | st.integers(top[key], 10**9), label=key)
+            for key in data.draw(st.lists(st.sampled_from(keys), unique=True), label="capped")
+        }
+        within = Counter({
+            values: count for values, count in whole.items()
+            if all(values[keys.index(key)] <= cap for key, cap in caps.items())
+        })
+        paired = any(key in stats.INVERSE_KEYS for key in keys)
+        kernels = [stats._tableau_pairs] * ("invAbs" not in keys) + [stats._rank_dp] * (not paired)
+        for kernel in kernels:
+            assert kernel(group, keys, caps) == within, kernel.__name__
+        assert distribution(group, keys, caps=caps) == within
+
+    within_caps()
 
 
 # key tuples without inverse keys, which both kernels build: what the
@@ -345,54 +381,6 @@ def test_inversions_do_not_pair_with_inverse_keys(keys):
     # the tableaux of g and g^-1 do not see inv|g|
     with pytest.raises(ValueError, match=keys[0]):
         distribution(make_group(2, 1, 1, 2), keys)
-
-
-# ----------------------------------------------------------------------
-# caps: the histogram within the caps, by kernels that drop what passes them
-
-# key tuples holding every key that takes a cap, with and without inverse keys
-CAPPED_KEY_TUPLES = [
-    ("des", "fmaj", "col"),
-    ("fdes", "fmaj", "col"),
-    ("des", "fdes", "fmaj", "col", "desA", "invAbs"),
-    ("des", "ides", "fmaj", "ifmaj", "col", "icol"),
-    ("fmaj", "ifmaj"),
-    ("fdes", "desA", "ides", "ifmaj", "icol"),
-]
-
-
-@functools.lru_cache(maxsize=1)
-def _records(group):
-    return [(stat_record(g), stat_record(inverse(g))) for g in enumerate_elements(group)]
-
-
-@functools.lru_cache(maxsize=len(CAPPED_KEY_TUPLES))
-def _reference(group, keys):
-    return Counter(tuple(_value(rec, irec, key) for key in keys) for rec, irec in _records(group))
-
-
-@pytest.mark.parametrize("group", GROUPS, ids=str)
-@settings(max_examples=6, deadline=None)
-@given(data=st.data())
-def test_capped_kernels_match_the_reference_within_the_caps(group, data):
-    keys = data.draw(st.sampled_from(CAPPED_KEY_TUPLES))
-    reference = _reference(group, keys)
-    largest = [max(values[i] for values in reference) for i in range(len(keys))]
-    # distribution skips the caps at or above these bounds
-    assert all(value <= stats._largest(group)[key] for key, value in zip(keys, largest))
-    caps = {
-        key: data.draw(st.integers(0, largest[keys.index(key)] + 1), label=key)
-        for key in data.draw(st.lists(st.sampled_from(keys), unique=True), label="capped")
-    }
-    within = Counter({
-        values: count for values, count in reference.items()
-        if all(values[keys.index(key)] <= cap for key, cap in caps.items())
-    })
-    paired = any(key in stats.INVERSE_KEYS for key in keys)
-    kernels = [stats._tableau_pairs] * ("invAbs" not in keys) + [stats._rank_dp] * (not paired)
-    for kernel in kernels:
-        assert kernel(group, keys, caps) == within, kernel.__name__
-    assert distribution(group, keys, caps=caps) == within
 
 
 @pytest.mark.parametrize("caps", [{"signAbs": 0}, {"colorClass": 1}, {"col": 2}, {"fmaj": -1}, {"fmaj": 2.5}])
