@@ -38,19 +38,23 @@ class RegionError(ValueError):
 
 
 @functools.lru_cache
-def _layout(caps: tuple[int, ...]) -> tuple[tuple[tuple[int, int], ...], int, int]:
+def _layout(
+    caps: tuple[int, ...], bounds: tuple[int, ...] | None = None
+) -> tuple[tuple[tuple[int, int], ...], int, int]:
     """The (shift, mask) field of each variable, BIAS and GUARD under caps.
 
-    Variable i gets caps[i].bit_length() + 1 bits, the top one its guard
-    bit, and BIAS lifts each cap to just below its guard.  A sum k of two
-    packed vectors within the caps carries into no other field, and lies
-    within the caps iff (k + BIAS) & GUARD == 0.
+    Field i holds the values up to bounds[i] (caps[i] by default) in
+    bounds[i].bit_length() bits, with a guard bit above them, and BIAS lifts
+    each cap, taken at most its bound, to just below its guard.  A sum k of
+    packed vectors that stays within the bounds, or of two within the caps,
+    carries into no other field, and lies within the caps iff
+    (k + BIAS) & GUARD == 0.
     """
     fields, bias, guard, shift = [], 0, 0, 0
-    for cap in caps:
-        bits = cap.bit_length()
+    for cap, bound in zip(caps, bounds or caps):
+        bits = bound.bit_length()
         fields.append((shift, (2 << bits) - 1))
-        bias += ((1 << bits) - 1 - cap) << shift
+        bias += ((1 << bits) - 1 - min(cap, bound)) << shift
         guard += 1 << (shift + bits)
         shift += bits + 1
     return tuple(fields), bias, guard

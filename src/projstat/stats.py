@@ -38,6 +38,7 @@ from .groups import (
     check_budget,
     residue,
 )
+from .series import _layout
 
 COLOR = "COLOR"
 PRIME = "PRIME"
@@ -278,32 +279,14 @@ def _moves(
     return rows, r * step + des_a
 
 
-def _guard(fields) -> tuple[int, int]:
-    """(bias, guard) such that (acc + bias) & guard is 0 iff every capped
-    field of the packed int acc is at most its cap.
-
-    ``fields`` holds (shift, width, cap) per field: its values lie below
-    2**width, the bit above them is free, and cap is a nonnegative int or
-    None.  bias lifts each cap to just below that bit, which then guards it
-    (as in :func:`series.packing`).  A field whose cap every value meets
-    gets no guard, so the guard is 0 when no cap can drop anything.
-    """
-    bias = guard = 0
-    for shift, width, cap in fields:
-        if cap is not None and cap < (1 << width) - 1:
-            bias += ((1 << width) - 1 - cap) << shift
-            guard |= 1 << (shift + width)
-    return bias, guard
-
-
-def _lambda_cap(caps: dict, r: int, s: int) -> int | None:
-    """The largest lambda_1 whose fdes and des are within their caps in
-    ``caps`` (des = floor((s*lambda_1 + r - s)/r) grows with lambda_1), or
-    None when neither is capped."""
-    bounds = [caps["fdes"]] if "fdes" in caps else []
+def _lambda_cap(caps: dict, r: int, s: int, top: int) -> int:
+    """The largest lambda_1, at most ``top``, whose fdes and des are within
+    their caps in ``caps`` (des = floor((s*lambda_1 + r - s)/r) grows with
+    lambda_1)."""
+    bounds = [top, caps.get("fdes", top)]
     if "des" in caps:
         bounds.append((r * caps["des"] + s - 1) // s)
-    return min(bounds, default=None)
+    return min(bounds)
 
 
 def _rank_step(states: dict, rows: list, rise: int, classes, mod: int, mask: int) -> dict:
@@ -350,8 +333,9 @@ def _rank_dp(group: GroupDescriptor, keys, caps=None) -> Counter:
     i*d over positions i (1-based).  A sentinel neighbour of color 0 above
     every value makes the last position fit, and that position takes only
     colors below r/s.  A state is (class of j1, c1, color sum mod r or p,
-    the fields packed w bits apart); a field no key reads stays 0, and inv
-    is kept mod 2 for signAbs alone.
+    the fields packed by :func:`series._layout`, each sized by its bound in
+    :func:`_largest`); a field no key reads stays 0, and inv is kept mod 2
+    for signAbs alone.
 
     A step to a color c != c1 is decided by the colors alone, so the rank
     j it takes matters only through j * inv: it makes one state per rank
@@ -371,7 +355,9 @@ def _rank_dp(group: GroupDescriptor, keys, caps=None) -> Counter:
     ``caps`` (see :func:`distribution`) bound fields that only grow: a
     state with a field past its cap is dropped after each step, and the
     leaves are cut alike, des and fdes through the lambda_1 field
-    (:func:`_lambda_cap`).  Without caps no state is checked.
+    (:func:`_lambda_cap`).  A cap is taken at most its field's bound, and
+    an uncapped field is checked against its bound, which no state passes.
+    Without caps no state is checked.
 
     The work is polynomial in n and r, not proportional to the group order:
     B_10 (order 3.7*10^9) takes about 0.05 s for (des, fmaj, col) on one
@@ -379,16 +365,17 @@ def _rank_dp(group: GroupDescriptor, keys, caps=None) -> Counter:
     """
     r, p, s, n = group.r, group.p, group.s, group.n
     rs, want = r // s, set(keys)
-    # lambda_1 < 2rn, so fmaj < 2rn^2; the top bit of each field guards its cap
-    w = (2 * r * n * n).bit_length() + 1
+    # the fields lambda_1, fmaj, col, desA and inv
+    largest, names, caps = _largest(group), ("fmaj", "col", "desA", "invAbs"), caps or {}
+    bounds = (largest["fdes"], *map(largest.get, names))
+    field_caps = (_lambda_cap(caps, r, s, bounds[0]), *(caps.get(key, largest[key]) for key in names))
+    fields, bias, guard = _layout(field_caps, bounds)
+    (_, low), (at_fmaj, in_fmaj), (at_col, in_col), (at_des_a, in_des_a), (at_inv, _) = fields
     lam, fmaj, col, des_a, inv = (
-        bool(want & names) << f * w
-        for f, names in enumerate(({"des", "fdes"}, {"fmaj"}, {"col"}, {"desA"}, {"invAbs", "signAbs"}))
+        bool(want & names) << shift
+        for (shift, _), names in zip(fields, ({"des", "fdes"}, {"fmaj"}, {"col"}, {"desA"}, {"invAbs", "signAbs"}))
     )
-    caps = caps or {}
-    field_caps = (_lambda_cap(caps, r, s), *map(caps.get, ("fmaj", "col", "desA", "invAbs")))
-    bias, guard = _guard((f * w, w - 1, cap) for f, cap in enumerate(field_caps))
-    mask = -1 if "invAbs" in want else (2 << 4 * w) - 1
+    mask = -1 if "invAbs" in want else (2 << at_inv) - 1
     mod = r if "colorClass" in want else p
     # j * inv is kept whole for invAbs, mod 2 for signAbs, and is 0 otherwise
     period = n if "invAbs" in want else 2 if "signAbs" in want else 1
@@ -400,7 +387,7 @@ def _rank_dp(group: GroupDescriptor, keys, caps=None) -> Counter:
         if not i:
             break
         states = _rank_step(states, rows, rise, _rank_classes(n, n - 1 - i, period, inv), mod, mask)
-        if guard:
+        if caps:
             states = {key: count for key, count in states.items() if not (key[3] + bias) & guard}
     # the first position
     _, sizes, splits = _rank_classes(n, n - 1, period, inv)
@@ -436,24 +423,26 @@ def _rank_dp(group: GroupDescriptor, keys, caps=None) -> Counter:
                     for acc, count in bucket.items():
                         key = (acc + shift) & mask
                         leaf[key] = get(key, 0) + count * weight
-    low, get, hist = (1 << w) - 1, _getter(keys), {}
+    get, hist = _getter(keys), {}
     for csum, leaf in enumerate(leaves):
-        if guard:
+        if caps:
             leaf = {acc: count for acc, count in leaf.items() if not (acc + bias) & guard}
         color_class = csum % r
         for acc, count in leaf.items():
-            lam1, inv = acc & low, acc >> 4 * w
+            lam1, inv = acc & low, acc >> at_inv
             # laid out as DISTRIBUTION_KEYS
-            rec = ((s * lam1 + r - s) // r, lam1, acc >> w & low, acc >> 2 * w & low, acc >> 3 * w & low,
-                   inv, -1 if inv & 1 else 1, color_class)
+            rec = ((s * lam1 + r - s) // r, lam1, acc >> at_fmaj & in_fmaj, acc >> at_col & in_col,
+                   acc >> at_des_a & in_des_a, inv, -1 if inv & 1 else 1, color_class)
             key = get(rec)
             hist[key] = hist.get(key, 0) + count
     return Counter(hist)
 
 
-def _addable(shape: tuple) -> list[tuple]:
+@functools.cache
+def _addable(shape: tuple) -> tuple[tuple, ...]:
     """(c, row, shape with a cell added at the end of that row of component c)
-    for every cell that keeps each component a partition."""
+    for every cell that keeps each component a partition; built once per
+    shape."""
     out = []
     for c, part in enumerate(shape):
         for row in range(len(part) + 1):
@@ -461,37 +450,36 @@ def _addable(shape: tuple) -> list[tuple]:
             if row == 0 or part[row - 1] > size:
                 grown = part[:row] + (size + 1,) + part[row + 1:]
                 out.append((c, row, shape[:c] + (grown,) + shape[c + 1:]))
-    return out
+    return tuple(out)
 
 
-def _tableau_dp(r: int, n: int, step_d: int, step_sum: int, first: bool, limits=()) -> dict:
+def _tableau_dp(r: int, n: int, step_d: int, step_sum: int, first: bool, limit=None) -> dict:
     """Standard multi-tableaux with r components and n cells, by a forward DP.
 
     Position i goes to the end of a row of component c_i, and i < n is in
     D iff c_i < c_{i+1}, or c_i = c_{i+1} and i+1 goes to a strictly lower
     row than i.  A state is (multishape, c and row of the last position,
     c_1 if ``first`` else 0); it maps step_d*|D| + step_sum*sum(D) to the
-    number of tableaux.  |D| and sum(D) only grow, so a count is dropped
-    after a step once it passes every one of ``limits``, pairs (bias,
-    guard) of :func:`_guard`, and a state with no counts left goes with it.
+    number of tableaux.  |D| and sum(D) only grow, so with a ``limit``, the
+    (bias, guard) of a box by :func:`series._layout`, a count is dropped
+    after a step once it passes the box, and a state with no counts left
+    goes with it.
     """
     empty = ((),) * r
     states = {(empty[:c] + ((1,),) + empty[c + 1:], c, 0, c * first): {0: 1} for c in range(r)}
-    moves = {}
     for i in range(1, n):
         step = step_d + i * step_sum
         nxt = {}
         for (shape, c, row, c1), counts in states.items():
-            if shape not in moves:
-                moves[shape] = _addable(shape)
-            for c2, row2, shape2 in moves[shape]:
+            for c2, row2, shape2 in _addable(shape):
                 target = nxt.setdefault((shape2, c2, row2, c1), {})
                 d = step if c < c2 or (c == c2 and row2 > row) else 0
                 for acc, count in counts.items():
                     target[acc + d] = target.get(acc + d, 0) + count
         states = nxt
-        if limits:
-            kept = {state: {acc: c for acc, c in counts.items() if any(not (acc + b) & g for b, g in limits)}
+        if limit:
+            bias, guard = limit
+            kept = {state: {acc: c for acc, c in counts.items() if not (acc + bias) & guard}
                     for state, counts in nxt.items()}
             states = {state: counts for state, counts in kept.items() if counts}
     return states
@@ -528,31 +516,35 @@ def _tableau_pairs(group: GroupDescriptor, keys: tuple, caps=None) -> Counter:
 
     ``caps`` (see :func:`distribution`) cut each side's histograms before
     their products, and prune the DP, which feeds both sides, with lower
-    bounds of the records by |D| and sum(D).  A canonical Q has c_n < r/s,
-    so lambda_1 >= r|D| and fmaj >= r*sum(D).  P reads every lift, where
-    c_n - R_{r/s}(c_n) <= r - r/s, so lambda_1 >= r|D| - (r - r/s) and
-    fmaj >= r*sum(D) - n(r - r/s).  A tableau is dropped once it passes the
-    bounds of both sides; a side without caps keeps every tableau.
+    bounds of the records by |D| and sum(D), packed by
+    :func:`series._layout` in fields sized by |D| <= n-1 and sum(D) <=
+    n(n-1)/2.  A canonical Q has c_n < r/s, so lambda_1 >= r|D| and fmaj >=
+    r*sum(D).  P reads every lift, where c_n - R_{r/s}(c_n) <= r - r/s, so
+    lambda_1 >= r|D| - (r - r/s) and fmaj >= r*sum(D) - n(r - r/s).  Each
+    side's caps bound |D| and sum(D) by a box, and a tableau is dropped
+    once it passes the looser of the two boxes, field by field; a side
+    without caps keeps every tableau.
     """
     r, p, s, n = group.r, group.p, group.s, group.n
     rs = r // s
     read = {INVERSE_KEYS.get(key, key) for key in keys}
-    w = n.bit_length() + 1  # |D| < n; the top bit guards its cap
     own = [key for key in keys if key not in INVERSE_KEYS]
     inverse = [key for key in keys if key in INVERSE_KEYS]
     inv = [INVERSE_KEYS[key] for key in inverse]
-    caps = caps or {}
-    limits = []
+    largest, caps = _largest(group), caps or {}
+    bounds = (largest["desA"], largest["desA"] * (largest["desA"] + 1) // 2)  # |D|, sum(D)
+    boxes = []
     for side, slack in ((own, 0), (inverse, r - rs)):
         side_caps = {INVERSE_KEYS.get(key, key): caps[key] for key in side if key in caps}
-        lam1 = _lambda_cap(side_caps, r, s)
-        bounds = [(lam1 + slack) // r] if lam1 is not None else []
-        bounds += [side_caps["desA"]] if "desA" in side_caps else []
-        fmaj = (side_caps["fmaj"] + n * slack) // r if "fmaj" in side_caps else None
-        limits.append(_guard(((0, w - 1, min(bounds, default=None)), (w, (n * n).bit_length(), fmaj))))
+        lam1 = _lambda_cap(side_caps, r, s, largest["fdes"])
+        n_d = min(side_caps.get("desA", bounds[0]), (lam1 + slack) // r)
+        sum_d = (side_caps["fmaj"] + n * slack) // r if "fmaj" in side_caps else bounds[1]
+        boxes.append((min(n_d, bounds[0]), min(sum_d, bounds[1])))
+    box = tuple(map(max, *boxes))
+    ((_, in_d), (at_sum, _)), bias, guard = _layout(box, bounds)
     states = _tableau_dp(
-        r, n, int(bool(read & {"des", "fdes", "desA"})), int("fmaj" in read) << w, bool(read & {"des", "fdes"}),
-        tuple(set(limits)) if all(guard for _, guard in limits) else (),
+        r, n, int(bool(read & {"des", "fdes", "desA"})), int("fmaj" in read) << at_sum,
+        bool(read & {"des", "fdes"}), (bias, guard) if box != bounds else None,
     )
     own_get, inv_get = _getter(own), _getter(inv)
     # with s = 1 every Q is canonical, and g's keys may be read as g^-1's
@@ -571,10 +563,10 @@ def _tableau_pairs(group: GroupDescriptor, keys: tuple, caps=None) -> Counter:
         base, shift, right = c1 - cn + cn % rs, csum + n * (cn % rs - cn), every[shape]
         left = None if shared or cn >= rs else canonical[shape]
         for acc, count in counts.items():
-            n_d = acc & ((1 << w) - 1)
+            n_d = acc & in_d
             lam1 = r * n_d + base
             # laid out as DISTRIBUTION_KEYS
-            rec = ((s * lam1 + r - s) // r, lam1, r * (acc >> w) + shift, col, n_d, None, None, csum % r)
+            rec = ((s * lam1 + r - s) // r, lam1, r * (acc >> at_sum) + shift, col, n_d, None, None, csum % r)
             b = inv_get(rec)
             right[b] = right.get(b, 0) + count
             if left is not None:

@@ -176,6 +176,28 @@ def test_rank_classes_cut_the_states(monkeypatch):
     assert sum(sizes) <= 7098
 
 
+def test_tableau_caps_cut_the_states(monkeypatch):
+    # the (state, packed |D| and sum(D)) pairs left after the capped tableau
+    # DP: B_20's hilbert keys at q <= 10, and six-stats keys on G(2,1,2,8) at
+    # t <= 4, q <= 10, where P's bounds are r - r/s = 1 looser than Q's.
+    # Dropping a tableau only past both sides' bounds left 1291 and 1735.
+    sizes = []
+    real = stats._tableau_dp
+
+    def counting(*args):
+        states = real(*args)
+        sizes.append(sum(map(len, states.values())))
+        return states
+
+    monkeypatch.setattr(stats, "_tableau_dp", counting)
+    distribution(make_group(2, 1, 1, 20), ("fmaj", "ifmaj"), 10**30, {"fmaj": 10, "ifmaj": 10})
+    six = ("des", "ides", "fmaj", "ifmaj", "col", "icol")
+    distribution(make_group(2, 1, 2, 8), six, 10**30, {"des": 4, "ides": 4} | dict.fromkeys(six[2:], 10))
+    assert len(sizes) == 2
+    assert sizes[0] <= 1291
+    assert sizes[1] <= 1735
+
+
 @pytest.mark.parametrize("r", range(1, 9))
 def test_move_table_follows_the_color_order(r):
     # an entry (v, c) left of its neighbour (v1, c1), v and v1 being 0 < 1 in

@@ -10,6 +10,7 @@ from projstat.series import (
     ConstantTermError,
     NonMonomialBaseError,
     TruncatedSeries,
+    _layout,
     equal_on,
     geom_divide,
     geom_inverse,
@@ -411,6 +412,24 @@ def test_guard_trips_one_past_the_cap_and_carries_into_no_neighbour(cap):
     if cap:
         y = TruncatedSeries.monomial(vars_, caps, {"y": 1})
         assert terms_of(geom_inverse(y)) == {(0, e, 0): 1 for e in range(cap + 1)}
+
+
+@pytest.mark.parametrize("cap", [0, 1, 2, 3, 4, 7, 8, 15, 16])
+def test_layout_sized_by_bounds_guards_only_the_caps(cap):
+    # a field sized by a bound above its cap, between full neighbours of cap
+    # and bound 3: every value up to the bound packs, the guard trips iff
+    # the value passes the cap, and the bias carries into no neighbour
+    assert _layout((3, cap, 3)) == _layout((3, cap, 3), (3, cap, 3))
+    for bound in (cap, cap + 1, 2 * cap + 1, 4 * cap + 5):
+        fields, bias, guard = _layout((3, cap, 3), (3, bound, 3))
+        unpack = lambda key: [key >> shift & mask for shift, mask in fields]
+        for e in range(bound + 1):
+            key = 3 + (e << fields[1][0]) + (3 << fields[2][0])
+            assert unpack(key) == [3, e, 3]
+            assert bool((key + bias) & guard) == (e > cap)
+            assert unpack(key + bias) == [a + b for a, b in zip(unpack(key), unpack(bias))]
+        # a cap past the bound is taken at the bound: nothing trips or borrows
+        assert _layout((3, bound + 10**9, 3), (3, bound, 3)) == _layout((3, bound, 3), (3, bound, 3))
 
 
 def test_packed_core_on_cyclotomic_coefficients_against_sympy():
