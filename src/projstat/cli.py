@@ -161,14 +161,11 @@ def cmd_bijection(args) -> int:
             "colPreserved": stat_record(g).col == stat_record(image).col,
         }
     elif kind in ("rs", "rs-transpose"):
-        (p0, p1), (q0, q1) = rs_correspondence(g)
-        for name, tableau in (("P0", p0), ("P1", p1), ("Q0", q0), ("Q1", q1)):
-            payload[name] = [list(row) for row in tableau]
+        ps, qs = rs_correspondence(g)
+        for name, tableaux in (("P", ps), ("Q", qs)):
+            payload |= {f"{name}{c}": [list(row) for row in t] for c, t in enumerate(tableaux)}
         if kind == "rs":
-            payload |= {
-                "desQ0": sorted(tableau_descents(q0)),
-                "desQ1": sorted(tableau_descents(q1)),
-            }
+            payload |= {f"desQ{c}": sorted(tableau_descents(q)) for c, q in enumerate(qs)}
         else:
             image = rs_transpose_map(g)
             payload |= {

@@ -464,7 +464,7 @@ def verify_carlitz_des(
         amax = qmax
     vars_ = ("t", "q", "a")
     caps = {"t": tmax, "q": qmax, "a": amax}
-    make_group(r, p, s, n or _quotient_divisor(r, p, s))  # at n = 0, checks p | r and s | r
+    make_group(r, p, s, n or p * s)  # at n = 0, checks p | r and s | r
     rs = r // s
     if n and (qmax < rs or (rs > 1 and amax < 1)):
         raise RegionError(f"caps q<={qmax}, a<={amax} leave nothing to compare")
@@ -494,7 +494,7 @@ def verify_carlitz_fdes(
     """
     vars_ = ("t", "q")
     caps = {"t": tmax, "q": qmax}
-    make_group(r, p, s, n or _quotient_divisor(r, p, s))  # at n = 0, checks p | r and s | r
+    make_group(r, p, s, n or p * s)  # at n = 0, checks p | r and s | r
     if n and qmax < 1:
         raise RegionError(f"qmax={qmax} leaves nothing to compare")
     lhs = _fdes_ksum(caps, n, p)
@@ -532,7 +532,7 @@ def verify_fdes_trivariate(
     elif amax < qmax:
         notes.append(f"amax raised from {amax} to qmax={qmax} for the a=1 collapse")
         amax = qmax
-    make_group(r, p, s, n or _quotient_divisor(r, p, s))  # at n = 0, checks p | r and s | r
+    make_group(r, p, s, n or p * s)  # at n = 0, checks p | r and s | r
     rs = r // s
     vars_ = ("t", "q", "a")
     caps = {"t": tmax, "q": qmax, "a": amax}

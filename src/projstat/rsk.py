@@ -1,12 +1,13 @@
-"""Robinson-Schensted correspondence for the hyperoctahedral group B_n.
+"""Color-by-color Robinson-Schensted correspondence for G(r,p,s,n).
 
-The window of g in B_n splits into its uncolored and colored subwords.  Row
-insertion of the absolute values of each subword (recording the window
-positions) produces a pair of bitableaux ((P0, P1), (Q0, Q1)) of matching
-shapes: P0/Q0 from the uncolored letters, P1/Q1 from the colored ones.  The
-transpose map rebuilds an element from ((P0, P1'), (Q0, Q1')); it preserves
-the colored positions and swaps descent data between the two orders on
-colored integers.
+The window of the canonical lift of g splits into r subwords, one per
+color.  Row insertion of the values of the color-c subword (recording
+its window positions) gives component c of a pair (P, Q) of standard
+multi-tableaux of one multishape: P holds the values, Q the positions.
+B_n is the case r = 2, with bitableaux ((P0, P1), (Q0, Q1)).  Only on B_n,
+the transpose map rebuilds an element from ((P0, P1'), (Q0, Q1')); it
+preserves the colored positions and swaps descent data between the two
+orders on colored integers.
 
 Tableaux are tuples of row tuples, rows and columns strictly increasing.
 """
@@ -77,22 +78,14 @@ def tableau_descents(t: Tableau) -> set[int]:
     return {i for i in row_of if i + 1 in row_of and row_of[i] < row_of[i + 1]}
 
 
-def _require_bn(g: ProjectiveElement):
-    group = g.group
-    if group.r != 2 or group.p != 1 or group.s != 1:
-        raise ScopeError(f"Robinson-Schensted here is for B_n only, not {group}")
-
-
-def rs_correspondence(g: ProjectiveElement) -> tuple[tuple[Tableau, Tableau], tuple[Tableau, Tableau]]:
-    """((P0, P1), (Q0, Q1)): insertion/recording pair per color subword."""
-    _require_bn(g)
-    p0, q0, p1, q1 = [], [], [], []
+def rs_correspondence(g: ProjectiveElement) -> tuple[tuple[Tableau, ...], tuple[Tableau, ...]]:
+    """(P, Q), each one tableau per color: component c inserts the values
+    of the color-c subword of the canonical lift and records their
+    positions."""
+    p, q = [[] for _ in range(g.group.r)], [[] for _ in range(g.group.r)]
     for i, (v, c) in enumerate(zip(g.sigma, g.colors), start=1):
-        if c == 0:
-            _insert(p0, q0, v, i)
-        else:
-            _insert(p1, q1, v, i)
-    return (_freeze(p0), _freeze(p1)), (_freeze(q0), _freeze(q1))
+        _insert(p[c], q[c], v, i)
+    return tuple(map(_freeze, p)), tuple(map(_freeze, q))
 
 
 def _reverse_insertions(p: Tableau, q: Tableau) -> list[tuple[int, int]]:
@@ -117,36 +110,37 @@ def _reverse_insertions(p: Tableau, q: Tableau) -> list[tuple[int, int]]:
 
 
 def rs_inverse(
-    bitableaux: tuple[tuple[Tableau, Tableau], tuple[Tableau, Tableau]],
+    multitableaux: tuple[tuple[Tableau, ...], tuple[Tableau, ...]],
     n: int,
     group,
 ) -> ProjectiveElement:
-    """The element of B_n mapping to the given bitableau pair."""
-    (p0, p1), (q0, q1) = bitableaux
-    for p, q, name in ((p0, q0, "0"), (p1, q1, "1")):
+    """The element of ``group`` whose canonical lift maps to the given pair
+    (P, Q) of r-tuples of tableaux."""
+    ps, qs = multitableaux
+    if len(ps) != group.r or len(qs) != group.r:
+        raise ShapeMismatchError(
+            f"{group} needs {group.r} tableaux per side, got {len(ps)} and {len(qs)}"
+        )
+    cells = []
+    for c, (p, q) in enumerate(zip(ps, qs)):
         if shape(p) != shape(q):
-            raise ShapeMismatchError(
-                f"shape(P{name})={shape(p)} differs from shape(Q{name})={shape(q)}"
-            )
+            raise ShapeMismatchError(f"shape(P{c})={shape(p)} differs from shape(Q{c})={shape(q)}")
         if not (is_standard(p) and is_standard(q)):
-            raise ShapeMismatchError(f"pair {name} is not a pair of standard tableaux")
-    if content(q0) | content(q1) != set(range(1, n + 1)) or content(q0) & content(q1):
+            raise ShapeMismatchError(f"pair {c} is not a pair of standard tableaux")
+        cells += [(pos, value, c) for pos, value in _reverse_insertions(p, q)]
+    cells.sort()
+    if [pos for pos, _, _ in cells] != list(range(1, n + 1)):
         raise ShapeMismatchError("recording tableaux do not partition the positions")
-    if content(p0) | content(p1) != set(range(1, n + 1)) or content(p0) & content(p1):
+    sigma = tuple(value for _, value, _ in cells)
+    if sorted(sigma) != list(range(1, n + 1)):
         raise ShapeMismatchError("insertion tableaux do not partition the values")
-    window = [None] * n
-    for pos, value in _reverse_insertions(p0, q0):
-        window[pos - 1] = (value, 0)
-    for pos, value in _reverse_insertions(p1, q1):
-        window[pos - 1] = (value, 1)
-    sigma = tuple(v for v, _ in window)
-    colors = tuple(c for _, c in window)
-    return canonicalize(ColoredPermutation(sigma, colors), group)
+    return canonicalize(ColoredPermutation(sigma, tuple(c for _, _, c in cells)), group)
 
 
 def rs_transpose_map(g: ProjectiveElement) -> ProjectiveElement:
-    """g -> the element with bitableaux ((P0, P1'), (Q0, Q1'))."""
+    """g -> the element of B_n with bitableaux ((P0, P1'), (Q0, Q1'))."""
+    group = g.group
+    if group.r != 2 or group.p != 1 or group.s != 1:
+        raise ScopeError(f"Robinson-Schensted here is for B_n only, not {group}")
     (p0, p1), (q0, q1) = rs_correspondence(g)
-    return rs_inverse(
-        ((p0, transpose(p1)), (q0, transpose(q1))), g.group.n, g.group
-    )
+    return rs_inverse(((p0, transpose(p1)), (q0, transpose(q1))), group.n, group)

@@ -21,8 +21,8 @@ values (which combine freely with integers but not across conductors).
 from __future__ import annotations
 
 import functools
+from collections.abc import Mapping
 from types import MappingProxyType
-from typing import Mapping
 
 
 class NonMonomialBaseError(ValueError):
@@ -199,8 +199,9 @@ class TruncatedSeries:
     def __pow__(self, e: int):
         if e < 0:
             raise ValueError("negative powers are not supported")
-        out = TruncatedSeries.one(self.vars, self.caps)
-        for _ in range(e):
+        # e - 1 products; series are not changed in place, so self ** 1 is self
+        out = self if e else TruncatedSeries.one(self.vars, self.caps)
+        for _ in range(e - 1):
             out = out * self
         return out
 

@@ -496,10 +496,11 @@ def _tableau_pairs(group: GroupDescriptor, keys: tuple, caps=None) -> Counter:
     multi-tableaux; polynomial in n like :func:`_rank_dp`.
 
     Inverse keys need g^-1, which has no suffix recurrence.  Color-by-color
-    Robinson-Schensted takes a lift g of G(r,p,n) to a pair (P, Q) of
-    standard multi-tableaux of one multishape lambda, the color-c subword
-    giving component c.  Q records the positions, so i < n is a
-    descent of g in the color order iff i is in D of Q (:func:`_tableau_dp`),
+    Robinson-Schensted (:func:`rsk.rs_correspondence`, whose pairs this
+    counts) takes a lift g of G(r,p,n) to a pair (P, Q) of standard
+    multi-tableaux of one multishape lambda, the color-c subword giving
+    component c.  Q records the positions, so i < n is a descent of g in
+    the color order iff i is in D of Q (:func:`_tableau_dp`),
     and with the telescoped suffix recurrences
 
         lambda_1 = r*|D| + c_1 - c_n + R_{r/s}(c_n),

@@ -128,6 +128,20 @@ def test_bijection_rs(capsys):
     assert payload["Q1"] == [[2, 4, 7], [3, 6]]
 
 
+def test_bijection_rs_prints_one_tableau_per_color(capsys):
+    code, out, _ = run(
+        capsys, "bijection", "rs", "[1^2,3,2^1]", "--group", "G(3,1,1,3)", "--format", "json"
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert [payload[f"P{c}"] for c in range(3)] == [[[3]], [[2]], [[1]]]
+    assert [payload[f"Q{c}"] for c in range(3)] == [[[2]], [[3]], [[1]]]
+    assert [payload[f"desQ{c}"] for c in range(3)] == [[], [], []]
+    code, _, err = run(capsys, "bijection", "rs-transpose", "[1^2,3,2^1]", "--group", "G(3,1,1,3)")
+    assert code == 2
+    assert "Robinson-Schensted here is for B_n only, not G(3,1,1,3)" in err
+
+
 def test_bijection_rs_transpose(capsys):
     code, out, _ = run(capsys, "bijection", "rs-transpose", "[5,-2,-1,-4,6,-3,-7]")
     assert code == 0

@@ -254,13 +254,12 @@ def test_distribution_folds_the_first_position(group):
         assert distribution(group, keys) == reference, keys
 
 
-def _rs_cells(sigma, colors, r):
-    """Color-by-color Robinson-Schensted of one window.  Returns the cells
-    of Q (the positions of the color-c subword, in component c) and of P
-    (its values, in component -c mod r), each as {entry: (component, row)}."""
-    values, positions = [[] for _ in range(r)], [[] for _ in range(r)]
-    for i, (v, c) in enumerate(zip(sigma, colors), start=1):
-        rsk._insert(values[c], positions[c], v, i)
+def _rs_cells(g):
+    """The cells of Q (the positions of the color-c subword, in component c)
+    and of P (its values, in component -c mod r) of :func:`rsk.rs_correspondence`,
+    each as {entry: (component, row)}."""
+    r = g.group.r
+    ps, qs = rsk.rs_correspondence(g)
 
     def cells(tableaux, component):
         return {
@@ -270,7 +269,26 @@ def _rs_cells(sigma, colors, r):
             for x in xs
         }
 
-    return cells(positions, lambda c: c), cells(values, lambda c: -c % r)
+    return cells(qs, lambda c: c), cells(ps, lambda c: -c % r)
+
+
+@pytest.mark.parametrize("r, n", [(r, n) for r in range(1, 4) for n in range(1, 5)])
+def test_tableau_kernel_counts_the_rs_pairs(r, n):
+    # the elements of G(r,1,1,n) whose RS multishape is lambda are the
+    # pairs of standard multi-tableaux of shape lambda that _tableau_dp counts
+    group = make_group(r, 1, 1, n)
+    tableaux = Counter()
+    for (shape, *_), counts in stats._tableau_dp(r, n, 0, 0, False).items():
+        tableaux[shape] += counts[0]
+    pairs = Counter()
+    for g in enumerate_elements(group):
+        ps, qs = rsk.rs_correspondence(g)
+        pairs[tuple(map(rsk.shape, qs))] += 1
+        # P of g, component c moved to -c, is Q of g^-1 (stats._inverse_shape)
+        inverse_qs = rsk.rs_correspondence(inverse(g))[1]
+        assert all(inverse_qs[-c % r] == p for c, p in enumerate(ps))
+        assert stats._inverse_shape(tuple(map(rsk.shape, ps))) == tuple(map(rsk.shape, inverse_qs))
+    assert pairs == {shape: count * count for shape, count in tableaux.items()}
 
 
 def _tableau_records(cells, r, rs, n):
@@ -290,7 +308,7 @@ def _tableau_records(cells, r, rs, n):
 def test_records_of_g_and_its_inverse_read_off_the_rs_tableaux(group):
     r, rs, n = group.r, group.r // group.s, group.n
     for g in enumerate_elements(group):
-        q_cells, p_cells = _rs_cells(g.sigma, g.colors, r)
+        q_cells, p_cells = _rs_cells(g)
         rec, irec = stat_record(g), stat_record(inverse(g))
         assert _tableau_records(q_cells, r, rs, n) == (des_set(g) - {0}, rec.fdes, rec.fmaj)
         # the lift of g^-1 with color -c_i at position sigma_i, which P reads

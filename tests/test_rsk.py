@@ -1,3 +1,6 @@
+import math
+import re
+
 import pytest
 
 from projstat.groups import enumerate_elements, identity, inverse, make_group, parse_window
@@ -103,11 +106,38 @@ def test_transpose_descent_complement():
         assert tableau_descents(transpose(q1)) == set(split.nn) - set(split.hdes1)
 
 
-def test_rs_scope():
-    with pytest.raises(ScopeError):
-        rs_correspondence(identity(make_group(3, 1, 1, 2)))
-    with pytest.raises(ScopeError):
-        rs_correspondence(identity(make_group(2, 1, 2, 2)))
+ROUND_TRIP_GROUPS = [
+    make_group(r, p, s, n)
+    for r in range(1, 5) for p in range(1, r + 1) for s in range(1, r + 1) for n in range(1, 5)
+    if r % p == 0 and r % s == 0 and r * n % (p * s) == 0
+    and r**n * math.factorial(n) // (p * s) <= 3000
+]
+
+
+def test_rs_round_trip_on_every_small_group():
+    assert len(ROUND_TRIP_GROUPS) == 57
+    assert sum(group.order for group in ROUND_TRIP_GROUPS) == 12269
+    for group in ROUND_TRIP_GROUPS:
+        for g in enumerate_elements(group):
+            ps, qs = rs_correspondence(g)
+            assert len(ps) == len(qs) == group.r
+            for c, (p, q) in enumerate(zip(ps, qs)):
+                assert shape(p) == shape(q) and is_standard(p) and is_standard(q)
+                assert content(q) == {i + 1 for i, color in enumerate(g.colors) if color == c}
+            assert rs_inverse((ps, qs), group.n, group) == g
+
+
+def test_rs_covers_every_group_and_the_transpose_only_b_n():
+    for group in (make_group(3, 1, 1, 2), make_group(2, 1, 2, 2)):
+        assert group in ROUND_TRIP_GROUPS
+        with pytest.raises(ScopeError, match=f"B_n only, not {re.escape(str(group))}"):
+            rs_transpose_map(identity(group))
+
+
+def test_rs_inverse_needs_one_tableau_per_color():
+    group = make_group(3, 1, 1, 2)
+    with pytest.raises(ShapeMismatchError):
+        rs_inverse(((((2,),), ((1,),)), (((1,),), ((2,),))), 2, group)
 
 
 def test_rs_inverse_validation():

@@ -321,6 +321,27 @@ def test_variable_mismatch_rejected():
         a + b
 
 
+def test_power_does_e_minus_one_products(monkeypatch):
+    vars_, caps = ("q", "t"), {"q": 6, "t": 3}
+    base = TruncatedSeries(vars_, caps, {(0, 0): 2, (1, 0): -1, (1, 1): 3})
+    one = TruncatedSeries.one(vars_, caps)
+    products = [one]
+    for _ in range(4):
+        products.append(products[-1] * base)
+    calls = []
+    mul = TruncatedSeries.__mul__
+
+    def counted(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(TruncatedSeries, "__mul__", counted)
+    for e, product in enumerate(products):
+        calls.clear()
+        assert base**e == product
+        assert len(calls) == max(e - 1, 0)
+
+
 def test_q_bracket_stops_at_the_first_power_past_the_caps():
     # 10**9 steps would not finish; the powers past q^5 are all truncated
     assert q_bracket(10**9, q_mono(cap=5)) == q_bracket(6, q_mono(cap=5))
