@@ -146,15 +146,10 @@ class CycInt:
         return out
 
     def __eq__(self, other):
-        if isinstance(other, int):
-            return self.coeffs == CycInt.from_int(self.r, other).coeffs
-        if isinstance(other, CycInt):
-            if other.r != self.r:
-                raise ConductorMismatchError(
-                    f"conductor mismatch: {self.r} vs {other.r}"
-                )
-            return self.coeffs == other.coeffs
-        return NotImplemented
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self.coeffs == other.coeffs
 
     def __bool__(self):
         return any(self.coeffs)

@@ -110,12 +110,11 @@ def _reverse_insertions(p: Tableau, q: Tableau) -> list[tuple[int, int]]:
 
 
 def rs_inverse(
-    multitableaux: tuple[tuple[Tableau, ...], tuple[Tableau, ...]],
-    n: int,
-    group,
+    multitableaux: tuple[tuple[Tableau, ...], tuple[Tableau, ...]], group
 ) -> ProjectiveElement:
     """The element of ``group`` whose canonical lift maps to the given pair
-    (P, Q) of r-tuples of tableaux."""
+    (P, Q) of r-tuples of tableaux, Q holding the positions 1..n of
+    ``group``."""
     ps, qs = multitableaux
     if len(ps) != group.r or len(qs) != group.r:
         raise ShapeMismatchError(
@@ -129,10 +128,10 @@ def rs_inverse(
             raise ShapeMismatchError(f"pair {c} is not a pair of standard tableaux")
         cells += [(pos, value, c) for pos, value in _reverse_insertions(p, q)]
     cells.sort()
-    if [pos for pos, _, _ in cells] != list(range(1, n + 1)):
+    if [pos for pos, _, _ in cells] != list(range(1, group.n + 1)):
         raise ShapeMismatchError("recording tableaux do not partition the positions")
     sigma = tuple(value for _, value, _ in cells)
-    if sorted(sigma) != list(range(1, n + 1)):
+    if sorted(sigma) != list(range(1, group.n + 1)):
         raise ShapeMismatchError("insertion tableaux do not partition the values")
     return canonicalize(ColoredPermutation(sigma, tuple(c for _, _, c in cells)), group)
 
@@ -143,4 +142,4 @@ def rs_transpose_map(g: ProjectiveElement) -> ProjectiveElement:
     if group.r != 2 or group.p != 1 or group.s != 1:
         raise ScopeError(f"Robinson-Schensted here is for B_n only, not {group}")
     (p0, p1), (q0, q1) = rs_correspondence(g)
-    return rs_inverse(((p0, transpose(p1)), (q0, transpose(q1))), group.n, group)
+    return rs_inverse(((p0, transpose(p1)), (q0, transpose(q1))), group)

@@ -3,11 +3,12 @@
 A :class:`TruncatedSeries` stores a sparse map from exponent vectors to
 coefficients, together with per-variable caps.  The caps are the valid
 region: exponents beyond a cap are dropped, and every coefficient within
-the caps is that of the underlying formal series.  A sum or product is
-truncated to the componentwise minimum of its operands' caps, which keeps
-that promise for series in nonnegative exponents: every product
-contribution to an exponent within the minimum comes from operand terms
-within their own caps.
+the caps is that of the underlying formal series.  A sum, a product, a
+division by 1 - M and a comparison take two series in the same variables
+under the same caps, and raise ValueError otherwise; the result keeps the
+caps.  That keeps the promise for series in nonnegative exponents: every
+product contribution to an exponent within the caps comes from operand
+terms within them.
 
 Each exponent vector is packed into one ``int`` with a guard bit per
 variable (the packed monomials of Monagan & Pearce, ISSAC 2009), so the cap
@@ -102,21 +103,14 @@ class TruncatedSeries:
             key += e << shift
         return key if inside else None
 
-    def _packed(self, caps: tuple[int, ...]) -> dict:
-        """The terms packed under caps (componentwise <= self.caps), without
-        those beyond them."""
-        if caps == self.caps:
-            return self.terms
-        return TruncatedSeries(self.vars, caps, self.exp_terms).terms
-
-    def _with(self, caps, terms: dict) -> "TruncatedSeries":
-        """A series in self's variables with these packed terms, zeros
-        removed, under caps already known to be valid."""
+    def _with(self, terms: dict) -> "TruncatedSeries":
+        """A series in self's variables and caps with these packed terms,
+        zeros removed."""
         if not all(terms.values()):
             for key in [k for k, c in terms.items() if not c]:
                 del terms[key]
         out = object.__new__(TruncatedSeries)
-        out.vars, out.caps, out.terms = self.vars, caps, terms
+        out.vars, out.caps, out.terms = self.vars, self.caps, terms
         return out
 
     @property
@@ -151,21 +145,24 @@ class TruncatedSeries:
             raise ValueError(f"unknown variables {unknown}; have {self.vars}")
         return tuple([exps.get(v, 0) for v in self.vars])
 
-    def _common_caps(self, other) -> tuple[int, ...]:
-        if self.vars != other.vars:
-            raise ValueError(f"variable mismatch: {self.vars} vs {other.vars}")
-        return tuple(min(a, b) for a, b in zip(self.caps, other.caps))
+    def _check_same(self, other) -> None:
+        """Raise ValueError unless other has self's variables and caps."""
+        if self.vars != other.vars or self.caps != other.caps:
+            raise ValueError(
+                f"series differ: {self.vars} under caps {self.caps}"
+                f" vs {other.vars} under caps {other.caps}"
+            )
 
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other):
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        caps = self._common_caps(other)
-        acc = dict(self._packed(caps))
-        for key, coeff in other._packed(caps).items():
+        self._check_same(other)
+        acc = dict(self.terms)
+        for key, coeff in other.terms.items():
             acc[key] = acc[key] + coeff if key in acc else coeff
-        return self._with(caps, acc)
+        return self._with(acc)
 
     def __sub__(self, other):
         return self + other.scale(-1)
@@ -173,9 +170,9 @@ class TruncatedSeries:
     def __mul__(self, other):
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        caps = self._common_caps(other)
-        _, bias, guard = _layout(caps)
-        small, large = self._packed(caps), other._packed(caps)
+        self._check_same(other)
+        _, bias, guard = _layout(self.caps)
+        small, large = self.terms, other.terms
         if len(small) > len(large):
             small, large = large, small
         large = list(large.items())
@@ -190,11 +187,11 @@ class TruncatedSeries:
                     acc[key] = acc[key] + c1 * c2
                 else:
                     acc[key] = c1 * c2
-        return self._with(caps, acc)
+        return self._with(acc)
 
     def scale(self, scalar) -> "TruncatedSeries":
         terms = {k: scalar * c for k, c in self.terms.items()} if scalar else {}
-        return self._with(self.caps, terms)
+        return self._with(terms)
 
     def __pow__(self, e: int):
         if e < 0:
@@ -242,7 +239,7 @@ class TruncatedSeries:
         terms = self.terms
         for (shift, mask), d in idx:  # one divisor at a time
             terms = {key: c for key, c in terms.items() if ((key >> shift) & mask) % d == 0}
-        return self._with(self.caps, terms)
+        return self._with(terms)
 
     def _single_term(self) -> tuple[int, object]:
         if len(self.terms) != 1:
@@ -254,11 +251,7 @@ class TruncatedSeries:
     def __eq__(self, other):
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        if self.vars != other.vars:
-            return False
-        if self.caps == other.caps:
-            return self.terms == other.terms
-        return self.exp_terms == other.exp_terms
+        return self.vars == other.vars and self.caps == other.caps and self.terms == other.terms
 
     # -- presentation --------------------------------------------------------
 
@@ -308,7 +301,7 @@ def q_bracket(n: int, base: TruncatedSeries) -> TruncatedSeries:
             break
         terms[key] = terms[key] + power if key in terms else power
         key, power = key + step, power * coeff
-    return base._with(base.caps, terms)
+    return base._with(terms)
 
 
 def packing(vars_, caps) -> tuple:
@@ -331,38 +324,38 @@ def geom_inverse(monomial: TruncatedSeries) -> TruncatedSeries:
 
 
 def geom_divide(series: TruncatedSeries, monomial: TruncatedSeries) -> TruncatedSeries:
-    """series / (1 - M) for a scaled monomial M = c m: the product
-    series * geom_inverse(M), without building the inverse.
+    """series / (1 - M) for a scaled monomial M = c m in the series'
+    variables and caps: the product series * geom_inverse(M), without
+    building the inverse.
 
     The quotient is G[e] = sum over j of c^j F[e - jm]: each term of F is
     walked along its chain e + m, e + 2m, ... until the guard trips.
     """
-    caps = series._common_caps(monomial)
+    series._check_same(monomial)
     if monomial.terms and not monomial._single_term()[0]:
         raise ConstantTermError("cannot invert 1 - M when M has a constant term")
-    _, bias, guard = _layout(caps)
-    terms = series._packed(caps)
-    out = dict(terms)
-    for step, c in monomial._packed(caps).items():  # none if M is truncated to zero
-        for key, coeff in terms.items():
+    _, bias, guard = _layout(series.caps)
+    out = dict(series.terms)
+    for step, c in monomial.terms.items():  # none if M is truncated to zero
+        for key, coeff in series.terms.items():
             key += step
             while not (key + bias) & guard:
                 coeff = coeff * c
                 out[key] = out[key] + coeff if key in out else coeff
                 key += step
-    return series._with(caps, out)
+    return series._with(out)
 
 
 def equal_on(
     lhs: TruncatedSeries, rhs: TruncatedSeries
 ) -> tuple[bool, tuple[dict, object, object] | None]:
-    """Compare coefficients within the componentwise minimum of both sides'
-    caps; (ok, first mismatch in graded-lex order)."""
-    bounds = lhs._common_caps(rhs)
-    a, b = lhs._packed(bounds), rhs._packed(bounds)
+    """Compare two series in the same variables and caps coefficient by
+    coefficient, within the caps; (ok, first mismatch in graded-lex order)."""
+    lhs._check_same(rhs)
+    a, b = lhs.terms, rhs.terms
     if a == b:
         return True, None
-    fields = _layout(bounds)[0]
+    fields = _layout(lhs.caps)[0]
     differ = {
         _unpack(fields, k): k for k in a.keys() | b.keys() if a.get(k, 0) != b.get(k, 0)
     }

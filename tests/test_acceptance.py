@@ -255,7 +255,7 @@ def test_criterion_10_bijection_round_trips():
 
     B4 = make_group(2, 1, 1, 4)
     for g in enumerate_elements(B4):
-        assert rs_inverse(rs_correspondence(g), 4, B4) == g
+        assert rs_inverse(rs_correspondence(g), B4) == g
         checks += 1
 
     for n in (4, 5):

@@ -736,3 +736,43 @@ def test_character_enumerates_on_every_call(monkeypatch):
     second = verify_character_fmaj(2, 1, 1, 3)
     assert first.matched and second.matched
     assert [str(g) for g in calls] == ["G(2,1,1,3)", "G(2,1,1,3)"]
+
+
+REGION_CALLS = [
+    ("character-fmaj", dict(r=4, p=2, s=2, n=2, eps=-1, k=1)),
+    ("signed-multinomial", dict(n=3, parts=(2, 1))),
+    ("signed-wreath", dict(r=3, n=3)),
+    ("lift", dict(r=2, s=2, n=2)),
+    ("carlitz-des", dict(r=2, n=3)),
+    ("carlitz-fdes", dict(r=3, p=3, s=1, n=2)),
+    ("fdes-trivariate", dict(r=2, n=3)),
+    ("six-stats", dict(r=2, nmax=4, umax=3)),
+    ("hilbert", dict(r=4, p=2, s=1, nmax=3)),
+    ("hilbert", dict(r=2, p=2, s=2, nmax=4)),
+]
+
+
+def test_region_calls_cover_every_verifier():
+    assert {name for name, _ in REGION_CALLS} == set(identities.VERIFIERS)
+
+
+@pytest.mark.parametrize(
+    "name, params", REGION_CALLS, ids=[f"{name}-{i}" for i, (name, _) in enumerate(REGION_CALLS)]
+)
+def test_every_comparison_lies_on_the_reported_region(monkeypatch, name, params):
+    compared = []
+    real = identities.equal_on
+
+    def recording(lhs, rhs):
+        compared.append(((lhs.vars, lhs.caps), (rhs.vars, rhs.caps)))
+        return real(lhs, rhs)
+
+    monkeypatch.setattr(identities, "equal_on", recording)
+    report = identities.VERIFIERS[name](**params)
+    assert report.matched
+    if not report.region:
+        return  # this identity compares no series over a region
+    assert compared
+    for (vars_, caps), rhs in compared:
+        assert rhs == (vars_, caps)
+        assert dict(zip(vars_, caps)) == {v: report.region[v] for v in vars_}

@@ -58,7 +58,7 @@ def test_round_trip_b4():
         assert shape(p0) == shape(q0) and shape(p1) == shape(q1)
         for t in (p0, p1, q0, q1):
             assert is_standard(t)
-        assert rs_inverse(pair, 4, B4) == g
+        assert rs_inverse(pair, B4) == g
 
 
 def test_rs_contents_and_descents_exhaustive_b3():
@@ -124,7 +124,7 @@ def test_rs_round_trip_on_every_small_group():
             for c, (p, q) in enumerate(zip(ps, qs)):
                 assert shape(p) == shape(q) and is_standard(p) and is_standard(q)
                 assert content(q) == {i + 1 for i, color in enumerate(g.colors) if color == c}
-            assert rs_inverse((ps, qs), group.n, group) == g
+            assert rs_inverse((ps, qs), group) == g
 
 
 def test_rs_covers_every_group_and_the_transpose_only_b_n():
@@ -137,7 +137,7 @@ def test_rs_covers_every_group_and_the_transpose_only_b_n():
 def test_rs_inverse_needs_one_tableau_per_color():
     group = make_group(3, 1, 1, 2)
     with pytest.raises(ShapeMismatchError):
-        rs_inverse(((((2,),), ((1,),)), (((1,),), ((2,),))), 2, group)
+        rs_inverse(((((2,),), ((1,),)), (((1,),), ((2,),))), group)
 
 
 def test_rs_inverse_validation():
@@ -145,9 +145,9 @@ def test_rs_inverse_validation():
     row_of_two = ((1, 2),)
     column_of_two = ((1,), (2,))
     with pytest.raises(ShapeMismatchError):
-        rs_inverse(((row_of_two, ()), (column_of_two, ())), 2, B2)  # shapes differ
+        rs_inverse(((row_of_two, ()), (column_of_two, ())), B2)  # shapes differ
     with pytest.raises(ShapeMismatchError):
-        rs_inverse(((((2, 1),), ()), (row_of_two, ())), 2, B2)  # not standard
+        rs_inverse(((((2, 1),), ()), (row_of_two, ())), B2)  # not standard
     with pytest.raises(ShapeMismatchError):
         # value 1 appears in both insertion tableaux
-        rs_inverse(((((1,),), ((1,),)), (((1,),), ((2,),))), 2, B2)
+        rs_inverse(((((1,),), ((1,),)), (((1,),), ((2,),))), B2)

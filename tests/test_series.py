@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 import sympy
@@ -187,41 +188,44 @@ XY = ("x", "y")
 
 
 def _leaf(caps, terms):
-    """A truncated series, the untruncated polynomial it stands for, its caps."""
+    """A truncated series and the untruncated polynomial it stands for."""
     poly = sum((c * X**a * Y**b for (a, b), c in terms.items()), sympy.Integer(0))
-    return TruncatedSeries(XY, caps, terms), poly, caps
+    return TruncatedSeries(XY, caps, terms), poly
 
 
 def _combine(left, right, op):
-    (a, pa, ca), (b, pb, cb) = left, right
-    caps = tuple(min(u, v) for u, v in zip(ca, cb))
-    return (a + b, pa + pb, caps) if op == "+" else (a * b, pa * pb, caps)
+    (a, pa), (b, pb) = left, right
+    return (a + b, pa + pb) if op == "+" else (a * b, pa * pb)
 
 
-_exponents = st.tuples(st.integers(0, 5), st.integers(0, 5))
-_expressions = st.recursive(
-    st.builds(_leaf, _exponents, st.dictionaries(_exponents, st.integers(-3, 3), max_size=4)),
-    lambda sub: st.builds(_combine, sub, sub, st.sampled_from("+*")),
-    max_leaves=5,
-)
+@st.composite
+def _expressions(draw):
+    """(caps, series, polynomial) of a random expression whose leaves share
+    the caps and hold terms up to one past them, which are dropped."""
+    caps = draw(st.tuples(st.integers(0, 5), st.integers(0, 5)))
+    exponents = st.tuples(*(st.integers(0, cap + 1) for cap in caps))
+    leaves = st.dictionaries(exponents, st.integers(-3, 3), max_size=4)
+    expression = st.recursive(
+        st.builds(_leaf, st.just(caps), leaves),
+        lambda sub: st.builds(_combine, sub, sub, st.sampled_from("+*")),
+        max_leaves=5,
+    )
+    return (caps, *draw(expression))
 
 
 @settings(max_examples=150, deadline=None)
-@given(_expressions)
+@given(_expressions())
 def test_truncation_is_sound_against_untruncated_sympy(expression):
-    # random sums and products of operands with different caps: the result
-    # is truncated to the min caps, and within them every coefficient is the
+    # random sums and products of operands under one set of caps: the
+    # result keeps the caps, and within them every coefficient is the
     # untruncated one
-    series, poly, caps = expression
+    caps, series, poly = expression
     assert series.caps == caps
     expanded = sympy.Poly(sympy.expand(poly), X, Y).terms()
     true = {exps: int(c) for exps, c in expanded if c}
     within = {e: c for e, c in true.items() if all(x <= b for x, b in zip(e, caps))}
     assert series.exp_terms == within
-    top = max([6, *(max(e) for e in true)])  # past every leaf cap (<= 5)
-    untruncated = TruncatedSeries(XY, (top, top), true)
-    assert untruncated.exp_terms == true
-    assert equal_on(series, untruncated) == (True, None)
+    assert equal_on(series, TruncatedSeries(XY, caps, true)) == (True, None)
 
 
 def test_monomial_beyond_the_caps_is_zero():
@@ -272,7 +276,9 @@ def test_equal_on_shared_caps_and_mismatch_order():
     caps = {"q": 8}
     trunc = geom_inverse(q_mono(cap=8))  # valid for q <= 8, not exact
     other = geom_inverse(q_mono(cap=4))
-    ok, _ = equal_on(trunc, other)  # compares on the shared caps q <= 4
+    with pytest.raises(ValueError, match=r"caps \(8,\) vs .* caps \(4,\)"):
+        equal_on(trunc, other)  # sides under other caps are refused
+    ok, _ = equal_on(TruncatedSeries(Q, {"q": 4}, trunc.exp_terms), other)
     assert ok
 
     a = TruncatedSeries(Q, caps, {(1,): 1, (3,): 7})
@@ -319,6 +325,22 @@ def test_variable_mismatch_rejected():
     b = TruncatedSeries.one(("q",), {"q": 2})
     with pytest.raises(ValueError):
         a + b
+
+
+@pytest.mark.parametrize(
+    "vars_b, caps_b",
+    [(("y", "x"), (3, 3)), (("x", "z"), (3, 3)), (XY, (3, 4)), (XY, (2, 3))],
+    ids=["order", "name", "larger cap", "smaller cap"],
+)
+def test_operands_in_other_variables_or_caps_are_refused(vars_b, caps_b):
+    a = TruncatedSeries(XY, (3, 3), {(0, 0): 1, (1, 2): 3})
+    b = TruncatedSeries(vars_b, caps_b, {(0, 0): 1, (1, 2): 3})
+    m = TruncatedSeries.monomial(vars_b, caps_b, {vars_b[0]: 1})
+    _assert_refused(a, b, m)
+    # both sides' variables and caps are named
+    named = f"{XY} under caps (3, 3) vs {vars_b} under caps {caps_b}"
+    with pytest.raises(ValueError, match=re.escape(named)):
+        a * b
 
 
 def test_power_does_e_minus_one_products(monkeypatch):
@@ -378,16 +400,28 @@ def _within(syms, expr, caps, r):
     return out
 
 
-def _check_against_sympy(caps_a, terms_a, caps_b, terms_b, monomial, r=1):
-    """a + b, a * b and a / (1 - M), M a monomial under b's caps, against
-    sympy's untruncated results within the min caps.  Terms the operands
-    drop past their own caps are in sympy's operands: they never reach the
-    min caps."""
-    syms = sympy.symbols(f"x0:{len(caps_a)}")
-    vars_ = tuple(map(str, syms))
+def _operands(caps_a, terms_a, caps_b, terms_b, monomial):
+    """Series a and b, and the monomial M under b's caps."""
+    vars_ = tuple(f"x{i}" for i in range(len(caps_a)))
     a, b = TruncatedSeries(vars_, caps_a, terms_a), TruncatedSeries(vars_, caps_b, terms_b)
-    m = TruncatedSeries(vars_, caps_b, dict([monomial]))
-    caps = tuple(map(min, caps_a, caps_b))
+    return a, b, TruncatedSeries(vars_, caps_b, dict([monomial]))
+
+
+def _assert_refused(a, b, m):
+    """Every binary operation refuses a with b (and M, under b's caps), and
+    a == b is False, also for the same terms."""
+    for op in (lambda: a + b, lambda: a * b, lambda: geom_divide(a, m), lambda: equal_on(a, b)):
+        with pytest.raises(ValueError, match="series differ"):
+            op()
+    assert a != b
+
+
+def _check_against_sympy(caps, terms_a, terms_b, monomial, r=1):
+    """a + b, a * b and a / (1 - M), all under caps, against sympy's
+    untruncated results within the caps.  Terms the operands drop past the
+    caps are in sympy's operands: they never reach the caps."""
+    syms = sympy.symbols(f"x0:{len(caps)}")
+    a, b, m = _operands(caps, terms_a, caps, terms_b, monomial)
     pa, pb, pm = _expr(syms, terms_a), _expr(syms, terms_b), _expr(syms, dict([monomial]))
     # M has a positive exponent, so M^j is past the caps for j > max(caps)
     inverse = sum((pm**j for j in range(max(caps) + 1)), sympy.Integer(0))
@@ -407,17 +441,20 @@ def _check_against_sympy(caps_a, terms_a, caps_b, terms_b, monomial, r=1):
          ((1, 0, 0), -1)),
         # caps 2^k - 1 and 2^k: the widest and narrowest bias of a field width
         ((7, 8, 15, 16), {(7, 8, 15, 16): 1, (3, 4, 7, 8): 2, (0, 0, 0, 1): -1},
-         (8, 7, 16, 15), {(0, 0, 0, 0): 1, (4, 4, 8, 8): -3, (1, 0, 1, 0): 1}, ((1, 1, 1, 1), 2)),
+         (7, 8, 15, 16), {(0, 0, 0, 0): 1, (4, 4, 8, 8): -3, (1, 0, 1, 0): 1}, ((1, 1, 1, 1), 2)),
         # exponents exactly at the cap, and sums one past it
         ((3, 3, 3), {(3, 0, 0): 1, (2, 1, 3): 4, (1, 3, 0): -1},
          (3, 3, 3), {(0, 0, 0): 1, (1, 0, 0): 1, (0, 0, 1): 2}, ((3, 0, 0), 1)),
-        # unequal caps of different field widths: both operands are repacked
+        # unequal caps of different field widths: refused
         ((16, 2, 31), {(16, 2, 31): 1, (2, 1, 3): 3, (0, 2, 0): -2},
          (3, 9, 4), {(3, 9, 4): 5, (1, 0, 1): 1, (0, 0, 0): -1}, ((1, 0, 2), -1)),
     ],
 )
 def test_packed_edges_against_sympy(caps_a, terms_a, caps_b, terms_b, monomial):
-    _check_against_sympy(caps_a, terms_a, caps_b, terms_b, monomial)
+    if caps_a == caps_b:
+        _check_against_sympy(caps_a, terms_a, terms_b, monomial)
+    else:
+        _assert_refused(*_operands(caps_a, terms_a, caps_b, terms_b, monomial))
 
 
 @pytest.mark.parametrize("cap", [0, 1, 2, 3, 4, 7, 8, 15, 16])
@@ -458,7 +495,7 @@ def test_packed_core_on_cyclotomic_coefficients_against_sympy():
         z = zeta_pow(r, 1)
         terms_a = {(0, 0, 0): z, (1, 2, 0): CycInt(r, (1, -2)), (2, 0, 1): 3}
         terms_b = {(0, 1, 0): z * z, (3, 0, 1): -1, (1, 1, 1): CycInt(r, (0, 2))}
-        _check_against_sympy((2, 4, 1), terms_a, (3, 2, 1), terms_b, ((0, 1, 0), z), r)
+        _check_against_sympy((3, 4, 1), terms_a, terms_b, ((0, 1, 0), z), r)
 
 
 _CAPS = st.sampled_from([0, 1, 2, 3, 4, 7, 8, 15, 16])
@@ -467,14 +504,14 @@ _CAPS = st.sampled_from([0, 1, 2, 3, 4, 7, 8, 15, 16])
 @st.composite
 def _packed_cases(draw):
     nvars = draw(st.integers(3, 7))
-    caps_a, caps_b = (tuple(draw(_CAPS) for _ in range(nvars)) for _ in range(2))
+    caps = tuple(draw(_CAPS) for _ in range(nvars))
 
-    def terms(caps):  # a few exponents one past the caps, which are dropped
+    def terms():  # a few exponents one past the caps, which are dropped
         exps = st.tuples(*(st.integers(0, cap + 1) for cap in caps))
         return draw(st.dictionaries(exps, st.integers(-3, 3), max_size=4))
 
     exps = draw(st.tuples(*[st.integers(0, 2)] * nvars).filter(any))
-    return caps_a, terms(caps_a), caps_b, terms(caps_b), (exps, draw(st.sampled_from([1, -1, 2])))
+    return caps, terms(), terms(), (exps, draw(st.sampled_from([1, -1, 2])))
 
 
 @settings(max_examples=100, deadline=None)
@@ -490,7 +527,7 @@ def test_geom_divide_refuses_constant_and_non_monomial_divisors():
     with pytest.raises(NonMonomialBaseError):
         geom_divide(one, TruncatedSeries(XY, {"x": 3, "y": 3}, {(1, 0): 1, (0, 1): 1}))
     # a divisor truncated to zero divides by 1
-    assert geom_divide(one, TruncatedSeries.monomial(XY, {"x": 3, "y": 0}, {"y": 1})) == one
+    assert geom_divide(one, TruncatedSeries.monomial(XY, {"x": 3, "y": 3}, {"y": 4})) == one
 
 
 def test_a_negative_exponent_raises_at_the_edge():
