@@ -15,7 +15,7 @@ preserved.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .groups import (
     ColoredPermutation,
@@ -101,16 +101,16 @@ def nvec_encode(
     return g, lam, h
 
 
-@dataclass(frozen=True)
-class Bipartite2Partition:
+class Bipartite2Partition(namedtuple("Bipartite2Partition", "row1 row2")):
     """A 2 x n matrix: first row weakly decreasing, second row weakly
     decreasing along ties of the first."""
 
+    __slots__ = ()
     row1: tuple[int, ...]
     row2: tuple[int, ...]
 
-    def __post_init__(self):
-        r1, r2 = self.row1, self.row2
+    def __new__(cls, row1, row2):
+        r1, r2 = row1, row2
         if len(r1) != len(r2):
             raise RangeError("rows must have equal length")
         if any(x < 0 for x in r1 + r2):
@@ -120,6 +120,11 @@ class Bipartite2Partition:
                 raise RangeError(f"first row {r1} is not weakly decreasing")
             if r1[i] == r1[i + 1] and r2[i] < r2[i + 1]:
                 raise RangeError(f"second row {r2} increases on a tie of the first")
+        return super().__new__(cls, row1, row2)
+
+    @classmethod
+    def _make(cls, iterable):  # so _replace checks the rows too
+        return cls(*iterable)
 
     def column_sum_class(self, r: int, s: int) -> int | None:
         """The common l with column sums congruent to l*r/s mod r, else None."""

@@ -16,14 +16,13 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
-import inspect
 import io
 import json
 import sys
 
 from .bijections import bipartite_from_tuple, nvec_decode, nvec_encode, order_involution
 from .groups import ascii_digits, format_window, make_group, parse_group, parse_int, parse_window
-from .identities import VERIFIERS
+from .identities import REQUIRED, VERIFIERS, parameters
 from .rsk import rs_correspondence, rs_transpose_map, tableau_descents
 from .stats import bn_descent_split, des_set, distribution, stat_record
 
@@ -86,21 +85,21 @@ def _verify_flags() -> dict:
     return dict.fromkeys(
         name
         for verifier in VERIFIERS.values()
-        for name in inspect.signature(verifier).parameters
+        for name in parameters(verifier)
         if name != "budget"
     )
 
 
 def cmd_verify(args) -> int:
-    params = inspect.signature(VERIFIERS[args.identity]).parameters
+    params = parameters(VERIFIERS[args.identity])
     kwargs = {n: getattr(args, n) for n in _verify_flags() if getattr(args, n) is not None}
     for name, value in kwargs.items():
         if name not in params:
             raise ValueError(f"{args.identity} takes no --{name}")
         if name in ("tmax", "qmax", "amax", "umax") and value < 1:
             raise ValueError(f"--{name} must be positive, got {value}")
-    for name, param in params.items():
-        if param.default is param.empty and name not in kwargs:
+    for name, default in params.items():
+        if default is REQUIRED and name not in kwargs:
             raise ValueError(f"{args.identity} needs --{name}")
     if "budget" in params:
         kwargs["budget"] = args.budget

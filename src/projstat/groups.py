@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 import math
 import os
-from dataclasses import dataclass
+from collections import namedtuple
 
 DEFAULT_BUDGET = 10**6
 BUDGET_ENV_VAR = "PROJSTAT_BUDGET"
@@ -76,10 +76,10 @@ def residue(x: int, m: int) -> int:
     return x % m
 
 
-@dataclass(frozen=True)
-class GroupDescriptor:
+class GroupDescriptor(namedtuple("GroupDescriptor", "r p s n")):
     """Parameters of G(r,p,s,n).  Use :func:`make_group` to validate."""
 
+    __slots__ = ()
     r: int
     p: int
     s: int
@@ -111,10 +111,10 @@ def make_group(r: int, p: int, s: int, n: int) -> GroupDescriptor:
     return GroupDescriptor(r, p, s, n)
 
 
-@dataclass(frozen=True)
-class ColoredPermutation:
+class ColoredPermutation(namedtuple("ColoredPermutation", "sigma colors")):
     """A lift: one-line permutation of [n] plus one color per position."""
 
+    __slots__ = ()
     sigma: tuple[int, ...]
     colors: tuple[int, ...]
 
@@ -123,10 +123,10 @@ class ColoredPermutation:
         return len(self.sigma)
 
 
-@dataclass(frozen=True)
-class ProjectiveElement:
+class ProjectiveElement(namedtuple("ProjectiveElement", "group lift")):
     """An element of G(r,p,s,n), stored as its canonical lift (c_n < r/s)."""
 
+    __slots__ = ()
     group: GroupDescriptor
     lift: ColoredPermutation
 
@@ -333,7 +333,11 @@ def parse_window(text: str, group: GroupDescriptor) -> ProjectiveElement:
         if not negative and i < len(text) and text[i] == "^":
             i += 1
             color = read_int()
-            if not 1 <= color <= group.r - 1:
+            if group.r == 1:
+                raise RangeError(f"{group} takes no color markers in {text!r}")
+            if color == 0:
+                raise RangeError(f"color 0 is written without a marker in {text!r}")
+            if color > group.r - 1:
                 raise RangeError(
                     f"color {color} out of range [1, {group.r - 1}] in {text!r}"
                 )

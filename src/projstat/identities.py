@@ -8,8 +8,8 @@ truth; closed forms are never assumed.
 
 Each verifier is registered in :data:`VERIFIERS` under its identity name,
 and its signature is the one declaration of the identity's parameters and
-defaults: ``projstat verify`` builds its flags from it, and the report's
-params are the bound arguments.
+defaults: ``projstat verify`` builds its flags from it (through
+:func:`parameters`), and the report's params are the bound arguments.
 
 Conventions adopted for the degenerate rank-0 terms of the summed
 identities, all made by :func:`_enumeration_side`:
@@ -23,11 +23,10 @@ identities, all made by :func:`_enumeration_side`:
 from __future__ import annotations
 
 import functools
-import inspect
 import itertools
 import math
 import time
-from dataclasses import dataclass
+from types import SimpleNamespace
 
 from .cyclotomic import CycInt, zeta_pow
 from .groups import (
@@ -56,16 +55,31 @@ class CompositionError(ValueError):
     """The block sizes do not form a composition of n."""
 
 
-@dataclass
-class VerificationReport:
-    identity: str
-    params: dict
-    region: dict
-    outcome: str
-    first_mismatch: dict | None
-    element_count: int
-    elapsed_ms: float
-    notes: tuple[str, ...] = ()
+class VerificationReport(SimpleNamespace):
+    """One verifier's verdict.  Mutable: :func:`_identity` sets the name,
+    params and time after the verifier returns."""
+
+    def __init__(
+        self,
+        identity: str,
+        params: dict,
+        region: dict,
+        outcome: str,
+        first_mismatch: dict | None,
+        element_count: int,
+        elapsed_ms: float,
+        notes: tuple[str, ...] = (),
+    ):
+        super().__init__(
+            identity=identity,
+            params=params,
+            region=region,
+            outcome=outcome,
+            first_mismatch=first_mismatch,
+            element_count=element_count,
+            elapsed_ms=elapsed_ms,
+            notes=notes,
+        )
 
     @property
     def matched(self) -> bool:
@@ -91,28 +105,39 @@ def _coef_repr(c):
 
 VERIFIERS: dict = {}  # identity name -> verifier, in declaration order
 
+REQUIRED = object()  # the default of a parameter that has none, in parameters()
+
+
+def parameters(fn) -> dict:
+    """Name -> default of the positional-or-keyword parameters of fn (or of
+    the function it wraps), in declaration order; :data:`REQUIRED` for a
+    parameter without a default.  Read off the code object."""
+    fn = getattr(fn, "__wrapped__", fn)
+    names = fn.__code__.co_varnames[: fn.__code__.co_argcount]
+    defaults = fn.__defaults__ or ()
+    return dict(zip(names, (REQUIRED,) * (len(names) - len(defaults)) + defaults))
+
 
 def _identity(name: str):
     """Register a verifier as identity ``name``.  Its report gets the name,
-    the elapsed time, and params: the bound arguments but ``budget``,
-    updated with the overrides the verifier passed to :func:`_finish`."""
+    the elapsed time, and params: the arguments (defaults filled in) but
+    ``budget``, updated with the overrides the verifier passed to
+    :func:`_finish`."""
 
     def register(fn):
-        signature = inspect.signature(fn)
+        defaults = parameters(fn)
 
         @functools.wraps(fn)
         def verifier(*args, **kwargs):
             started = time.perf_counter()
-            bound = signature.bind(*args, **kwargs)
-            bound.apply_defaults()
-            bound.arguments.pop("budget", None)
-            report = fn(*args, **kwargs)
+            report = fn(*args, **kwargs)  # refuses bad arguments before any work
+            params = defaults | dict(zip(defaults, args)) | kwargs
+            params.pop("budget", None)
             report.identity = name
-            report.params = bound.arguments | report.params
+            report.params = params | report.params
             report.elapsed_ms = (time.perf_counter() - started) * 1000.0
             return report
 
-        verifier.__signature__ = signature  # read by the CLI on every call
         VERIFIERS[name] = verifier
         return verifier
 
@@ -692,6 +717,10 @@ def verify_six_stats(
 
     monomial = lambda i, j: {"u": 1, "q1": i, "q2": j, "a1": residue(i, rs), "a2": residue(j, rs)}
 
+    # the enumeration side first: an over-budget rank refuses before any lattice work
+    keys = ("des", "ides", "fmaj", "ifmaj", "col", "icol")
+    rhs, count = _rank_sum(vars_, caps, keys, r, p, s, nmax, d, budget)
+
     ks = {b: [*g] for b, g in itertools.groupby(range(tmax + 1), lambda k: min(k * rs, qmax))}
     pack = packing(vars_, caps)[0]
     zero = TruncatedSeries.zero(vars_, caps)
@@ -702,9 +731,6 @@ def verify_six_stats(
         for shift in (pack({"t1": k1, "t2": k2}) for k1 in ks[imax] for k2 in ks[jmax]):
             blocks.append({key + shift: c for key, c in block.items()})
     lhs = _joined(vars_, caps, blocks)
-    keys = ("des", "ides", "fmaj", "ifmaj", "col", "icol")
-    rhs, count = _rank_sum(vars_, caps, keys, r, p, s, nmax, d, budget)
-
     notes = (
         "rank-0 term taken as s/((1-t1)(1-t2)): the empty 2-partite "
         "partition lies in every column-sum class",
@@ -741,20 +767,21 @@ def verify_hilbert(
     vars_ = ("u", "q1", "q2")
     caps = {"u": nmax, "q1": qmax, "q2": qmax}
 
+    # the enumeration sides first: an over-budget rank refuses before any lattice work
+    keys = ("fmaj", "ifmaj")
+    rhs, count = _rank_sum(vars_, caps, keys, r, p, s, nmax, d, budget)
+    if p == s:
+        dual_rhs, dual_count = rhs, count
+    else:
+        dual_rhs, dual_count = _rank_sum(vars_, caps, keys, r, s, p, nmax, d, budget)
+
     needed = {l * st % r for st, m in ((r // s, max(p, s)), (r // p, p)) for l in range(m)}
     monomial = lambda i, j: {"u": 1, "q1": i, "q2": j}
     [(_, _, products)] = _lattice_walk(vars_, caps, monomial, r, needed, [qmax], [qmax])
     zero = TruncatedSeries.zero(vars_, caps)
     lattice_sum = lambda step, classes: sum((products[l * step % r] for l in range(classes)), zero)
-    keys = ("fmaj", "ifmaj")
     lhs = lattice_sum(r // s, s).extract_multiples({"u": d, "q1": p})
-    rhs, count = _rank_sum(vars_, caps, keys, r, p, s, nmax, d, budget)
     ok, mism = equal_on(lhs, rhs)
-
-    if p == s:
-        dual_rhs, dual_count = rhs, count
-    else:
-        dual_rhs, dual_count = _rank_sum(vars_, caps, keys, r, s, p, nmax, d, budget)
     same_step = lattice_sum(r // s, p).extract_multiples({"u": d, "q1": s})
     swapped_step = lattice_sum(r // p, p).extract_multiples({"u": d, "q1": s})
     same_ok = equal_on(same_step, dual_rhs)[0]

@@ -27,8 +27,7 @@ col = sum of R_{r/s}(c_i).
 from __future__ import annotations
 
 import functools
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from operator import itemgetter
 from types import MappingProxyType
 
@@ -105,10 +104,13 @@ def des_set(g: ProjectiveElement, order: str = COLOR) -> set[int]:
     return out
 
 
-@dataclass(frozen=True)
-class StatRecord:
+class StatRecord(namedtuple(
+    "StatRecord",
+    "desG desA maj fmaj fdes des col invAbs signAbs hdes hvec kvec lam colorClass",
+)):
     """Every statistic of one element, as computed from its canonical lift."""
 
+    __slots__ = ()
     desG: int
     desA: int
     maj: int
@@ -665,14 +667,14 @@ def fmaj_prime(g: ProjectiveElement) -> int:
     return g.group.r * sum(prime_descents) + rec.col
 
 
-@dataclass(frozen=True)
-class BnDescentSplit:
+class BnDescentSplit(namedtuple("BnDescentSplit", "hdes0 hdes1 des_pm d0 nn neg")):
     """The four-part splitting of Des_G(g) for g in B_n, plus Neg and NN.
 
     Des_G(g)  = hdes0 | hdes1 | des_pm | ({0} iff d0)
     Des'_G(g) = hdes0 | (nn - hdes1) | des_pm | ({0} iff d0)
     """
 
+    __slots__ = ()
     hdes0: frozenset[int]
     hdes1: frozenset[int]
     des_pm: frozenset[int]

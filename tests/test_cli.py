@@ -1,6 +1,9 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -215,6 +218,19 @@ def test_parse_error_exits_2(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize(
+    "group, element, message",
+    [
+        ("G(1,1,1,3)", "[1^1,2,3]", "G(1,1,1,3) takes no color markers in '[1^1,2,3]'"),
+        ("G(2,1,1,3)", "[1^0,2,3]", "color 0 is written without a marker in '[1^0,2,3]'"),
+        ("G(2,1,1,3)", "[1^2,2,3]", "color 2 out of range [1, 1] in '[1^2,2,3]'"),
+    ],
+)
+def test_window_color_errors_exit_2(capsys, group, element, message):
+    code, out, err = run(capsys, "stats", group, element)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_mismatch_exits_1(capsys, monkeypatch):
     import projstat.cli as cli
     from projstat.identities import VerificationReport
@@ -383,6 +399,21 @@ def test_each_identity_takes_only_its_parameters(capsys):
         for flag in sorted(flags - params):
             code, _, err = run(capsys, "verify", name, f"--{flag}", "1")
             assert (code, err) == (2, f"error: {name} takes no --{flag}\n")
+
+
+def test_importing_the_cli_loads_neither_inspect_nor_dataclasses():
+    # both cost more to import than the whole library; typing is not
+    # checked, since site hooks may load it before projstat is imported
+    code = "import sys, projstat.cli, projstat; print(sorted({'inspect', 'dataclasses'} & set(sys.modules)))"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert done.stdout == "[]\n"
 
 
 def test_stats_refuses_a_huge_rank_by_name(capsys):

@@ -5,7 +5,6 @@ stat_record (of g, and of inverse(g) for the inverse keys), exactly as the
 verifiers built it before they used distribution.
 """
 
-import dataclasses
 import itertools
 import json
 import math
@@ -598,7 +597,7 @@ def _perturb(monkeypatch, name):
         def perturbed(g):
             rec = stat_record(g)
             if g.sigma == tuple(sorted(g.sigma)) and not any(g.colors):
-                return dataclasses.replace(rec, fmaj=rec.fmaj + 1)
+                return rec._replace(fmaj=rec.fmaj + 1)
             return rec
 
         monkeypatch.setattr(identities, "stat_record", perturbed)

@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import math
 import time
@@ -466,6 +467,53 @@ def test_hilbert_walks_each_needed_residue_once(monkeypatch, r, p, s, needed):
     assert calls == [(sorted(needed), [5], [5])]
 
 
+@pytest.mark.parametrize(
+    "verifier, args, refused",
+    [
+        (verify_hilbert, dict(r=2, nmax=12, qmax=6), "G(2,1,1,8): group order 10321920"),
+        (verify_hilbert, dict(r=2, nmax=10**5, qmax=6), "G(2,1,1,8): group order 10321920"),
+        (verify_hilbert, dict(r=4, p=2, s=1, nmax=12), "G(4,2,1,6): group order 1474560"),
+        (verify_six_stats, dict(r=2, nmax=12, umax=12), "G(2,1,1,8): group order 10321920"),
+        (verify_six_stats, dict(r=2, nmax=20_000, umax=20_000), "G(2,1,1,8): group order 10321920"),
+    ],
+)
+def test_ranked_sums_refuse_an_over_budget_rank_before_any_lattice_work(
+    monkeypatch, verifier, args, refused
+):
+    # the lattice walk keeps one layer per u-degree up to the u cap, which
+    # at nmax 10^5 takes seconds: an over-budget rank is refused before it
+    walks = []
+    monkeypatch.setattr(identities, "_lattice_walk", lambda *args: walks.append(args))
+    with pytest.raises(BudgetExceededError) as exc:
+        verifier(**args, budget=10**6)
+    assert str(exc.value) == refused + " exceeds enumeration budget 1000000"
+    assert walks == []
+
+
+def test_parameters_agree_with_the_signatures():
+    for name, verifier in identities.VERIFIERS.items():
+        signature = inspect.signature(verifier).parameters
+        assert all(param.kind is param.POSITIONAL_OR_KEYWORD for param in signature.values())
+        expected = [
+            (key, identities.REQUIRED if param.default is param.empty else param.default)
+            for key, param in signature.items()
+        ]
+        assert list(identities.parameters(verifier).items()) == expected, name
+
+
+def test_a_verifier_refuses_bad_arguments_before_any_work(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a histogram was built")
+
+    monkeypatch.setattr(identities, "distribution", refuse)
+    with pytest.raises(TypeError, match="unexpected keyword argument 'nmax'"):
+        verify_carlitz_des(2, nmax=3)
+    with pytest.raises(TypeError, match="missing 1 required positional argument: 'r'"):
+        verify_carlitz_des(n=3)
+    with pytest.raises(TypeError, match="multiple values for argument 'r'"):
+        verify_carlitz_des(2, r=2)
+
+
 def test_lattice_products_cost_one_division_per_point_and_row_bound(monkeypatch):
     # six-stats applies 105 lattice points and divides by 14 chain factors
     # (12 in the chains of ranks 1..3, then (1-t1)(1-t2) once for all ranks;
@@ -649,6 +697,14 @@ def test_params_are_the_bound_arguments():
     }
     report = verify_signed_multinomial(3, (1, 2))
     assert report.params == {"n": 3, "parts": [1, 2]}
+    # in declaration order, as the signature binds them, for positional and
+    # keyword calls
+    for args, kwargs in [((2, 1, 1, 2), {}), ((), dict(r=2, n=2, qmax=4)), ((2,), dict(n=2, budget=10**6))]:
+        bound = inspect.signature(verify_carlitz_des).bind(*args, **kwargs)
+        bound.apply_defaults()
+        del bound.arguments["budget"]
+        expected = bound.arguments | {"amax": bound.arguments["qmax"]}  # the verifier's override
+        assert list(verify_carlitz_des(*args, **kwargs).params.items()) == list(expected.items())
 
 
 def test_reports_are_deterministic_up_to_timing():
