@@ -40,8 +40,8 @@ from .groups import (
     make_group,
     residue,
 )
-from .series import RegionError, TruncatedSeries, equal_on, geom_divide, packing, q_bracket
-from .stats import distribution, stat_record
+from .series import RegionError, TruncatedSeries, equal_on, geom_divide_terms, packing, q_bracket
+from .stats import distribution, factors, stat_record
 
 MATCH = "MATCH"
 MISMATCH = "MISMATCH"
@@ -394,11 +394,18 @@ def _chain(t: str | None, q: str, r: int, s: int, n: int, a: int, b: int) -> lis
     return chain + [{**tpow(b), q: n * r // s}] if n else chain
 
 
-def _divide(series: TruncatedSeries, *monomials) -> TruncatedSeries:
-    """series / prod(1 - M) over the monomials M, within its caps."""
-    for exps in monomials:
-        series = geom_divide(series, TruncatedSeries.monomial(series.vars, series.caps, exps))
-    return series
+def _sides(chain, inverse_vars) -> tuple[list, list]:
+    """(own, inverse): the monomials of chain with no variable in
+    inverse_vars, and those with all of theirs in it.  Raises ValueError
+    for a monomial with variables on both sides, whose 1 - M does not
+    divide either side alone."""
+    own, inverse = [], []
+    for exps in chain:
+        touched = {v for v, e in exps.items() if e}
+        if touched & inverse_vars and touched - inverse_vars:
+            raise ValueError(f"chain monomial {exps} has variables of g and of g^-1")
+        (inverse if touched and touched <= inverse_vars else own).append(exps)
+    return own, inverse
 
 
 def _enumeration_side(vars_, caps, r, p, s, n, keys, chain, budget, lead=()):
@@ -408,17 +415,54 @@ def _enumeration_side(vars_, caps, r, p, s, n, keys, chain, budget, lead=()):
 
     The histogram is built only within the caps of the variables its keys are laid out
     in (the division moves terms only upward).  A lead past its caps makes the side 0:
-    the group is still made, the budget still checked and the elements still counted."""
-    hist, count = {(0,) * len(keys): s if lead else 1}, 0 if lead else 1
+    the group is still made, the budget still checked and the elements still counted.
+
+    The histogram comes as its :func:`stats.factors`, pairs of a histogram of g's keys and
+    one of g^-1's, and each chain monomial has the variables of one side only
+    (:func:`_sides`).  So each side of each pair is packed into its own fields, the lead
+    with g's keys, and divided by its own monomials (:func:`series.geom_divide_terms`)
+    before the pairs are multiplied out.  The two sides' fields are disjoint, so a
+    product of keys within the caps lies within them and needs no check."""
+    own, inverse, pairs = keys, (), [({(0,) * len(keys): s if lead else 1}, {(): 1})]
+    count = 0 if lead else 1
     if n:
         group = make_group(r, p, s, n)
         if any(e > caps[v] for v, e in zip(vars_, lead)):
             check_budget(group, budget)
             return TruncatedSeries(vars_, caps), group.order
         compared = {key: caps[v] for key, v in zip(keys, vars_[len(lead):])}
-        hist, count = distribution(group, keys, budget, compared), group.order
-    side = TruncatedSeries(vars_, caps, {(*lead, *key): c for key, c in hist.items()})
-    return _divide(side, *chain), count
+        (own, inverse, pairs), count = factors(group, keys, budget, compared), group.order
+    var = dict(zip(keys, vars_[len(lead):]))
+    own_vars = vars_[:len(lead)] + tuple(var[key] for key in own)
+    inverse_vars = tuple(var[key] for key in inverse)
+    pack, bias, guard = packing(vars_, caps)
+
+    def divided(side_vars, monomials, hists, lead=()):
+        # each histogram packed into side_vars after the lead, divided by the
+        # monomials (1/(1 - M) is 1 for an M past the caps); the highest
+        # degrees first, whose chains are short, while the terms are few
+        monomials = sorted(monomials, key=lambda exps: sum(exps.values()), reverse=True)
+        steps = [step for step in map(pack, monomials) if step is not None]
+        for hist in hists:
+            terms = {}
+            for values, c in hist.items():
+                key = pack(dict(zip(side_vars, (*lead, *values))))
+                if key is not None and c:
+                    terms[key] = c
+            for step in steps:
+                terms = geom_divide_terms(terms, step, 1, bias, guard)
+            yield terms
+
+    own_monomials, inverse_monomials = _sides(chain, set(inverse_vars))
+    lefts = divided(own_vars, own_monomials, [left for left, _ in pairs], lead)
+    rights = divided(inverse_vars, inverse_monomials, [right for _, right in pairs])
+    terms = {}
+    for left, right in zip(lefts, rights):
+        for b, y in right.items():
+            for a, x in left.items():
+                key = a + b
+                terms[key] = terms[key] + x * y if key in terms else x * y
+    return TruncatedSeries(vars_, caps)._with(terms), count
 
 
 def _ksum(vars_, caps, inner, n, p) -> TruncatedSeries:
@@ -665,21 +709,22 @@ def _rank_sum(vars_, caps, keys, r, p, s, nmax, d, budget):
 
     The sum over ranks n <= nmax divisible by d of u^n times the histogram
     of ``keys`` over G(r,p,s,n) (laid out as vars_[1:]), divided for
-    i = 1, 2 by the chain of carlitz-des in (t_i, q_i).  When vars_ has
-    t1, t2, the sum is also divided by (1-t1)(1-t2); otherwise the t_i
-    are dropped.  Each rank is one :func:`_enumeration_side`.
+    i = 1, 2 by the chain of carlitz-des in (t_i, q_i), and by 1 - t_i
+    when vars_ has t1, t2; otherwise the t_i are dropped.  Each rank is
+    one :func:`_enumeration_side`, which divides each side of its factors
+    by the monomials in that side's (t_i, q_i).
 
     The chains keep each rank at its own u-degree, so the ranks' terms are
-    collected without adding series, and the factors (1-t1)(1-t2) that all
-    ranks share divide the sum once, not each rank.
+    collected without adding series.
     """
     ts = ("t1", "t2") if "t1" in vars_ else (None, None)
     sides = []
     for n in range(0, nmax + 1, d):
-        chain = [m for t, q in zip(ts, ("q1", "q2")) for m in _chain(t, q, r, s, n, s, 1)]
+        chain = []
+        for t, q in zip(ts, ("q1", "q2")):
+            chain += [{t: 1}] * bool(t) + _chain(t, q, r, s, n, s, 1)
         sides.append(_enumeration_side(vars_, caps, r, p, s, n, keys, chain, budget, (n,)))
-    joined = _joined(vars_, caps, [side.terms for side, _ in sides])
-    return _divide(joined, *({t: 1} for t in ts if t)), sum(count for _, count in sides)
+    return _joined(vars_, caps, [side.terms for side, _ in sides]), sum(count for _, count in sides)
 
 
 @_identity("six-stats")
@@ -759,9 +804,10 @@ def verify_hilbert(
     dual-group enumeration and the verdicts are recorded in the notes.
 
     The three lattice sums add up products of one :func:`_lattice_walk` at
-    (qmax, qmax).  The report's count adds the elements of G(r,p,s,n) and
-    of its dual G(r,s,p,n) over the ranks checked, also when p == s and the
-    dual is the same group (whose enumeration is then reused).
+    (qmax, qmax).  When p == s they are one sum, and the dual is the same
+    group: the sum is built and compared once, and the enumeration is
+    reused.  The report's count adds the elements of G(r,p,s,n) and of its
+    dual G(r,s,p,n) over the ranks checked, also when p == s.
     """
     d = _quotient_divisor(r, p, s)
     vars_ = ("u", "q1", "q2")
@@ -782,10 +828,14 @@ def verify_hilbert(
     lattice_sum = lambda step, classes: sum((products[l * step % r] for l in range(classes)), zero)
     lhs = lattice_sum(r // s, s).extract_multiples({"u": d, "q1": p})
     ok, mism = equal_on(lhs, rhs)
-    same_step = lattice_sum(r // s, p).extract_multiples({"u": d, "q1": s})
-    swapped_step = lattice_sum(r // p, p).extract_multiples({"u": d, "q1": s})
-    same_ok = equal_on(same_step, dual_rhs)[0]
-    swapped_ok = equal_on(swapped_step, dual_rhs)[0]
+    if p == s:
+        # both interchanged forms are lhs again, against the same enumeration
+        same_ok = swapped_ok = ok
+    else:
+        same_step = lattice_sum(r // s, p).extract_multiples({"u": d, "q1": s})
+        swapped_step = lattice_sum(r // p, p).extract_multiples({"u": d, "q1": s})
+        same_ok = equal_on(same_step, dual_rhs)[0]
+        swapped_ok = equal_on(swapped_step, dual_rhs)[0]
     if same_ok and swapped_ok:
         resolution = "both readings of the interchanged form agree with the dual enumeration"
     elif swapped_ok:

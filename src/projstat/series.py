@@ -308,10 +308,26 @@ def packing(vars_, caps) -> tuple:
     """(pack, bias, guard) of the packed layout under caps, for walking
     packed terms by hand: pack(exps) is the key of an exponent mapping (None
     past the caps), and a sum k of two keys within the caps lies within them
-    iff (k + bias) & guard == 0.  A series' ``terms`` take such keys."""
+    iff (k + bias) & guard == 0.  A series' ``terms`` take such keys.
+
+    pack raises ValueError, as a series does, for an unknown variable and
+    for a negative exponent, also after an exponent past its cap."""
     template = TruncatedSeries(vars_, caps)
-    _, bias, guard = _layout(template.caps)
-    return lambda exps: template._pack(template.exp_vector(exps)), bias, guard
+    fields, bias, guard = _layout(template.caps)
+    where = {v: (shift, cap) for v, (shift, _), cap in zip(template.vars, fields, template.caps)}
+
+    def pack(exps) -> int | None:
+        key, inside = 0, True
+        for v, e in exps.items():
+            at = where.get(v)
+            if at is None or e < 0:
+                template._pack(template.exp_vector(exps))  # raises
+            if e > at[1]:
+                inside = False
+            key += e << at[0]
+        return key if inside else None
+
+    return pack, bias, guard
 
 
 def geom_inverse(monomial: TruncatedSeries) -> TruncatedSeries:
@@ -326,24 +342,35 @@ def geom_inverse(monomial: TruncatedSeries) -> TruncatedSeries:
 def geom_divide(series: TruncatedSeries, monomial: TruncatedSeries) -> TruncatedSeries:
     """series / (1 - M) for a scaled monomial M = c m in the series'
     variables and caps: the product series * geom_inverse(M), without
-    building the inverse.
+    building the inverse (:func:`geom_divide_terms`)."""
+    series._check_same(monomial)
+    if not monomial.terms:  # M is truncated to zero
+        return series._with(dict(series.terms))
+    _, bias, guard = _layout(series.caps)
+    return series._with(geom_divide_terms(series.terms, *monomial._single_term(), bias, guard))
+
+
+def geom_divide_terms(terms: dict, step: int, c, bias: int, guard: int) -> dict:
+    """The packed terms of F / (1 - c m), for F's packed terms and m packed
+    as step, under the (bias, guard) of their layout (see :func:`packing`).
 
     The quotient is G[e] = sum over j of c^j F[e - jm]: each term of F is
-    walked along its chain e + m, e + 2m, ... until the guard trips.
+    walked along its chain e + m, e + 2m, ... until the guard trips, with
+    no multiply when c = 1.  Raises ConstantTermError when m = 1, whose
+    chain would never leave the caps.
     """
-    series._check_same(monomial)
-    if monomial.terms and not monomial._single_term()[0]:
+    if not step:
         raise ConstantTermError("cannot invert 1 - M when M has a constant term")
-    _, bias, guard = _layout(series.caps)
-    out = dict(series.terms)
-    for step, c in monomial.terms.items():  # none if M is truncated to zero
-        for key, coeff in series.terms.items():
-            key += step
-            while not (key + bias) & guard:
+    out = dict(terms)
+    scaled = c != 1
+    for key, coeff in terms.items():
+        key += step
+        while not (key + bias) & guard:
+            if scaled:
                 coeff = coeff * c
-                out[key] = out[key] + coeff if key in out else coeff
-                key += step
-    return series._with(out)
+            out[key] = out[key] + coeff if key in out else coeff
+            key += step
+    return out
 
 
 def equal_on(

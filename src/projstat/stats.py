@@ -316,9 +316,10 @@ def _rank_step(states: dict, rows: list, rise: int, classes, mod: int, mask: int
     return nxt
 
 
-def _rank_dp(group: GroupDescriptor, keys, caps=None) -> Counter:
-    """The histogram of keys, no inverse key among them, by a right-to-left
-    DP over relative ranks; no element is built.
+def _rank_dp(group: GroupDescriptor, keys, caps=None) -> tuple:
+    """The :func:`factors` of keys, no inverse key among them, by a
+    right-to-left DP over relative ranks; no element is built.  Its one pair
+    is (histogram, {(): 1}), left out when the caps leave nothing.
 
     h_i, k_i and lambda_i are suffix recurrences,
 
@@ -437,7 +438,7 @@ def _rank_dp(group: GroupDescriptor, keys, caps=None) -> Counter:
                    acc >> at_des_a & in_des_a, inv, -1 if inv & 1 else 1, color_class)
             key = get(rec)
             hist[key] = hist.get(key, 0) + count
-    return Counter(hist)
+    return tuple(keys), (), [(hist, {(): 1})] if hist else []
 
 
 @functools.cache
@@ -493,9 +494,9 @@ def _inverse_shape(shape: tuple) -> tuple:
     return shape[:1] + shape[:0:-1]
 
 
-def _tableau_pairs(group: GroupDescriptor, keys: tuple, caps=None) -> Counter:
-    """The histogram of keys, inverse keys among them or not, by standard
-    multi-tableaux; polynomial in n like :func:`_rank_dp`.
+def _tableau_pairs(group: GroupDescriptor, keys: tuple, caps=None) -> tuple:
+    """The :func:`factors` of keys, inverse keys among them or not, by
+    standard multi-tableaux; polynomial in n like :func:`_rank_dp`.
 
     Inverse keys need g^-1, which has no suffix recurrence.  Color-by-color
     Robinson-Schensted (:func:`rsk.rs_correspondence`, whose pairs this
@@ -516,6 +517,12 @@ def _tableau_pairs(group: GroupDescriptor, keys: tuple, caps=None) -> Counter:
     Taking only the Q whose position n has a color below r/s takes each
     class of G(r,p,s,n) once, by its canonical lift.  The tableaux do not
     see inv|g|, so a record holds None for invAbs and signAbs.
+
+    Each lambda makes one pair of those two histograms, and the pairs of
+    equal inverse histograms are merged by adding their own ones.  When the
+    pairs still outnumber the tuples b of inverse values, the histogram is
+    given by its columns instead, one pair (own histogram at b, {b: 1}) per
+    b: fewer pairs for a caller to divide and multiply out.
 
     ``caps`` (see :func:`distribution`) cut each side's histograms before
     their products, and prune the DP, which feeds both sides, with lower
@@ -578,18 +585,26 @@ def _tableau_pairs(group: GroupDescriptor, keys: tuple, caps=None) -> Counter:
     own_caps = [(i, caps[key]) for i, key in enumerate(own) if key in caps]
     inv_caps = [(i, caps[key]) for i, key in enumerate(inverse) if key in caps]
     within = lambda hist, bounds: {v: c for v, c in hist.items() if all(v[i] <= cap for i, cap in bounds)}
-    pairs = {}
+    pairs = {}  # the inverse histogram, frozen -> [own histogram, inverse histogram]
     for shape, left in canonical.items():
         if sums[shape][0] % p == 0:
             right = every[_inverse_shape(shape)]
             if caps:
                 left, right = within(left, own_caps), within(right, inv_caps)
-            for a, x in left.items():
-                row = pairs.setdefault(a, {})
-                for b, y in right.items():
-                    row[b] = row.get(b, 0) + x * y
-    order = _getter(keys, own + inverse)  # a + b holds g's keys, then the inverse keys
-    return Counter({order(a + b): count for a, row in pairs.items() for b, count in row.items()})
+            if left and right:
+                pair = pairs.setdefault(frozenset(right.items()), [{}, right])[0]
+                for a, x in left.items():
+                    pair[a] = pair.get(a, 0) + x
+    pairs = [tuple(pair) for pair in pairs.values()]
+    columns = {b: {} for _, right in pairs for b in right}
+    if len(pairs) > len(columns):
+        for left, right in pairs:
+            for b, y in right.items():
+                column = columns[b]
+                for a, x in left.items():
+                    column[a] = column.get(a, 0) + x * y
+        pairs = [(column, {b: 1}) for b, column in columns.items()]
+    return tuple(own), tuple(inverse), pairs
 
 
 def _largest(group: GroupDescriptor) -> dict:
@@ -610,32 +625,29 @@ def _largest(group: GroupDescriptor) -> dict:
     return bounds | {key: bounds[base] for key, base in INVERSE_KEYS.items()}
 
 
-def distribution(group: GroupDescriptor, keys, budget: int | None = None, caps=None) -> Counter:
-    """Histogram of the named statistics over the whole group.
+def factors(group: GroupDescriptor, keys, budget: int | None = None, caps=None) -> tuple:
+    """The histogram of the named statistics over the whole group, as the
+    sum of products of a histogram of g's keys and one of g^-1's.
 
-    Maps each tuple of values of ``keys`` to the number of elements that
-    take it.  ``keys`` are scalar :class:`StatRecord` fields from
-    :data:`DISTRIBUTION_KEYS`, or ``ides``/``ifmaj``/``icol`` for des, fmaj
-    and col of g^-1; ``invAbs`` and ``signAbs`` do not pair with the
-    latter.  The result equals the histogram of :func:`stat_record` over
-    :func:`enumerate_elements`, which stays the reference definition, but
-    no element is built: :func:`_tableau_pairs` makes it when the keys hold
-    an inverse key and :func:`_rank_dp` otherwise.
+    Returns (own keys, inverse keys, pairs): ``keys`` split into those of g
+    and the inverse keys ``ides``/``ifmaj``/``icol``, each in the order of
+    ``keys``, and a list of (own histogram, inverse histogram), each a dict
+    from a tuple of values of its keys to a positive count.  The histogram
+    of ``keys`` is the sum over the pairs of the products x*y at the joined
+    tuple a + b, for a -> x in the own histogram and b -> y in the inverse
+    one (:func:`distribution`, up to the order of the keys).
 
-    ``caps`` maps some of the keys to the largest value compared; the
-    histogram then holds only the tuples within every cap, which is the
-    reference restricted to the caps.  Every key but ``signAbs`` and
-    ``colorClass`` takes a cap.  Each of them is read off fields that a DP
-    step only adds to, so a DP state whose field has passed a cap makes no
-    tuple within the caps, and the kernels drop it at once.  A cap at or
-    above the bound of :func:`_largest` cuts nothing and is left out, and
-    without caps the kernels check no state.  A caller that divides the
-    histogram by factors 1 - M of nonnegative exponents loses nothing by
-    the caps, since the division only moves terms upward.
+    :func:`_tableau_pairs` makes one pair per shape of color-by-color
+    Robinson-Schensted, merges the pairs of equal inverse histograms by
+    adding their own histograms, and gives the columns instead when they
+    are fewer; without inverse keys :func:`_rank_dp` makes the one pair
+    (histogram, {(): 1}).  A pair with an empty side is left out, and no
+    two pairs have equal inverse histograms.  So a caller can work on each
+    side in its own variables, as the verifiers' chain divisions do
+    (:func:`identities._enumeration_side`).
 
-    Raises ValueError for any other key, pairing or cap, and
-    BudgetExceededError (before any work) when the group order exceeds the
-    budget; for the DPs that order is a loose bound on the work.
+    ``keys``, ``budget`` and ``caps`` are those of :func:`distribution`, and
+    so are the refusals.
     """
     keys = tuple(keys)
     for key in keys:
@@ -658,6 +670,52 @@ def distribution(group: GroupDescriptor, keys, budget: int | None = None, caps=N
         caps = {key: cap for key, cap in caps.items() if cap < largest[key]}
     check_budget(group, budget)
     return (_tableau_pairs if paired else _rank_dp)(group, keys, caps)
+
+
+def _flatten(keys, own, inverse, pairs) -> Counter:
+    """The histogram of keys that the :func:`factors` (own, inverse, pairs)
+    stand for."""
+    if own == keys and len(pairs) == 1 and pairs[0][1] == {(): 1}:
+        return Counter(pairs[0][0])  # the one pair of _rank_dp
+    order, hist = _getter(keys, own + inverse), {}
+    for left, right in pairs:
+        for b, y in right.items():
+            for a, x in left.items():
+                key = order(a + b)
+                hist[key] = hist.get(key, 0) + x * y
+    return Counter(hist)
+
+
+def distribution(group: GroupDescriptor, keys, budget: int | None = None, caps=None) -> Counter:
+    """Histogram of the named statistics over the whole group.
+
+    Maps each tuple of values of ``keys`` to the number of elements that
+    take it.  ``keys`` are scalar :class:`StatRecord` fields from
+    :data:`DISTRIBUTION_KEYS`, or ``ides``/``ifmaj``/``icol`` for des, fmaj
+    and col of g^-1; ``invAbs`` and ``signAbs`` do not pair with the
+    latter.  The result equals the histogram of :func:`stat_record` over
+    :func:`enumerate_elements`, which stays the reference definition, but
+    no element is built: it is the :func:`factors` of the keys, multiplied
+    out, which :func:`_tableau_pairs` makes when the keys hold an inverse
+    key and :func:`_rank_dp` otherwise.
+
+    ``caps`` maps some of the keys to the largest value compared; the
+    histogram then holds only the tuples within every cap, which is the
+    reference restricted to the caps.  Every key but ``signAbs`` and
+    ``colorClass`` takes a cap.  Each of them is read off fields that a DP
+    step only adds to, so a DP state whose field has passed a cap makes no
+    tuple within the caps, and the kernels drop it at once.  A cap at or
+    above the bound of :func:`_largest` cuts nothing and is left out, and
+    without caps the kernels check no state.  A caller that divides the
+    histogram by factors 1 - M of nonnegative exponents loses nothing by
+    the caps, since the division only moves terms upward.
+
+    Raises ValueError for any other key, pairing or cap, and
+    BudgetExceededError (before any work) when the group order exceeds the
+    budget; for the DPs that order is a loose bound on the work.
+    """
+    keys = tuple(keys)
+    return _flatten(keys, *factors(group, keys, budget, caps))
 
 
 def fmaj_prime(g: ProjectiveElement) -> int:

@@ -99,6 +99,7 @@ def test_distribution_matches_stat_record(group):
 
     for keys in KEY_TUPLES:
         assert distribution(group, keys) == reference(keys), keys
+        assert _flattened_factors(group, keys) == reference(keys), keys
 
     # within caps, from none cut to all cut, or past every packed field:
     # the reference restricted to the caps, from both kernels that apply
@@ -120,10 +121,52 @@ def test_distribution_matches_stat_record(group):
         paired = any(key in stats.INVERSE_KEYS for key in keys)
         kernels = [stats._tableau_pairs] * ("invAbs" not in keys) + [stats._rank_dp] * (not paired)
         for kernel in kernels:
-            assert kernel(group, keys, caps) == within, kernel.__name__
+            assert stats._flatten(keys, *kernel(group, keys, caps)) == within, kernel.__name__
         assert distribution(group, keys, caps=caps) == within
+        assert _flattened_factors(group, keys, caps) == within
 
     within_caps()
+
+
+def _flattened_factors(group, keys, caps=None) -> Counter:
+    """stats.factors multiplied out here, after checking its form: the keys
+    split into g's and g^-1's, no pair with an empty side, and no two pairs
+    with equal inverse histograms (those are merged)."""
+    own, inverse, pairs = stats.factors(group, keys, caps=caps)
+    assert own + inverse == tuple(sorted(keys, key=lambda key: key in stats.INVERSE_KEYS))
+    assert all(left and right for left, right in pairs)
+    rights = [frozenset(right.items()) for _, right in pairs]
+    assert len(set(rights)) == len(rights)
+    hist = Counter()
+    for left, right in pairs:
+        for a, x in left.items():
+            for b, y in right.items():
+                values = dict(zip(own + inverse, a + b))
+                hist[tuple(values[key] for key in keys)] += x * y
+    return hist
+
+
+def test_factors_merge_the_pairs_of_equal_inverse_histograms():
+    # the 14 multishapes of G(4,1,1,2) give (fmaj, ifmaj) 11 distinct
+    # histograms of ifmaj; each is paired with the sum of the fmaj
+    # histograms it goes with
+    group, keys = make_group(4, 1, 1, 2), ("fmaj", "ifmaj")
+    shapes = {shape for shape, *_ in stats._tableau_dp(4, 2, 0, 0, False)}
+    own, inverse, pairs = stats.factors(group, keys)
+    assert (len(shapes), own, inverse, len(pairs)) == (14, ("fmaj",), ("ifmaj",), 11)
+    assert _flattened_factors(group, keys) == distribution(group, keys)
+
+
+def test_factors_give_the_columns_when_they_are_fewer():
+    # the 9 multishapes of G(3,1,1,2) give (des, ides) 5 distinct histograms
+    # of ides, which takes only 3 values: one pair per value
+    group, keys = make_group(3, 1, 1, 2), ("des", "ides")
+    own, inverse, pairs = stats.factors(group, keys)
+    assert sorted(tuple(right.items()) for _, right in pairs) == [(((b,), 1),) for b in range(3)]
+    hist = distribution(group, keys)
+    for left, right in pairs:
+        [(b,)] = right
+        assert left == {(a,): count for (a, b2), count in hist.items() if b2 == b}
 
 
 # key tuples without inverse keys, which both kernels build: what the
@@ -141,7 +184,8 @@ CROSS_KERNEL_KEY_TUPLES = [
 @pytest.mark.parametrize("group", GROUPS, ids=str)
 def test_tableau_kernel_matches_rank_kernel(group):
     for keys in CROSS_KERNEL_KEY_TUPLES:
-        assert stats._tableau_pairs(group, keys) == stats._rank_dp(group, keys), keys
+        tableaux, ranks = stats._tableau_pairs(group, keys), stats._rank_dp(group, keys)
+        assert stats._flatten(keys, *tableaux) == stats._flatten(keys, *ranks), keys
 
 
 # past the grid: r up to 8 and any subset of the keys, in any order, which
@@ -430,7 +474,7 @@ def test_caps_refused_where_they_cannot_prune(caps):
 
 
 def _pruned_one_lower(real):
-    """distribution, pruning one below every cap it is passed."""
+    """factors, pruning one below every cap it is passed."""
 
     def mutant(group, keys, budget=None, caps=None):
         return real(group, keys, budget, {key: cap - 1 for key, cap in caps.items()})
@@ -442,7 +486,7 @@ def _pruned_one_lower(real):
 def test_verifiers_report_mismatch_when_pruned_one_below_the_caps(monkeypatch, name):
     verifier = identities.VERIFIERS[name]
     assert verifier(2).matched
-    monkeypatch.setattr(identities, "distribution", _pruned_one_lower(distribution))
+    monkeypatch.setattr(identities, "factors", _pruned_one_lower(stats.factors))
     report = verifier(2)
     assert report.outcome == identities.MISMATCH
     # the lost terms lie at a cap, and the chain divisions move them only upward
@@ -455,9 +499,9 @@ def test_six_stats_builds_no_histogram_past_the_u_cap(monkeypatch):
 
     def recording(group, keys, budget=None, caps=None):
         built.append(group.n)
-        return distribution(group, keys, budget, caps)
+        return stats.factors(group, keys, budget, caps)
 
-    monkeypatch.setattr(identities, "distribution", recording)
+    monkeypatch.setattr(identities, "factors", recording)
     report = identities.verify_six_stats(2, 1, 1, nmax=4, umax=3)
     # rank 4 lies past u^3, yet its 384 elements are still counted
     assert (report.outcome, report.element_count) == (identities.MATCH, 442)
@@ -501,6 +545,23 @@ def _shifted(real):
     return perturbed
 
 
+def _shifted_factors(real):
+    """factors, with the move of :func:`_shifted` made by two more pairs of
+    one tuple a side: one element off the smallest tuple of the histogram
+    they stand for, one on the tuple one higher in its last statistic."""
+
+    def perturbed(group, keys, budget=None, caps=None):
+        own, inverse, pairs = real(group, keys, budget, caps)
+        first = min(stats._flatten(keys, own, inverse, pairs))
+        moved = first[:-1] + (first[-1] + 1,)
+        split = lambda values, side: tuple(values[keys.index(key)] for key in side)
+        extra = [({split(first, own): -1}, {split(first, inverse): 1}),
+                 ({split(moved, own): 1}, {split(moved, inverse): 1})]
+        return own, inverse, pairs + extra
+
+    return perturbed
+
+
 @pytest.mark.parametrize(
     "name, monomial",
     [
@@ -514,7 +575,7 @@ def _shifted(real):
 def test_verifiers_report_mismatch_on_shifted_histogram(monkeypatch, name, monomial):
     verifier = identities.VERIFIERS[name]
     assert verifier(2).matched
-    monkeypatch.setattr(identities, "distribution", _shifted(distribution))
+    monkeypatch.setattr(identities, "factors", _shifted_factors(stats.factors))
     report = verifier(2)
     assert report.outcome == identities.MISMATCH
     # the identity element, all statistics 0, moved one up in its last
@@ -573,8 +634,8 @@ def test_character_fmaj_asks_only_the_keys_it_reads(monkeypatch, eps, k, keys):
 
 # one small run of every identity through the CLI, and the enumeration seam
 # a wrong value goes through: the histogram for the verifiers built on
-# distribution, the per-element records for lift, the signed count of the
-# word DP for signed-multinomial
+# distribution or factors, the per-element records for lift, the signed
+# count of the word DP for signed-multinomial
 NEGATIVE_CONTROLS = {
     "character-fmaj": ["--r", "2", "--n", "2"],
     "signed-multinomial": ["--n", "4", "--parts", "2,2"],
@@ -602,7 +663,9 @@ def _perturb(monkeypatch, name):
 
         monkeypatch.setattr(identities, "stat_record", perturbed)
     else:
+        # character-fmaj and signed-wreath read distribution, the others factors
         monkeypatch.setattr(identities, "distribution", _shifted(distribution))
+        monkeypatch.setattr(identities, "factors", _shifted_factors(stats.factors))
 
 
 def _verify_json(capsys, name, controls=NEGATIVE_CONTROLS):

@@ -9,8 +9,8 @@ import sympy
 from projstat import identities
 from projstat.cyclotomic import CycInt, zeta_pow
 from projstat.groups import BudgetExceededError, DivisibilityError, make_group, residue
-from projstat.series import RegionError, TruncatedSeries, geom_divide, q_bracket
-from projstat.stats import distribution, inversions
+from projstat.series import ConstantTermError, RegionError, TruncatedSeries, geom_divide, q_bracket
+from projstat.stats import distribution, factors, inversions
 from projstat.identities import (
     CharacterConditionError,
     CompositionError,
@@ -322,6 +322,7 @@ def test_carlitz_region_refusal_builds_no_histogram(monkeypatch, verifier, args)
         raise AssertionError("histogram built before the region refusal")
 
     monkeypatch.setattr(identities, "distribution", unreachable)
+    monkeypatch.setattr(identities, "factors", unreachable)
     with pytest.raises(RegionError):
         verifier(**args)
 
@@ -396,14 +397,47 @@ def test_hilbert_with_p_equal_s_enumerates_each_rank_once(monkeypatch):
 
     def counting(group, keys, budget=None, caps=None):
         calls.append(group)
-        return distribution(group, keys, budget, caps)
+        return factors(group, keys, budget, caps)
 
-    monkeypatch.setattr(identities, "distribution", counting)
+    monkeypatch.setattr(identities, "factors", counting)
     report = verify_hilbert(2, 1, 1, nmax=3, qmax=8)
     assert report.matched
     assert [str(g) for g in calls] == ["G(2,1,1,1)", "G(2,1,1,2)", "G(2,1,1,3)"]
     # the count still adds the group and its p <-> s dual (here the same group)
     assert report.element_count == 2 * (2 + 8 + 48)
+
+
+def test_hilbert_with_p_equal_s_builds_and_compares_one_lattice_sum(monkeypatch):
+    # with p == s the main and both interchanged sums are one extraction of
+    # one sum, against one enumeration: one comparison, the same notes
+    compared = []
+    real = identities.equal_on
+    monkeypatch.setattr(identities, "equal_on", lambda a, b: compared.append(1) or real(a, b))
+    for (r, p, s), comparisons in (((2, 1, 1), 1), ((4, 2, 2), 1), ((2, 2, 1), 3), ((4, 1, 2), 3)):
+        compared.clear()
+        report = verify_hilbert(r, p, s, nmax=4, qmax=6)
+        assert report.matched and len(compared) == comparisons
+        if p == s:
+            assert report.notes == (
+                "interchanged form, congruence step r/s (l < p, braces u^d q1^s): True",
+                "interchanged form, congruence step r/p (l < p, braces u^d q1^s): True",
+                "both readings of the interchanged form agree with the dual enumeration",
+            )
+    # a wrong enumeration side fails the interchanged forms too
+    real_sum = identities._rank_sum
+
+    def one_more_at_u(vars_, caps, *args):
+        rhs, count = real_sum(vars_, caps, *args)
+        return rhs + TruncatedSeries.monomial(vars_, caps, {"u": 1}), count
+
+    monkeypatch.setattr(identities, "_rank_sum", one_more_at_u)
+    report = verify_hilbert(2, 1, 1, nmax=4, qmax=6)
+    assert report.outcome == identities.MISMATCH
+    assert report.notes == (
+        "interchanged form, congruence step r/s (l < p, braces u^d q1^s): False",
+        "interchanged form, congruence step r/p (l < p, braces u^d q1^s): False",
+        "neither reading of the interchanged form matches the dual enumeration",
+    )
 
 
 def _rectangle_product(vars_, caps, monomial, r, c, imax, jmax):
@@ -506,6 +540,7 @@ def test_a_verifier_refuses_bad_arguments_before_any_work(monkeypatch):
         raise AssertionError("a histogram was built")
 
     monkeypatch.setattr(identities, "distribution", refuse)
+    monkeypatch.setattr(identities, "factors", refuse)
     with pytest.raises(TypeError, match="unexpected keyword argument 'nmax'"):
         verify_carlitz_des(2, nmax=3)
     with pytest.raises(TypeError, match="missing 1 required positional argument: 'r'"):
@@ -515,21 +550,23 @@ def test_a_verifier_refuses_bad_arguments_before_any_work(monkeypatch):
 
 
 def test_lattice_products_cost_one_division_per_point_and_row_bound(monkeypatch):
-    # six-stats applies 105 lattice points and divides by 14 chain factors
-    # (12 in the chains of ranks 1..3, then (1-t1)(1-t2) once for all ranks;
-    # 30 when every rank divided by them, 22 when rank 4, past u^3, was
-    # divided too), hilbert 169 points and 24 chain factors; built per block
-    # and class, they were 355 and 448 divisions
+    # six-stats applies 105 lattice points, hilbert 169; built per block and
+    # class, they were 355 and 448 divisions.  The enumeration sides divide
+    # each side of each pair of factors by that side's chain monomials, a
+    # small packed dict at a time: six-stats' ranks 0..3 hold 1, 2, 5 and 10
+    # pairs, each divided by n + 1 monomials a side (1 - t_i among them), so
+    # 2 + 8 + 30 + 80 = 120 divisions.  Dividing the joined histograms took
+    # 14 and 24 divisions of whole series
     points, divisions = [], []
-    real_layers, real_divide = identities._divide_layers, identities.geom_divide
+    real_layers, real_divide = identities._divide_layers, identities.geom_divide_terms
     monkeypatch.setattr(identities, "_divide_layers", lambda *a: points.append(1) or real_layers(*a))
-    monkeypatch.setattr(identities, "geom_divide", lambda *a: divisions.append(1) or real_divide(*a))
+    monkeypatch.setattr(identities, "geom_divide_terms", lambda *a: divisions.append(1) or real_divide(*a))
     assert verify_six_stats(2, 1, 1, nmax=4, tmax=4, qmax=12).matched
-    assert (len(points), len(divisions)) == (105, 14)
+    assert (len(points), len(divisions)) == (105, 120)
     points.clear()
     divisions.clear()
     assert verify_hilbert(2, 2, 1, nmax=3, qmax=12).matched
-    assert (len(points), len(divisions)) == (169, 24)
+    assert (len(points), len(divisions)) == (169, 88)
 
 
 def test_far_corner_first_cuts_the_step_attempts(monkeypatch):
@@ -628,17 +665,64 @@ def test_each_side_equals_its_series_arithmetic_reference(r, p, s):
 
 
 def test_dropping_the_shared_t_division_is_reported(monkeypatch):
-    # (1-t1)(1-t2) divides the whole rank sum; without it the enumeration
-    # side has no t-degree at rank 0
-    real = identities._divide
+    # every rank's chain holds (1-t1)(1-t2), which all ranks share; without
+    # them the enumeration side has no t-degree at rank 0
+    real = identities._enumeration_side
     shared = ({"t1": 1}, {"t2": 1})
-    without_shared = lambda series, *ms: real(series, *(m for m in ms if m not in shared))
-    monkeypatch.setattr(identities, "_divide", without_shared)
+
+    def without_shared(vars_, caps, r, p, s, n, keys, chain, *rest):
+        return real(vars_, caps, r, p, s, n, keys, [m for m in chain if m not in shared], *rest)
+
+    monkeypatch.setattr(identities, "_enumeration_side", without_shared)
     for args, first in (((2, 1, 1), {"monomial": {"t2": 1}, "lhs": 1, "rhs": 0}),
                         ((2, 1, 2), {"monomial": {"t2": 1}, "lhs": 2, "rhs": 0})):
         report = verify_six_stats(*args, nmax=2, tmax=3, qmax=6, umax=2)
         assert report.outcome == identities.MISMATCH
         assert report.first_mismatch == first
+
+
+def test_dividing_the_inverse_side_by_the_own_monomials_is_reported(monkeypatch):
+    # the chain monomials in (t1, q1) divide the side of g, those in (t2, q2)
+    # the side of g^-1; the latter divided by the former's is reported
+    real = identities._sides
+
+    def own_twice(chain, inverse_vars):
+        own, _ = real(chain, inverse_vars)
+        return own, own
+
+    monkeypatch.setattr(identities, "_sides", own_twice)
+    for r, p, s in ((1, 1, 1), (2, 1, 1), (2, 1, 2), (3, 1, 1)):
+        assert verify_six_stats(r, p, s, nmax=3, tmax=3, qmax=6, umax=3).outcome == identities.MISMATCH
+        assert verify_hilbert(r, p, s, nmax=3, qmax=6).outcome == identities.MISMATCH
+
+
+HILBERT_SIDE = (("u", "q1", "q2"), {"u": 3, "q1": 7, "q2": 7}, 3, 1, 1, 2, ("fmaj", "ifmaj"))
+
+
+def test_an_enumeration_side_divides_each_side_by_its_own_monomials():
+    vars_, caps, r, p, s, n, keys = HILBERT_SIDE
+    chain = [{"q1": 3}, {"q2": 2}, {"q1": 0, "q2": 5}, {"q1": 8}]
+    side, count = identities._enumeration_side(vars_, caps, r, p, s, n, keys, chain, None, (n,))
+    hist = distribution(make_group(r, p, s, n), keys)
+    want = TruncatedSeries(vars_, caps, {(n, *key): c for key, c in hist.items()})
+    for exps in chain:
+        want = geom_divide(want, TruncatedSeries.monomial(vars_, caps, exps))
+    assert (side, count) == (want, 18)
+
+
+def test_a_chain_monomial_on_both_sides_raises():
+    vars_, caps, r, p, s, n, keys = HILBERT_SIDE
+    for chain in ([{"q1": 1, "q2": 1}], [{"q2": 1}, {"u": 1, "q2": 2}]):
+        with pytest.raises(ValueError, match="variables of g and of g"):
+            identities._enumeration_side(vars_, caps, r, p, s, n, keys, chain, None, (n,))
+
+
+def test_a_zero_step_raises_instead_of_hanging():
+    # the chain e, e + 0, ... of a monomial without variables never leaves the caps
+    vars_, caps, r, p, s, n, keys = HILBERT_SIDE
+    for chain in ([{}], [{"q1": 1}, {"q2": 0}]):
+        with pytest.raises(ConstantTermError):
+            identities._enumeration_side(vars_, caps, r, p, s, n, keys, chain, None, (n,))
 
 
 @pytest.mark.parametrize(

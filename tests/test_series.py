@@ -14,7 +14,9 @@ from projstat.series import (
     _layout,
     equal_on,
     geom_divide,
+    geom_divide_terms,
     geom_inverse,
+    packing,
     q_bracket,
 )
 
@@ -563,6 +565,39 @@ def test_pack_checks_every_exponent_before_dropping_a_term():
     # exponents at the caps are kept and read back
     at_caps = TruncatedSeries(xyz, caps, {(2, 3, 1): 7, (0, 0, 0): 1})
     assert terms_of(at_caps) == {(2, 3, 1): 7, (0, 0, 0): 1}
+
+
+def test_packing_packs_as_a_series_does_and_keeps_its_refusals():
+    xyz, caps = ("x", "y", "z"), {"x": 2, "y": 3, "z": 1}
+    pack, _, _ = packing(xyz, caps)
+    for exps in ({}, {"x": 2}, {"y": 3, "z": 1}, {"z": 1, "x": 1, "y": 0}, {"x": 2, "y": 3, "z": 1}):
+        [key] = TruncatedSeries.monomial(xyz, caps, exps).terms
+        assert pack(exps) == key
+    # past a cap: None, wherever it sits
+    for exps in ({"x": 3}, {"y": 4, "z": 0}, {"z": 2}, {"x": 2, "y": 3, "z": 2}):
+        assert pack(exps) is None
+    # an unknown variable, and a negative exponent, also after one past its cap
+    with pytest.raises(ValueError, match="unknown variables"):
+        pack({"x": 1, "w": 1})
+    for exps in ({"y": -1}, {"x": 5, "y": -1}, {"z": -1, "x": 9}):
+        with pytest.raises(ValueError, match="nonnegative exponents"):
+            pack(exps)
+
+
+def test_geom_divide_terms_inverts_one_minus_the_monomial():
+    caps = {"x": 5, "y": 4}
+    f = TruncatedSeries(XY, caps, {(0, 0): 2, (1, 2): -1, (3, 0): 5})
+    one, before = TruncatedSeries.one(XY, caps), dict(f.terms)
+    _, bias, guard = packing(XY, caps)
+    for exps, c in (({"x": 1}, 1), ({"x": 1, "y": 1}, 3), ({"y": 2}, -1), ({"x": 2}, CycInt(3, (0, 1, 0)))):
+        m = TruncatedSeries.monomial(XY, caps, exps, c)
+        [step] = m.terms
+        g = f._with(geom_divide_terms(f.terms, step, c, bias, guard))
+        assert (one - m) * g == f
+        assert f.terms == before  # the terms divided are not changed
+    # a zero step would walk e, e + 0, ... forever
+    with pytest.raises(ConstantTermError):
+        geom_divide_terms(f.terms, 0, 1, bias, guard)
 
 
 def test_extract_multiples_by_two_divisors_equals_the_per_term_filter():
