@@ -26,6 +26,7 @@ import functools
 import itertools
 import math
 import time
+from operator import lshift
 from types import SimpleNamespace
 
 from .cyclotomic import CycInt, zeta_pow
@@ -421,8 +422,10 @@ def _enumeration_side(vars_, caps, r, p, s, n, keys, chain, budget, lead=()):
     one of g^-1's, and each chain monomial has the variables of one side only
     (:func:`_sides`).  So each side of each pair is packed into its own fields, the lead
     with g's keys, and divided by its own monomials (:func:`series.geom_divide_terms`)
-    before the pairs are multiplied out.  The two sides' fields are disjoint, so a
-    product of keys within the caps lies within them and needs no check."""
+    before the pairs are multiplied out.  A histogram tuple is packed by its fields'
+    shifts (from :func:`series.packing`) with no cap check, since the caps passed to
+    factors keep every value within its cap.  The two sides' fields are disjoint, so a
+    product of keys within the caps lies within them and needs no check either."""
     own, inverse, pairs = keys, (), [({(0,) * len(keys): s if lead else 1}, {(): 1})]
     count = 0 if lead else 1
     if n:
@@ -433,35 +436,34 @@ def _enumeration_side(vars_, caps, r, p, s, n, keys, chain, budget, lead=()):
         compared = {key: caps[v] for key, v in zip(keys, vars_[len(lead):])}
         (own, inverse, pairs), count = factors(group, keys, budget, compared), group.order
     var = dict(zip(keys, vars_[len(lead):]))
-    own_vars = vars_[:len(lead)] + tuple(var[key] for key in own)
+    own_vars = tuple(var[key] for key in own)
     inverse_vars = tuple(var[key] for key in inverse)
-    pack, bias, guard = packing(vars_, caps)
+    pack, bias, guard, fields = packing(vars_, caps)
 
-    def divided(side_vars, monomials, hists, lead=()):
-        # each histogram packed into side_vars after the lead, divided by the
-        # monomials (1/(1 - M) is 1 for an M past the caps); the highest
-        # degrees first, whose chains are short, while the terms are few
+    def divided(side_vars, monomials, hists, lead_key=0):
+        # each histogram packed by the shifts of side_vars' fields, plus the
+        # lead's key, and divided by the monomials (1/(1 - M) is 1 for an M
+        # past the caps); the highest degrees first, whose chains are short,
+        # while the terms are few
         monomials = sorted(monomials, key=lambda exps: sum(exps.values()), reverse=True)
         steps = [step for step in map(pack, monomials) if step is not None]
+        shifts = [fields[v][0] for v in side_vars]
         for hist in hists:
-            terms = {}
-            for values, c in hist.items():
-                key = pack(dict(zip(side_vars, (*lead, *values))))
-                if key is not None and c:
-                    terms[key] = c
+            terms = {lead_key + sum(map(lshift, values, shifts)): c for values, c in hist.items()}
             for step in steps:
                 terms = geom_divide_terms(terms, step, 1, bias, guard)
             yield terms
 
     own_monomials, inverse_monomials = _sides(chain, set(inverse_vars))
-    lefts = divided(own_vars, own_monomials, [left for left, _ in pairs], lead)
+    lefts = divided(own_vars, own_monomials, [left for left, _ in pairs], pack(dict(zip(vars_, lead))))
     rights = divided(inverse_vars, inverse_monomials, [right for _, right in pairs])
     terms = {}
+    get = terms.get
     for left, right in zip(lefts, rights):
         for b, y in right.items():
             for a, x in left.items():
                 key = a + b
-                terms[key] = terms[key] + x * y if key in terms else x * y
+                terms[key] = get(key, 0) + x * y
     return TruncatedSeries(vars_, caps)._with(terms), count
 
 
@@ -472,14 +474,14 @@ def _ksum(vars_, caps, inner, n, p) -> TruncatedSeries:
     without adding.  Once inner(k) is cut by the caps it stops changing,
     and the power of the last k is reused."""
     pack = packing(vars_, caps)[0]
-    parts, last, power = [], None, None
+    terms, last, power = {}, None, None
     for k in range(caps["t"] + 1):
         term = inner(k)
         if term.terms != last:
             last, power = term.terms, term ** n
         t_k = pack({"t": k})
-        parts.append({key + t_k: coeff for key, coeff in power.terms.items()})
-    return _joined(vars_, caps, parts).extract_multiples({"q": p})
+        terms.update({key + t_k: coeff for key, coeff in power.terms.items()})
+    return TruncatedSeries(vars_, caps)._with(terms).extract_multiples({"q": p})
 
 
 def _lattice_heights(vars_, caps, rs):
@@ -636,24 +638,18 @@ def _quotient_divisor(r: int, p: int, s: int) -> int:
     return p * s // math.gcd(p * s, r)
 
 
-def _joined(vars_, caps, parts) -> TruncatedSeries:
-    """The series whose packed terms are those of the dicts in parts, which
-    hold no key twice (their u- or t-degrees differ)."""
-    out = TruncatedSeries(vars_, caps)
-    for terms in parts:
-        out.terms.update(terms)
-    return out
-
-
 def _divide_layers(layers, step, bias, guard) -> None:
     """Divide in place a product kept as u-degree layers of packed terms by
     1 - M, for M of u-degree 1 packed as step: layer[n] += M layer[n-1] for
-    n ascending, without the terms past the caps (see :func:`packing`)."""
+    n ascending, without the terms past the caps (see :func:`packing`).  The
+    sum step + bias and each layer's get are bound outside the term loop."""
+    biased = step + bias
     for lower, upper in zip(layers, layers[1:]):
+        get = upper.get
         for key, coeff in lower.items():
-            key += step
-            if not (key + bias) & guard:
-                upper[key] = upper[key] + coeff if key in upper else coeff
+            if not (key + biased) & guard:
+                key += step
+                upper[key] = get(key, 0) + coeff
 
 
 def _lattice_walk(vars_, caps, monomial, r, residues, ibounds, jbounds):
@@ -673,9 +669,11 @@ def _lattice_walk(vars_, caps, monomial, r, residues, ibounds, jbounds):
     Since every M has u-degree 1, a product is kept as one dict of packed
     terms per u-degree, u <= caps["u"], and divided by 1 - M layer by layer
     (:func:`_divide_layers`): each term below the top layer takes one step,
-    and the top layer is never read.  Each point's M is packed once, and the
-    layers are merged into a series only at each yield."""
-    pack, bias, guard = packing(vars_, caps)
+    and the top layer is never read.  Each point's M is packed once.  A
+    product is yielded as its layers, each a dict of full packed keys
+    (:func:`_extracted` reads them).  They are live: the walk divides them
+    further in place, so a reader must use them before advancing it."""
+    pack, bias, guard, _ = packing(vars_, caps)
     steps = {}  # (i, j) -> packed M, for the points of the residues within the caps
     for i, j in itertools.product(range(ibounds[-1] + 1), range(jbounds[-1] + 1)):
         if (i + j) % r in residues:
@@ -701,7 +699,25 @@ def _lattice_walk(vars_, caps, monomial, r, residues, ibounds, jbounds):
         for jmax in jbounds:
             extend(products, range(imax + 1), range(j0, jmax + 1))
             j0 = jmax + 1
-            yield imax, jmax, {c: _joined(vars_, caps, layers) for c, layers in products.items()}
+            yield imax, jmax, products
+
+
+def _extracted(products, classes, d, field, m) -> dict:
+    """The packed terms of the sum of products[c] over c in classes (a class
+    listed twice is added twice), extracted at u^d and at the variable whose
+    packed (shift, mask) is field to the power m, for products as
+    :func:`_lattice_walk` yields them: only the layers u^0, u^d, u^2d, ...
+    are read, and of their terms only those whose exponent in the variable
+    is a multiple of m are kept."""
+    shift, mask = field
+    out = {}
+    get = out.get
+    for c in classes:
+        for layer in products[c][::d]:
+            for key, coeff in layer.items():
+                if m == 1 or not ((key >> shift) & mask) % m:
+                    out[key] = get(key, 0) + coeff
+    return out
 
 
 def _rank_sum(vars_, caps, keys, r, p, s, nmax, d, budget):
@@ -724,7 +740,8 @@ def _rank_sum(vars_, caps, keys, r, p, s, nmax, d, budget):
         for t, q in zip(ts, ("q1", "q2")):
             chain += [{t: 1}] * bool(t) + _chain(t, q, r, s, n, s, 1)
         sides.append(_enumeration_side(vars_, caps, r, p, s, n, keys, chain, budget, (n,)))
-    return _joined(vars_, caps, [side.terms for side, _ in sides]), sum(count for _, count in sides)
+    terms = {key: c for side, _ in sides for key, c in side.terms.items()}
+    return TruncatedSeries(vars_, caps)._with(terms), sum(count for _, count in sides)
 
 
 @_identity("six-stats")
@@ -746,10 +763,12 @@ def verify_six_stats(
     with d = sp/gcd(sp, r).  RHS: the u^n-graded enumeration sums with their
     denominator factors, over the ranks n <= nmax divisible by d.
 
-    Each block is extracted as :func:`_lattice_walk` yields it, since the
+    Each block is extracted from the layers of its classes as
+    :func:`_lattice_walk` yields them (:func:`_extracted`), since the
     extraction commutes with the shift by t1^k1 t2^k2, and its terms are
-    then placed at each (k1, k2) that reaches it.  The k that share a bound
-    partition 0..tmax, so no two blocks meet and nothing is added.
+    then written into the one terms dict of the side at each (k1, k2) that
+    reaches it.  The k that share a bound partition 0..tmax, so no two
+    blocks meet and nothing is added; the side is made a series once.
     """
     d = _quotient_divisor(r, p, s)
     rs = r // s
@@ -767,15 +786,15 @@ def verify_six_stats(
     rhs, count = _rank_sum(vars_, caps, keys, r, p, s, nmax, d, budget)
 
     ks = {b: [*g] for b, g in itertools.groupby(range(tmax + 1), lambda k: min(k * rs, qmax))}
-    pack = packing(vars_, caps)[0]
-    zero = TruncatedSeries.zero(vars_, caps)
-    blocks = []
-    walk = _lattice_walk(vars_, caps, monomial, r, range(0, r, rs), [*ks], [*ks])
-    for imax, jmax, products in walk:
-        block = sum(products.values(), zero).extract_multiples({"u": d, "q1": p}).terms
+    pack, _, _, fields = packing(vars_, caps)
+    terms = {}
+    classes = range(0, r, rs)
+    for imax, jmax, products in _lattice_walk(vars_, caps, monomial, r, classes, [*ks], [*ks]):
+        block = _extracted(products, classes, d, fields["q1"], p)
         for shift in (pack({"t1": k1, "t2": k2}) for k1 in ks[imax] for k2 in ks[jmax]):
-            blocks.append({key + shift: c for key, c in block.items()})
-    lhs = _joined(vars_, caps, blocks)
+            for key, c in block.items():
+                terms[key + shift] = c
+    lhs = TruncatedSeries(vars_, caps)._with(terms)
     notes = (
         "rank-0 term taken as s/((1-t1)(1-t2)): the empty 2-partite "
         "partition lies in every column-sum class",
@@ -803,8 +822,9 @@ def verify_hilbert(
     congruence step, r/s or r/p.  Both are evaluated against the
     dual-group enumeration and the verdicts are recorded in the notes.
 
-    The three lattice sums add up products of one :func:`_lattice_walk` at
-    (qmax, qmax).  When p == s they are one sum, and the dual is the same
+    The three lattice sums are extracted (:func:`_extracted`) from the
+    layers of one :func:`_lattice_walk` at (qmax, qmax), each from the
+    classes it adds up.  When p == s they are one sum, and the dual is the same
     group: the sum is built and compared once, and the enumeration is
     reused.  The report's count adds the elements of G(r,p,s,n) and of its
     dual G(r,s,p,n) over the ranks checked, also when p == s.
@@ -824,16 +844,20 @@ def verify_hilbert(
     needed = {l * st % r for st, m in ((r // s, max(p, s)), (r // p, p)) for l in range(m)}
     monomial = lambda i, j: {"u": 1, "q1": i, "q2": j}
     [(_, _, products)] = _lattice_walk(vars_, caps, monomial, r, needed, [qmax], [qmax])
-    zero = TruncatedSeries.zero(vars_, caps)
-    lattice_sum = lambda step, classes: sum((products[l * step % r] for l in range(classes)), zero)
-    lhs = lattice_sum(r // s, s).extract_multiples({"u": d, "q1": p})
+    q1 = packing(vars_, caps)[3]["q1"]
+
+    def lattice_sum(step, classes, m):
+        terms = _extracted(products, [l * step % r for l in range(classes)], d, q1, m)
+        return TruncatedSeries(vars_, caps)._with(terms)
+
+    lhs = lattice_sum(r // s, s, p)
     ok, mism = equal_on(lhs, rhs)
     if p == s:
         # both interchanged forms are lhs again, against the same enumeration
         same_ok = swapped_ok = ok
     else:
-        same_step = lattice_sum(r // s, p).extract_multiples({"u": d, "q1": s})
-        swapped_step = lattice_sum(r // p, p).extract_multiples({"u": d, "q1": s})
+        same_step = lattice_sum(r // s, p, s)
+        swapped_step = lattice_sum(r // p, p, s)
         same_ok = equal_on(same_step, dual_rhs)[0]
         swapped_ok = equal_on(swapped_step, dual_rhs)[0]
     if same_ok and swapped_ok:

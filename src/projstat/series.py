@@ -305,10 +305,13 @@ def q_bracket(n: int, base: TruncatedSeries) -> TruncatedSeries:
 
 
 def packing(vars_, caps) -> tuple:
-    """(pack, bias, guard) of the packed layout under caps, for walking
-    packed terms by hand: pack(exps) is the key of an exponent mapping (None
-    past the caps), and a sum k of two keys within the caps lies within them
-    iff (k + bias) & guard == 0.  A series' ``terms`` take such keys.
+    """(pack, bias, guard, fields) of the packed layout under caps, for
+    walking packed terms by hand: pack(exps) is the key of an exponent
+    mapping (None past the caps), and a sum k of two keys within the caps
+    lies within them iff (k + bias) & guard == 0.  A series' ``terms`` take
+    such keys.  fields maps each variable to its (shift, mask): an exponent
+    e within its cap packs as e << shift, and (key >> shift) & mask reads
+    it back.
 
     pack raises ValueError, as a series does, for an unknown variable and
     for a negative exponent, also after an exponent past its cap."""
@@ -327,7 +330,7 @@ def packing(vars_, caps) -> tuple:
             key += e << at[0]
         return key if inside else None
 
-    return pack, bias, guard
+    return pack, bias, guard, dict(zip(template.vars, fields))
 
 
 def geom_inverse(monomial: TruncatedSeries) -> TruncatedSeries:

@@ -511,6 +511,19 @@ def test_bijection_names_a_missing_input(capsys, argv, message):
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
+# the texts argparse reads as the help flag of `stats`: -h, --help and the
+# abbreviations of --help that no other option of stats shares
+HELP_TEXTS = ("-h", "--h", "--he", "--hel", "--help")
+
+
+@pytest.mark.parametrize("text", HELP_TEXTS)
+def test_stats_help_flags_exit_0_with_the_usage(capsys, text):
+    with pytest.raises(SystemExit) as exc:
+        main(["stats", text])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage:")
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     st.one_of(
@@ -521,6 +534,7 @@ def test_bijection_names_a_missing_input(capsys, argv, message):
 def test_stats_on_random_text_exits_2(text):
     from projstat.groups import parse_group
 
+    assume(text not in HELP_TEXTS)  # argparse's help, which exits 0 (tested below)
     try:
         parse_group(text)
     except ValueError:

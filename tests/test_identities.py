@@ -9,7 +9,7 @@ import sympy
 from projstat import identities
 from projstat.cyclotomic import CycInt, zeta_pow
 from projstat.groups import BudgetExceededError, DivisibilityError, make_group, residue
-from projstat.series import ConstantTermError, RegionError, TruncatedSeries, geom_divide, q_bracket
+from projstat.series import ConstantTermError, RegionError, TruncatedSeries, geom_divide, packing, q_bracket
 from projstat.stats import distribution, factors, inversions
 from projstat.identities import (
     CharacterConditionError,
@@ -440,6 +440,11 @@ def test_hilbert_with_p_equal_s_builds_and_compares_one_lattice_sum(monkeypatch)
     )
 
 
+def _merged(vars_, caps, layers) -> TruncatedSeries:
+    """One product the lattice walk yields, its u-degree layers merged."""
+    return TruncatedSeries(vars_, caps)._with({key: c for layer in layers for key, c in layer.items()})
+
+
 def _rectangle_product(vars_, caps, monomial, r, c, imax, jmax):
     """The reference lattice product: 1 divided by 1 - M, one point at a time,
     for every point i <= imax, j <= jmax with i + j = c (mod r)."""
@@ -469,7 +474,9 @@ def test_lattice_walk_equals_the_product_over_each_rectangle(r, s):
             for imax, jmax, products in walk:
                 seen.append((imax, jmax))
                 assert sorted(products) == list(range(r))
-                for c, product in products.items():
+                for c, layers in products.items():
+                    # the layers are live: merged before the walk advances
+                    product = _merged(vars_, caps, layers)
                     assert product == _rectangle_product(vars_, caps, monomial, r, c, imax, jmax)
             assert seen == [(i, j) for i in ibounds for j in jbounds]
 
@@ -480,6 +487,31 @@ def test_lattice_walk_refuses_a_monomial_whose_u_degree_is_not_1(u):
     monomial = lambda i, j: {"u": u if (i, j) == (1, 2) else 1, "q1": i, "q2": j}
     with pytest.raises(ValueError, match=r"u-degree other than 1"):
         next(identities._lattice_walk(vars_, caps, monomial, 1, [0], [4], [4]))
+
+
+def _merged_sum(vars_, caps, products, classes) -> TruncatedSeries:
+    """The sum of the walk's products of classes, each merged into a series."""
+    merged = (_merged(vars_, caps, products[c]) for c in classes)
+    return sum(merged, TruncatedSeries.zero(vars_, caps))
+
+
+@pytest.mark.parametrize("r, p, s, d", [(2, 2, 2, 2), (4, 4, 2, 2), (2, 1, 2, 1), (3, 1, 1, 1)])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_extracted_equals_the_merged_sum_extracted(r, p, s, d, m):
+    # hilbert's three class lists (main, and both readings of the
+    # interchanged form, which list a class twice when p > s) at every yield
+    # of a walk over several rectangles; d = 2 on G(2,2,2,.) and G(4,4,2,.)
+    assert identities._quotient_divisor(r, p, s) == d
+    vars_, caps = ("u", "q1", "q2"), {"u": 4, "q1": 7, "q2": 7}
+    monomial = lambda i, j: {"u": 1, "q1": i, "q2": j}
+    fields = packing(vars_, caps)[3]
+    readings = [[l * step % r for l in range(count)] for step, count in ((r // s, s), (r // s, p), (r // p, p))]
+    walk = identities._lattice_walk(vars_, caps, monomial, r, range(r), [3, 7], [2, 7])
+    for _, _, products in walk:
+        for classes in readings:
+            for var in ("q1", "q2"):
+                want = _merged_sum(vars_, caps, products, classes).extract_multiples({"u": d, var: m})
+                assert identities._extracted(products, classes, d, fields[var], m) == want.terms
 
 
 @pytest.mark.parametrize(
@@ -664,6 +696,37 @@ def test_each_side_equals_its_series_arithmetic_reference(r, p, s):
     assert (lhs.caps, lhs.terms) == (want.caps, want.terms)
 
 
+def _six_stats_lhs_by_blocks(r, p, s, tmax, qmax, ucap) -> TruncatedSeries:
+    """six-stats' lattice side assembled block by block as series: each
+    class the walk yields merged into a series, the classes added, the sum
+    extracted at u^d q1^p, and the block times t1^k1 t2^k2 added for every
+    (k1, k2) whose bounds it is."""
+    d, rs = identities._quotient_divisor(r, p, s), r // s
+    vars_ = ("u", "t1", "t2", "q1", "q2", "a1", "a2")
+    caps = {"u": ucap, "t1": tmax, "t2": tmax} | {v: qmax for v in ("q1", "q2", "a1", "a2")}
+    monomial = lambda i, j: {"u": 1, "q1": i, "q2": j, "a1": residue(i, rs), "a2": residue(j, rs)}
+    ks = {}
+    for k in range(tmax + 1):
+        ks.setdefault(min(k * rs, qmax), []).append(k)
+    classes = range(0, r, rs)
+    lhs = TruncatedSeries.zero(vars_, caps)
+    for imax, jmax, products in identities._lattice_walk(vars_, caps, monomial, r, classes, [*ks], [*ks]):
+        block = _merged_sum(vars_, caps, products, classes).extract_multiples({"u": d, "q1": p})
+        for k1, k2 in itertools.product(ks[imax], ks[jmax]):
+            lhs = lhs + TruncatedSeries.monomial(vars_, caps, {"t1": k1, "t2": k2}) * block
+    return lhs
+
+
+@pytest.mark.parametrize("r, p, s, qmax", [(2, 1, 1, 5), (2, 2, 1, 5), (1, 1, 1, 3), (4, 2, 2, 5)])
+def test_six_stats_lhs_equals_its_block_by_block_series_assembly(r, p, s, qmax):
+    # tmax 4 and these q caps give two k a side that share their bound
+    # min(k r/s, qmax), so some blocks go to several (k1, k2)
+    report, (lhs, _) = _compared_sides(verify_six_stats, r, p, s, nmax=4, tmax=4, qmax=qmax, umax=4)
+    assert report.matched
+    want = _six_stats_lhs_by_blocks(r, p, s, tmax=4, qmax=qmax, ucap=4)
+    assert (lhs.caps, lhs.terms) == (want.caps, want.terms)
+
+
 def test_dropping_the_shared_t_division_is_reported(monkeypatch):
     # every rank's chain holds (1-t1)(1-t2), which all ranks share; without
     # them the enumeration side has no t-degree at rank 0
@@ -725,6 +788,48 @@ def test_a_zero_step_raises_instead_of_hanging():
             identities._enumeration_side(vars_, caps, r, p, s, n, keys, chain, None, (n,))
 
 
+def test_an_enumeration_side_packs_each_entry_as_packing_does():
+    # with no chain the side is the histogram, laid out after the lead: each
+    # entry's key is pack's, with values exactly at their caps among them
+    vars_, caps, keys = ("u", "q1", "q2"), {"u": 3, "q1": 5, "q2": 4}, ("fmaj", "ifmaj")
+    pack = packing(vars_, caps)[0]
+    at_cap = set()
+    for r, p, s, n in ((2, 1, 1, 2), (3, 1, 1, 2), (2, 1, 2, 3)):
+        group = make_group(r, p, s, n)
+        hist = distribution(group, keys, caps={"fmaj": 5, "ifmaj": 4})
+        at_cap |= {key for a, b in hist for key, value, cap in ((0, a, 5), (1, b, 4)) if value == cap}
+        side, count = identities._enumeration_side(vars_, caps, r, p, s, n, keys, [], None, (n,))
+        want = {pack({"u": n, "q1": a, "q2": b}): c for (a, b), c in hist.items()}
+        assert (side.terms, count) == (want, group.order)
+    assert at_cap == {0, 1}
+    # a histogram of g alone (one pair, no inverse side), without a lead
+    vars_, caps, keys = ("t", "q", "a"), {"t": 1, "q": 6, "a": 1}, ("des", "fmaj", "col")
+    pack = packing(vars_, caps)[0]
+    group = make_group(3, 1, 1, 3)
+    hist = distribution(group, keys, caps={"des": 1, "fmaj": 6, "col": 1})
+    assert [max(values[i] for values in hist) for i in range(3)] == [1, 6, 1]
+    side, count = identities._enumeration_side(vars_, caps, 3, 1, 1, 3, keys, [], None)
+    want = {pack(dict(zip(vars_, values))): c for values, c in hist.items()}
+    assert (side.terms, count) == (want, group.order)
+
+
+def test_an_enumeration_side_at_rank_0_under_a_lead_is_the_constant_s():
+    vars_, caps, _, _, _, _, keys = HILBERT_SIDE
+    for r, p, s in ((1, 1, 1), (2, 1, 2), (4, 2, 4)):
+        side, count = identities._enumeration_side(vars_, caps, r, p, s, 0, keys, [], None, (0,))
+        assert (side.exp_terms, count) == ({(0, 0, 0): s}, 0)
+
+
+def test_an_enumeration_side_past_the_lead_cap_is_0_and_still_made_and_counted(monkeypatch):
+    vars_, caps, r, p, s, _, keys = HILBERT_SIDE  # u <= 3
+    made = []
+    monkeypatch.setattr(identities, "make_group", lambda *args: made.append(args) or make_group(*args))
+    side, count = identities._enumeration_side(vars_, caps, r, p, s, 4, keys, [{"q1": 3}], None, (4,))
+    assert (side.terms, count, made) == ({}, make_group(r, p, s, 4).order, [(r, p, s, 4)])
+    with pytest.raises(BudgetExceededError):
+        identities._enumeration_side(vars_, caps, r, p, s, 4, keys, [], 100, (4,))
+
+
 @pytest.mark.parametrize(
     "verify, args, first",
     [
@@ -759,11 +864,18 @@ def test_a_lattice_point_missing_from_the_walk_is_reported(monkeypatch, capsys, 
     real = identities._lattice_walk
 
     def missing_a_point(vars_, caps, monomial, r, residues, ibounds, jbounds):
-        # the first rectangle's class-0 product loses the factor of (0, 0)
+        # the first rectangle's class-0 product loses the factor 1/(1 - M) of
+        # (0, 0): a copy of its layers is multiplied by 1 - M, layer[n] -=
+        # M layer[n-1] for n descending, reading the original layers
         walk = real(vars_, caps, monomial, r, residues, ibounds, jbounds)
         imax, jmax, products = next(walk)
-        point = TruncatedSeries.monomial(vars_, caps, monomial(0, 0))
-        yield imax, jmax, {**products, 0: products[0] * (TruncatedSeries.one(vars_, caps) - point)}
+        pack, bias, guard, _ = packing(vars_, caps)
+        step, layers = pack(monomial(0, 0)), [dict(layer) for layer in products[0]]
+        for n in reversed(range(1, len(layers))):
+            for key, coeff in products[0][n - 1].items():
+                if not (key + step + bias) & guard:
+                    layers[n][key + step] = layers[n].get(key + step, 0) - coeff
+        yield imax, jmax, {**products, 0: layers}
         yield from walk
 
     monkeypatch.setattr(identities, "_lattice_walk", missing_a_point)

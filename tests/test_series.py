@@ -569,10 +569,13 @@ def test_pack_checks_every_exponent_before_dropping_a_term():
 
 def test_packing_packs_as_a_series_does_and_keeps_its_refusals():
     xyz, caps = ("x", "y", "z"), {"x": 2, "y": 3, "z": 1}
-    pack, _, _ = packing(xyz, caps)
+    pack, _, _, fields = packing(xyz, caps)
     for exps in ({}, {"x": 2}, {"y": 3, "z": 1}, {"z": 1, "x": 1, "y": 0}, {"x": 2, "y": 3, "z": 1}):
         [key] = TruncatedSeries.monomial(xyz, caps, exps).terms
         assert pack(exps) == key
+        # each exponent packs at its field's shift, and the mask reads it back
+        assert sum(e << fields[v][0] for v, e in exps.items()) == key
+        assert {v: (key >> shift) & mask for v, (shift, mask) in fields.items()} == {v: exps.get(v, 0) for v in xyz}
     # past a cap: None, wherever it sits
     for exps in ({"x": 3}, {"y": 4, "z": 0}, {"z": 2}, {"x": 2, "y": 3, "z": 2}):
         assert pack(exps) is None
@@ -588,7 +591,7 @@ def test_geom_divide_terms_inverts_one_minus_the_monomial():
     caps = {"x": 5, "y": 4}
     f = TruncatedSeries(XY, caps, {(0, 0): 2, (1, 2): -1, (3, 0): 5})
     one, before = TruncatedSeries.one(XY, caps), dict(f.terms)
-    _, bias, guard = packing(XY, caps)
+    _, bias, guard, _ = packing(XY, caps)
     for exps, c in (({"x": 1}, 1), ({"x": 1, "y": 1}, 3), ({"y": 2}, -1), ({"x": 2}, CycInt(3, (0, 1, 0)))):
         m = TruncatedSeries.monomial(XY, caps, exps, c)
         [step] = m.terms
