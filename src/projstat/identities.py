@@ -41,8 +41,8 @@ from .groups import (
     make_group,
     residue,
 )
-from .series import RegionError, TruncatedSeries, equal_on, geom_divide_terms, packing, q_bracket
-from .stats import distribution, factors, stat_record
+from .series import RegionError, TruncatedSeries, agree_on, equal_on, geom_divide_terms, packing, q_bracket
+from .stats import distribution, factors, ranked_factors, stat_record
 
 MATCH = "MATCH"
 MISMATCH = "MISMATCH"
@@ -409,10 +409,12 @@ def _sides(chain, inverse_vars) -> tuple[list, list]:
     return own, inverse
 
 
-def _enumeration_side(vars_, caps, r, p, s, n, keys, chain, budget, lead=()):
+def _enumeration_side(vars_, caps, r, p, s, n, keys, chain, budget, lead=(), source=None):
     """(side, element count): the histogram of keys over G(r,p,s,n), laid out after the
     exponents lead, divided by 1 - M for M in chain; the caller validates r, p, s first.
     G(r,p,s,0) is one element, all statistics 0; with a lead (u-graded) it is s, of none.
+    The factors come from source, a function with the contract of :func:`stats.factors`
+    (:func:`stats.ranked_factors` in a ranked sum), or from factors itself.
 
     The histogram is built only within the caps of the variables its keys are laid out
     in (the division moves terms only upward).  A lead past its caps makes the side 0:
@@ -423,9 +425,10 @@ def _enumeration_side(vars_, caps, r, p, s, n, keys, chain, budget, lead=()):
     (:func:`_sides`).  So each side of each pair is packed into its own fields, the lead
     with g's keys, and divided by its own monomials (:func:`series.geom_divide_terms`)
     before the pairs are multiplied out.  A histogram tuple is packed by its fields'
-    shifts (from :func:`series.packing`) with no cap check, since the caps passed to
-    factors keep every value within its cap.  The two sides' fields are disjoint, so a
-    product of keys within the caps lies within them and needs no check either."""
+    shifts (from :func:`series.packing`, built once per vars and caps) with no cap check,
+    since the caps passed to factors keep every value within its cap.  The two sides'
+    fields are disjoint, so a product of keys within the caps lies within them and needs
+    no check either."""
     own, inverse, pairs = keys, (), [({(0,) * len(keys): s if lead else 1}, {(): 1})]
     count = 0 if lead else 1
     if n:
@@ -434,7 +437,7 @@ def _enumeration_side(vars_, caps, r, p, s, n, keys, chain, budget, lead=()):
             check_budget(group, budget)
             return TruncatedSeries(vars_, caps), group.order
         compared = {key: caps[v] for key, v in zip(keys, vars_[len(lead):])}
-        (own, inverse, pairs), count = factors(group, keys, budget, compared), group.order
+        (own, inverse, pairs), count = (source or factors)(group, keys, budget, compared), group.order
     var = dict(zip(keys, vars_[len(lead):]))
     own_vars = tuple(var[key] for key in own)
     inverse_vars = tuple(var[key] for key in inverse)
@@ -708,11 +711,23 @@ def _extracted(products, classes, d, field, m) -> dict:
     packed (shift, mask) is field to the power m, for products as
     :func:`_lattice_walk` yields them: only the layers u^0, u^d, u^2d, ...
     are read, and of their terms only those whose exponent in the variable
-    is a multiple of m are kept."""
+    is a multiple of m are kept.
+
+    The layers of one class lie in distinct u-degrees, so the first class's
+    terms are set, its layers joined whole (dict.update) when m = 1, and
+    only the classes after it are added term by term."""
     shift, mask = field
+    first, *rest = classes
     out = {}
+    for layer in products[first][::d]:
+        if m == 1:
+            out.update(layer)
+            continue
+        for key, coeff in layer.items():
+            if not ((key >> shift) & mask) % m:
+                out[key] = coeff
     get = out.get
-    for c in classes:
+    for c in rest:
         for layer in products[c][::d]:
             for key, coeff in layer.items():
                 if m == 1 or not ((key >> shift) & mask) % m:
@@ -720,28 +735,40 @@ def _extracted(products, classes, d, field, m) -> dict:
     return out
 
 
-def _rank_sum(vars_, caps, keys, r, p, s, nmax, d, budget):
-    """The u-graded enumeration side and its element count.
+def _rank_sum(vars_, caps, keys, r, groups, nmax, d, budget) -> list:
+    """The u-graded enumeration sides: one (side, element count) for each
+    (p, s) in groups.
 
-    The sum over ranks n <= nmax divisible by d of u^n times the histogram
-    of ``keys`` over G(r,p,s,n) (laid out as vars_[1:]), divided for
-    i = 1, 2 by the chain of carlitz-des in (t_i, q_i), and by 1 - t_i
+    A side is the sum over ranks n <= nmax divisible by d of u^n times the
+    histogram of ``keys`` over G(r,p,s,n) (laid out as vars_[1:]), divided
+    for i = 1, 2 by the chain of carlitz-des in (t_i, q_i), and by 1 - t_i
     when vars_ has t1, t2; otherwise the t_i are dropped.  Each rank is
     one :func:`_enumeration_side`, which divides each side of its factors
     by the monomials in that side's (t_i, q_i).
 
-    The chains keep each rank at its own u-degree, so the ranks' terms are
-    collected without adding series.
+    The factors of every group at every rank within the u cap are read off
+    one tableau walk (:func:`stats.ranked_factors`), so the ranks are taken
+    in turn, every group at a rank before the next rank, and each rank's
+    budget is checked before its level is walked.  A group and its dual
+    G(r,s,p,n) have one order, so the first rank refused is the one refused
+    when each group's ranks are taken alone.  The chains keep each rank at
+    its own u-degree, so a rank's terms are joined to its side whole
+    (dict.update), without adding.
     """
     ts = ("t1", "t2") if "t1" in vars_ else (None, None)
-    sides = []
-    for n in range(0, nmax + 1, d):
-        chain = []
-        for t, q in zip(ts, ("q1", "q2")):
-            chain += [{t: 1}] * bool(t) + _chain(t, q, r, s, n, s, 1)
-        sides.append(_enumeration_side(vars_, caps, r, p, s, n, keys, chain, budget, (n,)))
-    terms = {key: c for side, _ in sides for key, c in side.terms.items()}
-    return TruncatedSeries(vars_, caps)._with(terms), sum(count for _, count in sides)
+    ranks, top = range(0, nmax + 1, d), min(nmax, caps["u"]) // d * d
+    tops = [make_group(r, p, s, top) for p, s in groups] if top else []
+    source = ranked_factors(tops, keys, {key: caps[v] for key, v in zip(keys, vars_[1:])})
+    terms, counts = [{} for _ in groups], [0] * len(groups)
+    for n in ranks:
+        for i, (p, s) in enumerate(groups):
+            chain = []
+            for t, q in zip(ts, ("q1", "q2")):
+                chain += [{t: 1}] * bool(t) + _chain(t, q, r, s, n, s, 1)
+            side, count = _enumeration_side(vars_, caps, r, p, s, n, keys, chain, budget, (n,), source)
+            terms[i].update(side.terms)
+            counts[i] += count
+    return [(TruncatedSeries(vars_, caps)._with(side), count) for side, count in zip(terms, counts)]
 
 
 @_identity("six-stats")
@@ -783,7 +810,7 @@ def verify_six_stats(
 
     # the enumeration side first: an over-budget rank refuses before any lattice work
     keys = ("des", "ides", "fmaj", "ifmaj", "col", "icol")
-    rhs, count = _rank_sum(vars_, caps, keys, r, p, s, nmax, d, budget)
+    [(rhs, count)] = _rank_sum(vars_, caps, keys, r, [(p, s)], nmax, d, budget)
 
     ks = {b: [*g] for b, g in itertools.groupby(range(tmax + 1), lambda k: min(k * rs, qmax))}
     pack, _, _, fields = packing(vars_, caps)
@@ -826,7 +853,9 @@ def verify_hilbert(
     layers of one :func:`_lattice_walk` at (qmax, qmax), each from the
     classes it adds up.  When p == s they are one sum, and the dual is the same
     group: the sum is built and compared once, and the enumeration is
-    reused.  The report's count adds the elements of G(r,p,s,n) and of its
+    reused; otherwise the dual's enumeration reads the group's tableau walk
+    (:func:`_rank_sum`), and the interchanged forms are compared for their
+    verdict alone (:func:`series.agree_on`).  The report's count adds the elements of G(r,p,s,n) and of its
     dual G(r,s,p,n) over the ranks checked, also when p == s.
     """
     d = _quotient_divisor(r, p, s)
@@ -835,11 +864,8 @@ def verify_hilbert(
 
     # the enumeration sides first: an over-budget rank refuses before any lattice work
     keys = ("fmaj", "ifmaj")
-    rhs, count = _rank_sum(vars_, caps, keys, r, p, s, nmax, d, budget)
-    if p == s:
-        dual_rhs, dual_count = rhs, count
-    else:
-        dual_rhs, dual_count = _rank_sum(vars_, caps, keys, r, s, p, nmax, d, budget)
+    sides = _rank_sum(vars_, caps, keys, r, [(p, s)] + [(s, p)] * (p != s), nmax, d, budget)
+    (rhs, count), (dual_rhs, dual_count) = sides[0], sides[-1]
 
     needed = {l * st % r for st, m in ((r // s, max(p, s)), (r // p, p)) for l in range(m)}
     monomial = lambda i, j: {"u": 1, "q1": i, "q2": j}
@@ -858,8 +884,8 @@ def verify_hilbert(
     else:
         same_step = lattice_sum(r // s, p, s)
         swapped_step = lattice_sum(r // p, p, s)
-        same_ok = equal_on(same_step, dual_rhs)[0]
-        swapped_ok = equal_on(swapped_step, dual_rhs)[0]
+        same_ok = agree_on(same_step, dual_rhs)
+        swapped_ok = agree_on(swapped_step, dual_rhs)
     if same_ok and swapped_ok:
         resolution = "both readings of the interchanged form agree with the dual enumeration"
     elif swapped_ok:

@@ -314,7 +314,20 @@ def packing(vars_, caps) -> tuple:
     it back.
 
     pack raises ValueError, as a series does, for an unknown variable and
-    for a negative exponent, also after an exponent past its cap."""
+    for a negative exponent, also after an exponent past its cap.
+
+    The layout is built once per variables and caps and then shared, so
+    fields is a read-only mapping."""
+    vars_ = tuple(vars_)
+    try:
+        caps = tuple(caps[v] for v in vars_) if isinstance(caps, Mapping) else tuple(caps)
+    except KeyError:
+        TruncatedSeries(vars_, caps)  # raises
+    return _packing(vars_, caps)
+
+
+@functools.lru_cache
+def _packing(vars_: tuple, caps: tuple) -> tuple:
     template = TruncatedSeries(vars_, caps)
     fields, bias, guard = _layout(template.caps)
     where = {v: (shift, cap) for v, (shift, _), cap in zip(template.vars, fields, template.caps)}
@@ -330,7 +343,7 @@ def packing(vars_, caps) -> tuple:
             key += e << at[0]
         return key if inside else None
 
-    return pack, bias, guard, dict(zip(template.vars, fields))
+    return pack, bias, guard, MappingProxyType(dict(zip(template.vars, fields)))
 
 
 def geom_inverse(monomial: TruncatedSeries) -> TruncatedSeries:
@@ -374,6 +387,13 @@ def geom_divide_terms(terms: dict, step: int, c, bias: int, guard: int) -> dict:
             out[key] = out[key] + coeff if key in out else coeff
             key += step
     return out
+
+
+def agree_on(lhs: TruncatedSeries, rhs: TruncatedSeries) -> bool:
+    """The verdict of :func:`equal_on` alone, with its refusal of series in
+    other variables or caps: no first mismatch is looked for."""
+    lhs._check_same(rhs)
+    return lhs.terms == rhs.terms
 
 
 def equal_on(

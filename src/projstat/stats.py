@@ -27,6 +27,7 @@ col = sum of R_{r/s}(c_i).
 from __future__ import annotations
 
 import functools
+import itertools
 from collections import Counter, namedtuple
 from operator import itemgetter
 from types import MappingProxyType
@@ -456,21 +457,26 @@ def _addable(shape: tuple) -> tuple[tuple, ...]:
     return tuple(out)
 
 
-def _tableau_dp(r: int, n: int, step_d: int, step_sum: int, first: bool, limit=None) -> dict:
-    """Standard multi-tableaux with r components and n cells, by a forward DP.
+def _tableau_levels(r: int, step_d: int, step_sum: int, first: bool, limit=None):
+    """Standard multi-tableaux with r components, by a forward DP: yields the
+    states of n = 1, 2, ... cells in turn, each level computed only when it
+    is asked for.
 
     Position i goes to the end of a row of component c_i, and i < n is in
     D iff c_i < c_{i+1}, or c_i = c_{i+1} and i+1 goes to a strictly lower
     row than i.  A state is (multishape, c and row of the last position,
     c_1 if ``first`` else 0); it maps step_d*|D| + step_sum*sum(D) to the
-    number of tableaux.  |D| and sum(D) only grow, so with a ``limit``, the
-    (bias, guard) of a box by :func:`series._layout`, a count is dropped
-    after a step once it passes the box, and a state with no counts left
-    goes with it.
+    number of tableaux.  The step of position i, step_d + i*step_sum, does
+    not depend on n, so one walk serves every n.  |D| and sum(D) only grow,
+    so with a ``limit``, the (bias, guard) of a box by
+    :func:`series._layout`, a count is dropped after a step once it passes
+    the box, and a state with no counts left goes with it.
     """
     empty = ((),) * r
     states = {(empty[:c] + ((1,),) + empty[c + 1:], c, 0, c * first): {0: 1} for c in range(r)}
-    for i in range(1, n):
+    i = 1
+    while True:
+        yield states
         step = step_d + i * step_sum
         nxt = {}
         for (shape, c, row, c1), counts in states.items():
@@ -485,13 +491,51 @@ def _tableau_dp(r: int, n: int, step_d: int, step_sum: int, first: bool, limit=N
             kept = {state: {acc: c for acc, c in counts.items() if not (acc + bias) & guard}
                     for state, counts in nxt.items()}
             states = {state: counts for state, counts in kept.items() if counts}
-    return states
+        i += 1
+
+
+def _tableau_dp(r: int, n: int, step_d: int, step_sum: int, first: bool, limit=None) -> dict:
+    """The states of :func:`_tableau_levels` with n cells."""
+    return next(itertools.islice(_tableau_levels(r, step_d, step_sum, first, limit), n - 1, None))
 
 
 def _inverse_shape(shape: tuple) -> tuple:
     """The multishape of P for the tableaux of g^-1: component -c mod r of
     the result is component c of ``shape``."""
     return shape[:1] + shape[:0:-1]
+
+
+def _tableau_keys(keys: tuple) -> tuple:
+    """The set-up of the tableau kernel that depends on the keys alone:
+    (own keys, inverse keys, the getters of their values from a record laid
+    out as DISTRIBUTION_KEYS, whether g's keys read as g^-1's, and the DP's
+    step_d, unit of sum(D) and ``first``, for :func:`_tableau_levels`)."""
+    read = {INVERSE_KEYS.get(key, key) for key in keys}
+    own = tuple(key for key in keys if key not in INVERSE_KEYS)
+    inverse = tuple(key for key in keys if key in INVERSE_KEYS)
+    inv = tuple(INVERSE_KEYS[key] for key in inverse)
+    dp = int(bool(read & {"des", "fdes", "desA"})), int("fmaj" in read), bool(read & {"des", "fdes"})
+    return own, inverse, _getter(own), _getter(inv), own == inv, dp
+
+
+def _tableau_bounds(n: int) -> tuple:
+    """The bounds of |D| <= n-1 and sum(D) <= n(n-1)/2 over the tableaux of n cells."""
+    return n - 1, n * (n - 1) // 2
+
+
+def _tableau_box(group: GroupDescriptor, own, inverse, caps: dict) -> tuple:
+    """The box of (|D|, sum(D)) past which no tableau of the group makes a
+    record within the caps on either side (see :func:`_tableau_pairs`)."""
+    r, s, n = group.r, group.s, group.n
+    bounds, largest = _tableau_bounds(n), _largest(group)
+    boxes = []
+    for side, slack in ((own, 0), (inverse, r - r // s)):
+        side_caps = {INVERSE_KEYS.get(key, key): caps[key] for key in side if key in caps}
+        lam1 = _lambda_cap(side_caps, r, s, largest["fdes"])
+        n_d = min(side_caps.get("desA", bounds[0]), (lam1 + slack) // r)
+        sum_d = (side_caps["fmaj"] + n * slack) // r if "fmaj" in side_caps else bounds[1]
+        boxes.append((min(n_d, bounds[0]), min(sum_d, bounds[1])))
+    return tuple(map(max, *boxes))
 
 
 def _tableau_pairs(group: GroupDescriptor, keys: tuple, caps=None) -> tuple:
@@ -503,7 +547,7 @@ def _tableau_pairs(group: GroupDescriptor, keys: tuple, caps=None) -> tuple:
     counts) takes a lift g of G(r,p,n) to a pair (P, Q) of standard
     multi-tableaux of one multishape lambda, the color-c subword giving
     component c.  Q records the positions, so i < n is a descent of g in
-    the color order iff i is in D of Q (:func:`_tableau_dp`),
+    the color order iff i is in D of Q (:func:`_tableau_levels`),
     and with the telescoped suffix recurrences
 
         lambda_1 = r*|D| + c_1 - c_n + R_{r/s}(c_n),
@@ -518,11 +562,11 @@ def _tableau_pairs(group: GroupDescriptor, keys: tuple, caps=None) -> tuple:
     class of G(r,p,s,n) once, by its canonical lift.  The tableaux do not
     see inv|g|, so a record holds None for invAbs and signAbs.
 
-    Each lambda makes one pair of those two histograms, and the pairs of
-    equal inverse histograms are merged by adding their own ones.  When the
-    pairs still outnumber the tuples b of inverse values, the histogram is
-    given by its columns instead, one pair (own histogram at b, {b: 1}) per
-    b: fewer pairs for a caller to divide and multiply out.
+    The DP takes neither p nor s: only the canonical filter and the test
+    p | color sum, both applied to its states (:func:`_tableau_factors`),
+    tell the groups of one r and n apart.  So :func:`ranked_factors` reads
+    the factors of several ranks, and of G(r,s,p,n) beside G(r,p,s,n), off
+    one walk.
 
     ``caps`` (see :func:`distribution`) cut each side's histograms before
     their products, and prune the DP, which feeds both sides, with lower
@@ -532,33 +576,36 @@ def _tableau_pairs(group: GroupDescriptor, keys: tuple, caps=None) -> tuple:
     r*sum(D).  P reads every lift, where c_n - R_{r/s}(c_n) <= r - r/s, so
     lambda_1 >= r|D| - (r - r/s) and fmaj >= r*sum(D) - n(r - r/s).  Each
     side's caps bound |D| and sum(D) by a box, and a tableau is dropped
-    once it passes the looser of the two boxes, field by field; a side
-    without caps keeps every tableau.
+    once it passes the looser of the two boxes, field by field
+    (:func:`_tableau_box`); a side without caps keeps every tableau.
     """
+    setup, caps = _tableau_keys(keys), caps or {}
+    bounds, box = _tableau_bounds(group.n), _tableau_box(group, *setup[:2], caps)
+    fields, bias, guard = _layout(box, bounds)
+    step_d, sum_d, first = setup[-1]
+    limit = (bias, guard) if box != bounds else None
+    states = _tableau_dp(group.r, group.n, step_d, sum_d << fields[1][0], first, limit)
+    return _tableau_factors(group, setup, caps, states, fields)
+
+
+def _tableau_factors(group: GroupDescriptor, setup: tuple, caps: dict, states: dict, fields) -> tuple:
+    """The factors of the group from the states of its tableaux of n cells,
+    whose |D| and sum(D) are packed as ``fields``, for the keys set up by
+    :func:`_tableau_keys` and the caps that prune (see :func:`_tableau_pairs`).
+
+    Each lambda makes one pair of the histogram of g's keys over the
+    canonical Q and that of the inverse keys over every tableau of shape
+    -lambda, and the pairs of equal inverse histograms are merged by adding
+    their own ones.  When the pairs still outnumber the tuples b of inverse
+    values, the histogram is given by its columns instead, one pair (own
+    histogram at b, {b: 1}) per b: fewer pairs for a caller to divide and
+    multiply out."""
     r, p, s, n = group.r, group.p, group.s, group.n
     rs = r // s
-    read = {INVERSE_KEYS.get(key, key) for key in keys}
-    own = [key for key in keys if key not in INVERSE_KEYS]
-    inverse = [key for key in keys if key in INVERSE_KEYS]
-    inv = [INVERSE_KEYS[key] for key in inverse]
-    largest, caps = _largest(group), caps or {}
-    bounds = (largest["desA"], largest["desA"] * (largest["desA"] + 1) // 2)  # |D|, sum(D)
-    boxes = []
-    for side, slack in ((own, 0), (inverse, r - rs)):
-        side_caps = {INVERSE_KEYS.get(key, key): caps[key] for key in side if key in caps}
-        lam1 = _lambda_cap(side_caps, r, s, largest["fdes"])
-        n_d = min(side_caps.get("desA", bounds[0]), (lam1 + slack) // r)
-        sum_d = (side_caps["fmaj"] + n * slack) // r if "fmaj" in side_caps else bounds[1]
-        boxes.append((min(n_d, bounds[0]), min(sum_d, bounds[1])))
-    box = tuple(map(max, *boxes))
-    ((_, in_d), (at_sum, _)), bias, guard = _layout(box, bounds)
-    states = _tableau_dp(
-        r, n, int(bool(read & {"des", "fdes", "desA"})), int("fmaj" in read) << at_sum,
-        bool(read & {"des", "fdes"}), (bias, guard) if box != bounds else None,
-    )
-    own_get, inv_get = _getter(own), _getter(inv)
+    own, inverse, own_get, inv_get, same, _ = setup
+    (_, in_d), (at_sum, _) = fields
     # with s = 1 every Q is canonical, and g's keys may be read as g^-1's
-    shared = s == 1 and own == inv
+    shared = s == 1 and same
     canonical, every, sums = {}, {}, {}
     for (shape, cn, _, c1), counts in states.items():
         if shape not in sums:
@@ -604,7 +651,7 @@ def _tableau_pairs(group: GroupDescriptor, keys: tuple, caps=None) -> tuple:
                 for a, x in left.items():
                     column[a] = column.get(a, 0) + x * y
         pairs = [(column, {b: 1}) for b, column in columns.items()]
-    return tuple(own), tuple(inverse), pairs
+    return own, inverse, pairs
 
 
 def _largest(group: GroupDescriptor) -> dict:
@@ -623,6 +670,31 @@ def _largest(group: GroupDescriptor) -> dict:
         "col": n * (r // s - 1), "desA": n - 1, "invAbs": n * (n - 1) // 2,
     }
     return bounds | {key: bounds[base] for key, base in INVERSE_KEYS.items()}
+
+
+def _checked(group: GroupDescriptor, keys: tuple, caps) -> tuple:
+    """(paired, caps): the refusals of :func:`factors` for keys and caps,
+    whether an inverse key is among the keys, and the caps that can cut
+    something on the group."""
+    for key in keys:
+        if key not in DISTRIBUTION_KEYS and key not in INVERSE_KEYS:
+            raise ValueError(
+                f"no histogram for statistic {key!r}; have "
+                f"{', '.join(DISTRIBUTION_KEYS + tuple(INVERSE_KEYS))}"
+            )
+    paired = any(key in INVERSE_KEYS for key in keys)
+    if paired and ("invAbs" in keys or "signAbs" in keys):
+        raise ValueError("invAbs and signAbs do not pair with statistics of g^-1")
+    if caps:
+        largest = _largest(group)
+        for key, cap in caps.items():
+            if key not in keys or key not in largest:
+                raise ValueError(f"no cap on {key!r}: a cap goes on one of the keys, not on signAbs or colorClass")
+            if not isinstance(cap, int) or cap < 0:
+                raise ValueError(f"the cap on {key!r} must be a nonnegative int, got {cap!r}")
+        # a cap that no element passes cuts nothing, and is not checked
+        caps = {key: cap for key, cap in caps.items() if cap < largest[key]}
+    return paired, caps or {}
 
 
 def factors(group: GroupDescriptor, keys, budget: int | None = None, caps=None) -> tuple:
@@ -647,29 +719,57 @@ def factors(group: GroupDescriptor, keys, budget: int | None = None, caps=None) 
     (:func:`identities._enumeration_side`).
 
     ``keys``, ``budget`` and ``caps`` are those of :func:`distribution`, and
-    so are the refusals.
+    so are the refusals.  :func:`ranked_factors` gives the factors of a run
+    of ranks from one tableau walk.
     """
     keys = tuple(keys)
-    for key in keys:
-        if key not in DISTRIBUTION_KEYS and key not in INVERSE_KEYS:
-            raise ValueError(
-                f"no histogram for statistic {key!r}; have "
-                f"{', '.join(DISTRIBUTION_KEYS + tuple(INVERSE_KEYS))}"
-            )
-    paired = any(key in INVERSE_KEYS for key in keys)
-    if paired and ("invAbs" in keys or "signAbs" in keys):
-        raise ValueError("invAbs and signAbs do not pair with statistics of g^-1")
-    if caps:
-        largest = _largest(group)
-        for key, cap in caps.items():
-            if key not in keys or key not in largest:
-                raise ValueError(f"no cap on {key!r}: a cap goes on one of the keys, not on signAbs or colorClass")
-            if not isinstance(cap, int) or cap < 0:
-                raise ValueError(f"the cap on {key!r} must be a nonnegative int, got {cap!r}")
-        # a cap that no element passes cuts nothing, and is not checked
-        caps = {key: cap for key, cap in caps.items() if cap < largest[key]}
+    paired, caps = _checked(group, keys, caps)
     check_budget(group, budget)
     return (_tableau_pairs if paired else _rank_dp)(group, keys, caps)
+
+
+def ranked_factors(tops, keys, caps=None):
+    """A function f with the contract of :func:`factors`, f(group, keys,
+    budget, caps), for groups of one r called in nondecreasing rank, that
+    reads their tableaux off one walk of :func:`_tableau_levels`.
+
+    ``tops`` are the groups of the top rank N (G(r,p,s,N) and its dual
+    G(r,s,p,N), say), and f serves their (p, s) at every rank n <= N, under
+    these keys and at most these caps.  The walk's fields are sized by N,
+    and it prunes by the loosest box of the tops (:func:`_tableau_box`),
+    which holds every served group's box, since a box only grows with the
+    rank and the caps; each group's histograms are then cut to its own caps
+    as in :func:`_tableau_pairs`.  f refuses as factors does, in the same
+    order, and checks the budget before it walks the group's level.  Any
+    other call, or a rank below one already served, raises ValueError.
+    Without an inverse key there is no walk to share, and f is factors.
+    """
+    keys, tops = tuple(keys), list(tops)
+    checked = [_checked(group, keys, caps) for group in tops]
+    if not checked or not checked[0][0]:
+        return factors
+    setup, top = _tableau_keys(keys), max(group.n for group in tops)
+    boxes = [_tableau_box(group, *setup[:2], cut) for group, (_, cut) in zip(tops, checked)]
+    bounds, box = _tableau_bounds(top), tuple(map(max, zip(*boxes)))
+    fields, bias, guard = _layout(box, bounds)
+    step_d, sum_d, first = setup[-1]
+    limit = (bias, guard) if box != bounds else None
+    levels = _tableau_levels(tops[0].r, step_d, sum_d << fields[1][0], first, limit)
+    level, states, served = 0, None, {(group.r, group.p, group.s) for group in tops}
+
+    def ranked(group, keys_, budget=None, caps_=None):
+        nonlocal level, states
+        cut = _checked(group, tuple(keys_), caps_)[1]
+        within = all((caps_ or {}).get(key, cap + 1) <= cap for key, cap in (caps or {}).items())
+        ours = tuple(keys_) == keys and (group.r, group.p, group.s) in served
+        if not (within and ours and level <= group.n <= top):
+            raise ValueError(f"{group} under caps {caps_} is past the walk to {tops} under {caps}")
+        check_budget(group, budget)
+        while level < group.n:
+            states, level = next(levels), level + 1
+        return _tableau_factors(group, setup, cut, states, fields)
+
+    return ranked
 
 
 def _flatten(keys, own, inverse, pairs) -> Counter:

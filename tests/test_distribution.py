@@ -124,8 +124,45 @@ def test_distribution_matches_stat_record(group):
             assert stats._flatten(keys, *kernel(group, keys, caps)) == within, kernel.__name__
         assert distribution(group, keys, caps=caps) == within
         assert _flattened_factors(group, keys, caps) == within
+        if paired:
+            for rank, got in _walked_factors(group, keys, caps).items():
+                assert _canonical(got) == _canonical(stats.factors(rank, keys, caps=caps)), rank
 
     within_caps()
+
+
+def _walked_factors(group, keys, caps=None) -> dict:
+    """The factors ranked_factors gives, off one walk, for the ranks 1..n of
+    the group and of its dual G(r,s,p,.) where ps | rm, in rank order, the
+    group before its dual; by group."""
+    r, p, s, n = group.r, group.p, group.s, group.n
+    ranked = stats.ranked_factors([group, make_group(r, s, p, n)], keys, caps)
+    ranks = [make_group(r, *ps, m) for m in range(1, n + 1) if r * m % (p * s) == 0 for ps in ((p, s), (s, p))]
+    return {rank: ranked(rank, keys, None, caps) for rank in ranks}
+
+
+def _canonical(factors) -> tuple:
+    """factors with its pairs in a fixed order."""
+    own, inverse, pairs = factors
+    return own, inverse, sorted((sorted(left.items()), sorted(right.items())) for left, right in pairs)
+
+
+PAIRED_KEY_TUPLES = [keys for keys in KEY_TUPLES if any(key in stats.INVERSE_KEYS for key in keys)]
+
+
+@pytest.mark.parametrize("group", GROUPS, ids=str)
+def test_one_tableau_walk_gives_the_factors_of_every_rank_and_the_dual(monkeypatch, group):
+    # the tableau DP takes neither p nor s, and its step at level i does not
+    # depend on n: one walk to n serves every rank of the group and its dual
+    walks = []
+    real = stats._tableau_levels
+    monkeypatch.setattr(stats, "_tableau_levels", lambda *args: walks.append(args) or real(*args))
+    for keys in PAIRED_KEY_TUPLES:
+        walks.clear()
+        walked = _walked_factors(group, keys)
+        assert len(walks) == 1
+        for rank, got in walked.items():
+            assert _canonical(got) == _canonical(stats.factors(rank, keys)), (rank, keys)
 
 
 def _flattened_factors(group, keys, caps=None) -> Counter:
@@ -482,11 +519,20 @@ def _pruned_one_lower(real):
     return mutant
 
 
+def _per_rank(wrap):
+    """ranked_factors, with the function it returns passed through wrap: the
+    per-rank seam of six-stats and hilbert, as factors is the Carlitz
+    verifiers' seam."""
+    real = stats.ranked_factors
+    return lambda groups, keys, caps=None: wrap(real(groups, keys, caps))
+
+
 @pytest.mark.parametrize("name", ["carlitz-des", "carlitz-fdes", "fdes-trivariate", "six-stats", "hilbert"])
 def test_verifiers_report_mismatch_when_pruned_one_below_the_caps(monkeypatch, name):
     verifier = identities.VERIFIERS[name]
     assert verifier(2).matched
     monkeypatch.setattr(identities, "factors", _pruned_one_lower(stats.factors))
+    monkeypatch.setattr(identities, "ranked_factors", _per_rank(_pruned_one_lower))
     report = verifier(2)
     assert report.outcome == identities.MISMATCH
     # the lost terms lie at a cap, and the chain divisions move them only upward
@@ -497,11 +543,14 @@ def test_verifiers_report_mismatch_when_pruned_one_below_the_caps(monkeypatch, n
 def test_six_stats_builds_no_histogram_past_the_u_cap(monkeypatch):
     built = []
 
-    def recording(group, keys, budget=None, caps=None):
-        built.append(group.n)
-        return stats.factors(group, keys, budget, caps)
+    def recording(real):
+        def factors(group, keys, budget=None, caps=None):
+            built.append(group.n)
+            return real(group, keys, budget, caps)
 
-    monkeypatch.setattr(identities, "factors", recording)
+        return factors
+
+    monkeypatch.setattr(identities, "ranked_factors", _per_rank(recording))
     report = identities.verify_six_stats(2, 1, 1, nmax=4, umax=3)
     # rank 4 lies past u^3, yet its 384 elements are still counted
     assert (report.outcome, report.element_count) == (identities.MATCH, 442)
@@ -576,6 +625,7 @@ def test_verifiers_report_mismatch_on_shifted_histogram(monkeypatch, name, monom
     verifier = identities.VERIFIERS[name]
     assert verifier(2).matched
     monkeypatch.setattr(identities, "factors", _shifted_factors(stats.factors))
+    monkeypatch.setattr(identities, "ranked_factors", _per_rank(_shifted_factors))
     report = verifier(2)
     assert report.outcome == identities.MISMATCH
     # the identity element, all statistics 0, moved one up in its last
@@ -663,9 +713,11 @@ def _perturb(monkeypatch, name):
 
         monkeypatch.setattr(identities, "stat_record", perturbed)
     else:
-        # character-fmaj and signed-wreath read distribution, the others factors
+        # character-fmaj and signed-wreath read distribution, the Carlitz
+        # verifiers factors, six-stats and hilbert the factors of each rank
         monkeypatch.setattr(identities, "distribution", _shifted(distribution))
         monkeypatch.setattr(identities, "factors", _shifted_factors(stats.factors))
+        monkeypatch.setattr(identities, "ranked_factors", _per_rank(_shifted_factors))
 
 
 def _verify_json(capsys, name, controls=NEGATIVE_CONTROLS):

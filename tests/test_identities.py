@@ -10,7 +10,7 @@ from projstat import identities
 from projstat.cyclotomic import CycInt, zeta_pow
 from projstat.groups import BudgetExceededError, DivisibilityError, make_group, residue
 from projstat.series import ConstantTermError, RegionError, TruncatedSeries, geom_divide, packing, q_bracket
-from projstat.stats import distribution, factors, inversions
+from projstat.stats import distribution, inversions
 from projstat.identities import (
     CharacterConditionError,
     CompositionError,
@@ -323,6 +323,7 @@ def test_carlitz_region_refusal_builds_no_histogram(monkeypatch, verifier, args)
 
     monkeypatch.setattr(identities, "distribution", unreachable)
     monkeypatch.setattr(identities, "factors", unreachable)
+    monkeypatch.setattr(identities, "ranked_factors", unreachable)
     with pytest.raises(RegionError):
         verifier(**args)
 
@@ -394,12 +395,18 @@ def test_hilbert_with_p_equal_s_enumerates_each_rank_once(monkeypatch):
     from projstat import identities
 
     calls = []
+    real = identities.ranked_factors
 
-    def counting(group, keys, budget=None, caps=None):
-        calls.append(group)
-        return factors(group, keys, budget, caps)
+    def counting(groups, keys, caps=None):
+        ranked = real(groups, keys, caps)
 
-    monkeypatch.setattr(identities, "factors", counting)
+        def counted(group, keys, budget=None, caps=None):
+            calls.append(group)
+            return ranked(group, keys, budget, caps)
+
+        return counted
+
+    monkeypatch.setattr(identities, "ranked_factors", counting)
     report = verify_hilbert(2, 1, 1, nmax=3, qmax=8)
     assert report.matched
     assert [str(g) for g in calls] == ["G(2,1,1,1)", "G(2,1,1,2)", "G(2,1,1,3)"]
@@ -409,10 +416,12 @@ def test_hilbert_with_p_equal_s_enumerates_each_rank_once(monkeypatch):
 
 def test_hilbert_with_p_equal_s_builds_and_compares_one_lattice_sum(monkeypatch):
     # with p == s the main and both interchanged sums are one extraction of
-    # one sum, against one enumeration: one comparison, the same notes
+    # one sum, against one enumeration: one comparison, the same notes.  The
+    # interchanged forms read only the verdict (agree_on), which counts too
     compared = []
-    real = identities.equal_on
+    real, real_agree = identities.equal_on, identities.agree_on
     monkeypatch.setattr(identities, "equal_on", lambda a, b: compared.append(1) or real(a, b))
+    monkeypatch.setattr(identities, "agree_on", lambda a, b: compared.append(1) or real_agree(a, b))
     for (r, p, s), comparisons in (((2, 1, 1), 1), ((4, 2, 2), 1), ((2, 2, 1), 3), ((4, 1, 2), 3)):
         compared.clear()
         report = verify_hilbert(r, p, s, nmax=4, qmax=6)
@@ -427,8 +436,8 @@ def test_hilbert_with_p_equal_s_builds_and_compares_one_lattice_sum(monkeypatch)
     real_sum = identities._rank_sum
 
     def one_more_at_u(vars_, caps, *args):
-        rhs, count = real_sum(vars_, caps, *args)
-        return rhs + TruncatedSeries.monomial(vars_, caps, {"u": 1}), count
+        one = TruncatedSeries.monomial(vars_, caps, {"u": 1})
+        return [(rhs + one, count) for rhs, count in real_sum(vars_, caps, *args)]
 
     monkeypatch.setattr(identities, "_rank_sum", one_more_at_u)
     report = verify_hilbert(2, 1, 1, nmax=4, qmax=6)
@@ -508,6 +517,9 @@ def test_extracted_equals_the_merged_sum_extracted(r, p, s, d, m):
     readings = [[l * step % r for l in range(count)] for step, count in ((r // s, s), (r // s, p), (r // p, p))]
     walk = identities._lattice_walk(vars_, caps, monomial, r, range(r), [3, 7], [2, 7])
     for _, _, products in walk:
+        # a class's layers share no key, so _extracted joins its first class's whole
+        for layers in products.values():
+            assert len(set().union(*layers)) == sum(map(len, layers))
         for classes in readings:
             for var in ("q1", "q2"):
                 want = _merged_sum(vars_, caps, products, classes).extract_multiples({"u": d, var: m})
@@ -556,6 +568,81 @@ def test_ranked_sums_refuse_an_over_budget_rank_before_any_lattice_work(
     assert walks == []
 
 
+@pytest.mark.parametrize(
+    "verifier, args",
+    [
+        (verify_hilbert, dict(r=2, p=1, s=2, nmax=4, qmax=6)),  # G(2,1,2,.) and its dual G(2,2,1,.)
+        (verify_hilbert, dict(r=2, nmax=4, qmax=6)),
+        (verify_six_stats, dict(r=2, p=1, s=2, nmax=4, umax=4)),
+    ],
+)
+def test_an_over_budget_rank_refuses_before_its_tableau_level_is_walked(monkeypatch, verifier, args):
+    # one walk serves every rank, a level at a time: rank 3 is refused
+    # after levels 1 and 2, before level 3 and before any lattice work, and
+    # by the group's own message, as when each group's ranks ran alone
+    from projstat import stats
+
+    levels, walks = [], []
+    real = stats._tableau_levels
+
+    def recording(*dp):
+        for n, states in enumerate(real(*dp), 1):
+            levels.append(n)
+            yield states
+
+    monkeypatch.setattr(stats, "_tableau_levels", recording)
+    monkeypatch.setattr(identities, "_lattice_walk", lambda *args: walks.append(args))
+    group = make_group(args["r"], args.get("p", 1), args.get("s", 1), 3)
+    with pytest.raises(BudgetExceededError) as exc:
+        verifier(**args, budget=group.order - 1)
+    assert str(exc.value) == f"{group}: group order {group.order} exceeds enumeration budget {group.order - 1}"
+    assert (levels, walks) == ([1, 2], [])
+
+
+@pytest.mark.parametrize("r, p, s", [(1, 1, 1), (2, 1, 1), (2, 1, 2), (2, 2, 1), (4, 2, 2), (3, 1, 3)])
+def test_the_joins_without_adding_join_key_disjoint_parts(monkeypatch, r, p, s):
+    # the ranks of a ranked sum, each at its own u-degree, and six-stats'
+    # blocks, each at its own (k1, k2), are joined without adding: no two
+    # parts share a key, and the joined side holds every part
+    ranks = {}
+    real = identities._enumeration_side
+
+    def recording(vars_, caps, r, p, s, *args):
+        side, count = real(vars_, caps, r, p, s, *args)
+        ranks.setdefault((vars_, p, s), []).append(side.terms)
+        return side, count
+
+    monkeypatch.setattr(identities, "_enumeration_side", recording)
+    compared = []
+    for verify, kwargs in ((verify_six_stats, dict(nmax=4, tmax=3, qmax=5, umax=4)), (verify_hilbert, dict(nmax=4))):
+        report, (lhs, rhs) = _compared_sides(verify, r, p, s, **kwargs)
+        assert report.matched
+        compared.append(rhs)
+    for (vars_, p_, s_), parts in ranks.items():
+        joined = {key: c for part in parts for key, c in part.items()}
+        assert len(joined) == sum(map(len, parts)), (vars_, p_, s_)
+        if (p_, s_) == (p, s):
+            assert any(side.vars == vars_ and side.terms == joined for side in compared)
+
+    # six-stats' blocks at their shifts, walked as the verifier walks them
+    d, rs, tmax, qmax = identities._quotient_divisor(r, p, s), r // s, 3, 5
+    vars_ = ("u", "t1", "t2", "q1", "q2", "a1", "a2")
+    caps = {"u": 4, "t1": tmax, "t2": tmax} | {v: qmax for v in ("q1", "q2", "a1", "a2")}
+    monomial = lambda i, j: {"u": 1, "q1": i, "q2": j, "a1": residue(i, rs), "a2": residue(j, rs)}
+    pack, _, _, fields = packing(vars_, caps)
+    ks = {}
+    for k in range(tmax + 1):
+        ks.setdefault(min(k * rs, qmax), []).append(k)
+    blocks = []
+    classes = range(0, r, rs)
+    for imax, jmax, products in identities._lattice_walk(vars_, caps, monomial, r, classes, [*ks], [*ks]):
+        block = identities._extracted(products, classes, d, fields["q1"], p)
+        for k1, k2 in itertools.product(ks[imax], ks[jmax]):
+            shift = pack({"t1": k1, "t2": k2})
+            blocks.append({key + shift for key in block})
+    assert len(set().union(*blocks)) == sum(map(len, blocks))
+
+
 def test_parameters_agree_with_the_signatures():
     for name, verifier in identities.VERIFIERS.items():
         signature = inspect.signature(verifier).parameters
@@ -573,12 +660,15 @@ def test_a_verifier_refuses_bad_arguments_before_any_work(monkeypatch):
 
     monkeypatch.setattr(identities, "distribution", refuse)
     monkeypatch.setattr(identities, "factors", refuse)
+    monkeypatch.setattr(identities, "ranked_factors", refuse)
     with pytest.raises(TypeError, match="unexpected keyword argument 'nmax'"):
         verify_carlitz_des(2, nmax=3)
     with pytest.raises(TypeError, match="missing 1 required positional argument: 'r'"):
         verify_carlitz_des(n=3)
     with pytest.raises(TypeError, match="multiple values for argument 'r'"):
         verify_carlitz_des(2, r=2)
+    with pytest.raises(TypeError, match="unexpected keyword argument 'n'"):
+        verify_hilbert(2, n=3)
 
 
 def test_lattice_products_cost_one_division_per_point_and_row_bound(monkeypatch):
@@ -1013,13 +1103,17 @@ def test_region_calls_cover_every_verifier():
 )
 def test_every_comparison_lies_on_the_reported_region(monkeypatch, name, params):
     compared = []
-    real = identities.equal_on
 
-    def recording(lhs, rhs):
-        compared.append(((lhs.vars, lhs.caps), (rhs.vars, rhs.caps)))
-        return real(lhs, rhs)
+    def recording(real):
+        def compare(lhs, rhs):
+            compared.append(((lhs.vars, lhs.caps), (rhs.vars, rhs.caps)))
+            return real(lhs, rhs)
 
-    monkeypatch.setattr(identities, "equal_on", recording)
+        return compare
+
+    # the verdict-only comparisons (agree_on) too
+    monkeypatch.setattr(identities, "equal_on", recording(identities.equal_on))
+    monkeypatch.setattr(identities, "agree_on", recording(identities.agree_on))
     report = identities.VERIFIERS[name](**params)
     assert report.matched
     if not report.region:

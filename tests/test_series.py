@@ -12,6 +12,7 @@ from projstat.series import (
     NonMonomialBaseError,
     TruncatedSeries,
     _layout,
+    agree_on,
     equal_on,
     geom_divide,
     geom_divide_terms,
@@ -278,15 +279,17 @@ def test_equal_on_shared_caps_and_mismatch_order():
     caps = {"q": 8}
     trunc = geom_inverse(q_mono(cap=8))  # valid for q <= 8, not exact
     other = geom_inverse(q_mono(cap=4))
-    with pytest.raises(ValueError, match=r"caps \(8,\) vs .* caps \(4,\)"):
-        equal_on(trunc, other)  # sides under other caps are refused
+    # agree_on gives equal_on's verdict alone, with the same refusal
+    for compare in (equal_on, agree_on):
+        with pytest.raises(ValueError, match=r"caps \(8,\) vs .* caps \(4,\)"):
+            compare(trunc, other)  # sides under other caps are refused
     ok, _ = equal_on(TruncatedSeries(Q, {"q": 4}, trunc.exp_terms), other)
-    assert ok
+    assert ok and agree_on(TruncatedSeries(Q, {"q": 4}, trunc.exp_terms), other)
 
     a = TruncatedSeries(Q, caps, {(1,): 1, (3,): 7})
     b = TruncatedSeries(Q, caps, {(1,): 1, (2,): 5})
     ok, mismatch = equal_on(a, b)
-    assert not ok
+    assert not ok and not agree_on(a, b)
     assert mismatch == ({"q": 2}, 0, 5)
 
 
@@ -412,7 +415,7 @@ def _operands(caps_a, terms_a, caps_b, terms_b, monomial):
 def _assert_refused(a, b, m):
     """Every binary operation refuses a with b (and M, under b's caps), and
     a == b is False, also for the same terms."""
-    for op in (lambda: a + b, lambda: a * b, lambda: geom_divide(a, m), lambda: equal_on(a, b)):
+    for op in (lambda: a + b, lambda: a * b, lambda: geom_divide(a, m), lambda: equal_on(a, b), lambda: agree_on(a, b)):
         with pytest.raises(ValueError, match="series differ"):
             op()
     assert a != b
@@ -585,6 +588,16 @@ def test_packing_packs_as_a_series_does_and_keeps_its_refusals():
     for exps in ({"y": -1}, {"x": 5, "y": -1}, {"z": -1, "x": 9}):
         with pytest.raises(ValueError, match="nonnegative exponents"):
             pack(exps)
+    # one layout per variables and caps, shared read-only, whichever form the
+    # caps take; a missing or negative cap is refused as a series refuses it
+    assert packing(list(xyz), (2, 3, 1)) is packing(xyz, caps)
+    assert packing(xyz, {"x": 2, "y": 4, "z": 1}) is not packing(xyz, caps)
+    with pytest.raises(TypeError):
+        fields["x"] = (0, 1)
+    with pytest.raises(ValueError, match="missing caps"):
+        packing(xyz, {"x": 2, "y": 3})
+    with pytest.raises(ValueError, match="nonnegative cap"):
+        packing(xyz, (2, -1, 1))
 
 
 def test_geom_divide_terms_inverts_one_minus_the_monomial():
