@@ -27,7 +27,6 @@ col = sum of R_{r/s}(c_i).
 from __future__ import annotations
 
 import functools
-import itertools
 from collections import Counter, namedtuple
 from operator import itemgetter
 from types import MappingProxyType
@@ -494,11 +493,6 @@ def _tableau_levels(r: int, step_d: int, step_sum: int, first: bool, limit=None)
         i += 1
 
 
-def _tableau_dp(r: int, n: int, step_d: int, step_sum: int, first: bool, limit=None) -> dict:
-    """The states of :func:`_tableau_levels` with n cells."""
-    return next(itertools.islice(_tableau_levels(r, step_d, step_sum, first, limit), n - 1, None))
-
-
 def _inverse_shape(shape: tuple) -> tuple:
     """The multishape of P for the tableaux of g^-1: component -c mod r of
     the result is component c of ``shape``."""
@@ -525,7 +519,7 @@ def _tableau_bounds(n: int) -> tuple:
 
 def _tableau_box(group: GroupDescriptor, own, inverse, caps: dict) -> tuple:
     """The box of (|D|, sum(D)) past which no tableau of the group makes a
-    record within the caps on either side (see :func:`_tableau_pairs`)."""
+    record within the caps on either side (see :func:`ranked_factors`)."""
     r, s, n = group.r, group.s, group.n
     bounds, largest = _tableau_bounds(n), _largest(group)
     boxes = []
@@ -538,60 +532,10 @@ def _tableau_box(group: GroupDescriptor, own, inverse, caps: dict) -> tuple:
     return tuple(map(max, *boxes))
 
 
-def _tableau_pairs(group: GroupDescriptor, keys: tuple, caps=None) -> tuple:
-    """The :func:`factors` of keys, inverse keys among them or not, by
-    standard multi-tableaux; polynomial in n like :func:`_rank_dp`.
-
-    Inverse keys need g^-1, which has no suffix recurrence.  Color-by-color
-    Robinson-Schensted (:func:`rsk.rs_correspondence`, whose pairs this
-    counts) takes a lift g of G(r,p,n) to a pair (P, Q) of standard
-    multi-tableaux of one multishape lambda, the color-c subword giving
-    component c.  Q records the positions, so i < n is a descent of g in
-    the color order iff i is in D of Q (:func:`_tableau_levels`),
-    and with the telescoped suffix recurrences
-
-        lambda_1 = r*|D| + c_1 - c_n + R_{r/s}(c_n),
-        fmaj = r*sum(D) + sum_c c*|lambda^c| - n*c_n + n*R_{r/s}(c_n),
-
-    col = sum_c R_{r/s}(c)*|lambda^c| and desA = |D|.  P, with component c
-    moved to -c, is the Q of g^-1, whose records are read off it alike.  So
-    the histogram is the sum over lambda with p | sum_c c*|lambda^c| of the
-    histogram of g's keys over the Q of shape lambda times that of the
-    inverse keys over the tableaux of shape -lambda (:func:`_inverse_shape`).
-    Taking only the Q whose position n has a color below r/s takes each
-    class of G(r,p,s,n) once, by its canonical lift.  The tableaux do not
-    see inv|g|, so a record holds None for invAbs and signAbs.
-
-    The DP takes neither p nor s: only the canonical filter and the test
-    p | color sum, both applied to its states (:func:`_tableau_factors`),
-    tell the groups of one r and n apart.  So :func:`ranked_factors` reads
-    the factors of several ranks, and of G(r,s,p,n) beside G(r,p,s,n), off
-    one walk.
-
-    ``caps`` (see :func:`distribution`) cut each side's histograms before
-    their products, and prune the DP, which feeds both sides, with lower
-    bounds of the records by |D| and sum(D), packed by
-    :func:`series._layout` in fields sized by |D| <= n-1 and sum(D) <=
-    n(n-1)/2.  A canonical Q has c_n < r/s, so lambda_1 >= r|D| and fmaj >=
-    r*sum(D).  P reads every lift, where c_n - R_{r/s}(c_n) <= r - r/s, so
-    lambda_1 >= r|D| - (r - r/s) and fmaj >= r*sum(D) - n(r - r/s).  Each
-    side's caps bound |D| and sum(D) by a box, and a tableau is dropped
-    once it passes the looser of the two boxes, field by field
-    (:func:`_tableau_box`); a side without caps keeps every tableau.
-    """
-    setup, caps = _tableau_keys(keys), caps or {}
-    bounds, box = _tableau_bounds(group.n), _tableau_box(group, *setup[:2], caps)
-    fields, bias, guard = _layout(box, bounds)
-    step_d, sum_d, first = setup[-1]
-    limit = (bias, guard) if box != bounds else None
-    states = _tableau_dp(group.r, group.n, step_d, sum_d << fields[1][0], first, limit)
-    return _tableau_factors(group, setup, caps, states, fields)
-
-
 def _tableau_factors(group: GroupDescriptor, setup: tuple, caps: dict, states: dict, fields) -> tuple:
     """The factors of the group from the states of its tableaux of n cells,
     whose |D| and sum(D) are packed as ``fields``, for the keys set up by
-    :func:`_tableau_keys` and the caps that prune (see :func:`_tableau_pairs`).
+    :func:`_tableau_keys` and the caps that prune (see :func:`ranked_factors`).
 
     Each lambda makes one pair of the histogram of g's keys over the
     canonical Q and that of the inverse keys over every tableau of shape
@@ -660,7 +604,7 @@ def _largest(group: GroupDescriptor) -> dict:
     With D the descents of g other than 0 (|D| <= n-1, sum(D) <= n(n-1)/2),
     lambda_1 = r|D| + c_1 - c_n + R_{r/s}(c_n) <= rn - 1 and fmaj = r*sum(D)
     + sum_i c_i - n*c_n + n*R_{r/s}(c_n) <= rn(n-1)/2 + (r-1)n (see
-    :func:`_tableau_pairs`); des grows with lambda_1, and the statistics
+    :func:`ranked_factors`); des grows with lambda_1, and the statistics
     of g^-1 share the bounds of g's.
     """
     r, s, n = group.r, group.s, group.n
@@ -672,10 +616,9 @@ def _largest(group: GroupDescriptor) -> dict:
     return bounds | {key: bounds[base] for key, base in INVERSE_KEYS.items()}
 
 
-def _checked(group: GroupDescriptor, keys: tuple, caps) -> tuple:
-    """(paired, caps): the refusals of :func:`factors` for keys and caps,
-    whether an inverse key is among the keys, and the caps that can cut
-    something on the group."""
+def _checked(group: GroupDescriptor, keys: tuple, caps) -> dict:
+    """The refusals of :func:`factors` for keys and caps, and the caps that
+    can cut something on the group."""
     for key in keys:
         if key not in DISTRIBUTION_KEYS and key not in INVERSE_KEYS:
             raise ValueError(
@@ -694,7 +637,7 @@ def _checked(group: GroupDescriptor, keys: tuple, caps) -> tuple:
                 raise ValueError(f"the cap on {key!r} must be a nonnegative int, got {cap!r}")
         # a cap that no element passes cuts nothing, and is not checked
         caps = {key: cap for key, cap in caps.items() if cap < largest[key]}
-    return paired, caps or {}
+    return caps or {}
 
 
 def factors(group: GroupDescriptor, keys, budget: int | None = None, caps=None) -> tuple:
@@ -709,47 +652,89 @@ def factors(group: GroupDescriptor, keys, budget: int | None = None, caps=None) 
     tuple a + b, for a -> x in the own histogram and b -> y in the inverse
     one (:func:`distribution`, up to the order of the keys).
 
-    :func:`_tableau_pairs` makes one pair per shape of color-by-color
-    Robinson-Schensted, merges the pairs of equal inverse histograms by
-    adding their own histograms, and gives the columns instead when they
-    are fewer; without inverse keys :func:`_rank_dp` makes the one pair
-    (histogram, {(): 1}).  A pair with an empty side is left out, and no
-    two pairs have equal inverse histograms.  So a caller can work on each
-    side in its own variables, as the verifiers' chain divisions do
-    (:func:`identities._enumeration_side`).
+    With an inverse key, :func:`ranked_factors` of the one group makes one
+    pair per shape of color-by-color Robinson-Schensted, merges the pairs
+    of equal inverse histograms by adding their own histograms, and gives
+    the columns instead when they are fewer; without one :func:`_rank_dp`
+    makes the one pair (histogram, {(): 1}).  A pair with an empty side is
+    left out, and no two pairs have equal inverse histograms.  So a caller
+    can work on each side in its own variables, as the verifiers' chain
+    divisions do (:func:`identities._enumeration_side`).
 
     ``keys``, ``budget`` and ``caps`` are those of :func:`distribution`, and
     so are the refusals.  :func:`ranked_factors` gives the factors of a run
     of ranks from one tableau walk.
     """
     keys = tuple(keys)
-    paired, caps = _checked(group, keys, caps)
+    if any(key in INVERSE_KEYS for key in keys):
+        return ranked_factors([group], keys, caps)(group, keys, budget, caps)
+    caps = _checked(group, keys, caps)
     check_budget(group, budget)
-    return (_tableau_pairs if paired else _rank_dp)(group, keys, caps)
+    return _rank_dp(group, keys, caps)
 
 
 def ranked_factors(tops, keys, caps=None):
     """A function f with the contract of :func:`factors`, f(group, keys,
     budget, caps), for groups of one r called in nondecreasing rank, that
-    reads their tableaux off one walk of :func:`_tableau_levels`.
+    reads their factors off one walk of :func:`_tableau_levels`, the DP over
+    standard multi-tableaux; polynomial in n like :func:`_rank_dp`.
 
-    ``tops`` are the groups of the top rank N (G(r,p,s,N) and its dual
-    G(r,s,p,N), say), and f serves their (p, s) at every rank n <= N, under
-    these keys and at most these caps.  The walk's fields are sized by N,
-    and it prunes by the loosest box of the tops (:func:`_tableau_box`),
-    which holds every served group's box, since a box only grows with the
-    rank and the caps; each group's histograms are then cut to its own caps
-    as in :func:`_tableau_pairs`.  f refuses as factors does, in the same
-    order, and checks the budget before it walks the group's level.  Any
-    other call, or a rank below one already served, raises ValueError.
-    Without an inverse key there is no walk to share, and f is factors.
+    Inverse keys need g^-1, which has no suffix recurrence.  Color-by-color
+    Robinson-Schensted (:func:`rsk.rs_correspondence`, whose pairs the walk
+    counts) takes a lift g of G(r,p,n) to a pair (P, Q) of standard
+    multi-tableaux of one multishape lambda, the color-c subword giving
+    component c.  Q records the positions, so i < n is a descent of g in
+    the color order iff i is in D of Q (:func:`_tableau_levels`), and with
+    the telescoped suffix recurrences
+
+        lambda_1 = r*|D| + c_1 - c_n + R_{r/s}(c_n),
+        fmaj = r*sum(D) + sum_c c*|lambda^c| - n*c_n + n*R_{r/s}(c_n),
+
+    col = sum_c R_{r/s}(c)*|lambda^c| and desA = |D|.  P, with component c
+    moved to -c, is the Q of g^-1, whose records are read off it alike.  So
+    the histogram is the sum over lambda with p | sum_c c*|lambda^c| of the
+    histogram of g's keys over the Q of shape lambda times that of the
+    inverse keys over the tableaux of shape -lambda (:func:`_inverse_shape`).
+    Taking only the Q whose position n has a color below r/s takes each
+    class of G(r,p,s,n) once, by its canonical lift.  The tableaux do not
+    see inv|g|, so a record holds None for invAbs and signAbs, and f
+    refuses keys holding either, with an inverse key or without.
+
+    The walk takes neither p nor s: only the canonical filter and the test
+    p | color sum, both applied to its states (:func:`_tableau_factors`),
+    tell the groups of one r and n apart.  Its step at position i does not
+    depend on n either.  So ``tops``, the groups of the top rank N
+    (G(r,p,s,N) and its dual G(r,s,p,N), say), give one walk, and f serves
+    their (p, s) at every rank n <= N, under these keys and at most these
+    caps.
+
+    ``caps`` (see :func:`distribution`) cut each side's histograms before
+    their products, and prune the walk, which feeds both sides, with lower
+    bounds of the records by |D| and sum(D), packed by
+    :func:`series._layout` in fields sized by |D| <= N-1 and sum(D) <=
+    N(N-1)/2.  A canonical Q has c_n < r/s, so lambda_1 >= r|D| and fmaj >=
+    r*sum(D).  P reads every lift, where c_n - R_{r/s}(c_n) <= r - r/s, so
+    lambda_1 >= r|D| - (r - r/s) and fmaj >= r*sum(D) - n(r - r/s).  Each
+    side's caps bound |D| and sum(D) by a box, and a tableau is dropped
+    once it passes the looser of the two boxes, field by field
+    (:func:`_tableau_box`); a side without caps keeps every tableau.  The
+    walk prunes by the loosest box of the tops, which holds every served
+    group's box, since a box only grows with the rank and the caps; each
+    group's histograms are then cut to its own caps.
+
+    f refuses as factors does, in the same order, and checks the budget
+    before it walks the group's level.  Any other call, or a rank below one
+    already served, raises ValueError.  Without tops there is no walk, and
+    f is factors.
     """
     keys, tops = tuple(keys), list(tops)
-    checked = [_checked(group, keys, caps) for group in tops]
-    if not checked or not checked[0][0]:
+    cuts = [_checked(group, keys, caps) for group in tops]
+    if "invAbs" in keys or "signAbs" in keys:
+        raise ValueError("the tableaux do not see invAbs and signAbs")
+    if not tops:
         return factors
     setup, top = _tableau_keys(keys), max(group.n for group in tops)
-    boxes = [_tableau_box(group, *setup[:2], cut) for group, (_, cut) in zip(tops, checked)]
+    boxes = [_tableau_box(group, *setup[:2], cut) for group, cut in zip(tops, cuts)]
     bounds, box = _tableau_bounds(top), tuple(map(max, zip(*boxes)))
     fields, bias, guard = _layout(box, bounds)
     step_d, sum_d, first = setup[-1]
@@ -759,7 +744,7 @@ def ranked_factors(tops, keys, caps=None):
 
     def ranked(group, keys_, budget=None, caps_=None):
         nonlocal level, states
-        cut = _checked(group, tuple(keys_), caps_)[1]
+        cut = _checked(group, tuple(keys_), caps_)
         within = all((caps_ or {}).get(key, cap + 1) <= cap for key, cap in (caps or {}).items())
         ours = tuple(keys_) == keys and (group.r, group.p, group.s) in served
         if not (within and ours and level <= group.n <= top):
@@ -796,7 +781,7 @@ def distribution(group: GroupDescriptor, keys, budget: int | None = None, caps=N
     latter.  The result equals the histogram of :func:`stat_record` over
     :func:`enumerate_elements`, which stays the reference definition, but
     no element is built: it is the :func:`factors` of the keys, multiplied
-    out, which :func:`_tableau_pairs` makes when the keys hold an inverse
+    out, which :func:`ranked_factors` makes when the keys hold an inverse
     key and :func:`_rank_dp` otherwise.
 
     ``caps`` maps some of the keys to the largest value compared; the

@@ -119,7 +119,7 @@ def test_distribution_matches_stat_record(group):
             if all(values[keys.index(key)] <= cap for key, cap in caps.items())
         })
         paired = any(key in stats.INVERSE_KEYS for key in keys)
-        kernels = [stats._tableau_pairs] * ("invAbs" not in keys) + [stats._rank_dp] * (not paired)
+        kernels = [_tableau_kernel] * ("invAbs" not in keys) + [stats._rank_dp] * (not paired)
         for kernel in kernels:
             assert stats._flatten(keys, *kernel(group, keys, caps)) == within, kernel.__name__
         assert distribution(group, keys, caps=caps) == within
@@ -129,6 +129,17 @@ def test_distribution_matches_stat_record(group):
                 assert _canonical(got) == _canonical(stats.factors(rank, keys, caps=caps)), rank
 
     within_caps()
+
+
+def _tableau_kernel(group, keys, caps=None) -> tuple:
+    """The factors of the tableau kernel, on any keys the tableaux see."""
+    return stats.ranked_factors([group], keys, caps)(group, keys, None, caps)
+
+
+def _tableau_level(r, n):
+    """The states of stats._tableau_levels with n cells, of the walk that
+    counts the tableaux alone."""
+    return next(itertools.islice(stats._tableau_levels(r, 0, 0, False), n - 1, None))
 
 
 def _walked_factors(group, keys, caps=None) -> dict:
@@ -151,16 +162,13 @@ PAIRED_KEY_TUPLES = [keys for keys in KEY_TUPLES if any(key in stats.INVERSE_KEY
 
 
 @pytest.mark.parametrize("group", GROUPS, ids=str)
-def test_one_tableau_walk_gives_the_factors_of_every_rank_and_the_dual(monkeypatch, group):
+def test_one_tableau_walk_gives_the_factors_of_every_rank_and_the_dual(tableau_walks, group):
     # the tableau DP takes neither p nor s, and its step at level i does not
     # depend on n: one walk to n serves every rank of the group and its dual
-    walks = []
-    real = stats._tableau_levels
-    monkeypatch.setattr(stats, "_tableau_levels", lambda *args: walks.append(args) or real(*args))
     for keys in PAIRED_KEY_TUPLES:
-        walks.clear()
+        tableau_walks.clear()
         walked = _walked_factors(group, keys)
-        assert len(walks) == 1
+        assert len(tableau_walks) == 1
         for rank, got in walked.items():
             assert _canonical(got) == _canonical(stats.factors(rank, keys)), (rank, keys)
 
@@ -188,7 +196,7 @@ def test_factors_merge_the_pairs_of_equal_inverse_histograms():
     # histograms of ifmaj; each is paired with the sum of the fmaj
     # histograms it goes with
     group, keys = make_group(4, 1, 1, 2), ("fmaj", "ifmaj")
-    shapes = {shape for shape, *_ in stats._tableau_dp(4, 2, 0, 0, False)}
+    shapes = {shape for shape, *_ in _tableau_level(4, 2)}
     own, inverse, pairs = stats.factors(group, keys)
     assert (len(shapes), own, inverse, len(pairs)) == (14, ("fmaj",), ("ifmaj",), 11)
     assert _flattened_factors(group, keys) == distribution(group, keys)
@@ -221,7 +229,7 @@ CROSS_KERNEL_KEY_TUPLES = [
 @pytest.mark.parametrize("group", GROUPS, ids=str)
 def test_tableau_kernel_matches_rank_kernel(group):
     for keys in CROSS_KERNEL_KEY_TUPLES:
-        tableaux, ranks = stats._tableau_pairs(group, keys), stats._rank_dp(group, keys)
+        tableaux, ranks = _tableau_kernel(group, keys), stats._rank_dp(group, keys)
         assert stats._flatten(keys, *tableaux) == stats._flatten(keys, *ranks), keys
 
 
@@ -256,24 +264,17 @@ def test_rank_classes_cut_the_states(monkeypatch):
     assert sum(sizes) <= 7098
 
 
-def test_tableau_caps_cut_the_states(monkeypatch):
-    # the (state, packed |D| and sum(D)) pairs left after the capped tableau
-    # DP: B_20's hilbert keys at q <= 10, and six-stats keys on G(2,1,2,8) at
-    # t <= 4, q <= 10, where P's bounds are r - r/s = 1 looser than Q's.
-    # Dropping a tableau only past both sides' bounds left 1291 and 1735.
-    sizes = []
-    real = stats._tableau_dp
-
-    def counting(*args):
-        states = real(*args)
-        sizes.append(sum(map(len, states.values())))
-        return states
-
-    monkeypatch.setattr(stats, "_tableau_dp", counting)
+def test_tableau_caps_cut_the_states(tableau_walks):
+    # the (state, packed |D| and sum(D)) pairs of the last level of the
+    # capped tableau walk: B_20's hilbert keys at q <= 10, and six-stats keys
+    # on G(2,1,2,8) at t <= 4, q <= 10, where P's bounds are r - r/s = 1
+    # looser than Q's. Dropping a tableau only past both sides' bounds left
+    # 1291 and 1735.
     distribution(make_group(2, 1, 1, 20), ("fmaj", "ifmaj"), 10**30, {"fmaj": 10, "ifmaj": 10})
     six = ("des", "ides", "fmaj", "ifmaj", "col", "icol")
     distribution(make_group(2, 1, 2, 8), six, 10**30, {"des": 4, "ides": 4} | dict.fromkeys(six[2:], 10))
-    assert len(sizes) == 2
+    assert [len(walk) for walk in tableau_walks] == [20, 8]
+    sizes = [sum(map(len, walk[-1].values())) for walk in tableau_walks]
     assert sizes[0] <= 1291
     assert sizes[1] <= 1735
 
@@ -355,10 +356,10 @@ def _rs_cells(g):
 @pytest.mark.parametrize("r, n", [(r, n) for r in range(1, 4) for n in range(1, 5)])
 def test_tableau_kernel_counts_the_rs_pairs(r, n):
     # the elements of G(r,1,1,n) whose RS multishape is lambda are the
-    # pairs of standard multi-tableaux of shape lambda that _tableau_dp counts
+    # pairs of standard multi-tableaux of shape lambda that the walk counts
     group = make_group(r, 1, 1, n)
     tableaux = Counter()
-    for (shape, *_), counts in stats._tableau_dp(r, n, 0, 0, False).items():
+    for (shape, *_), counts in _tableau_level(r, n).items():
         tableaux[shape] += counts[0]
     pairs = Counter()
     for g in enumerate_elements(group):
@@ -474,6 +475,13 @@ def _refuse_work(*args):
     raise AssertionError("distribution did work past the budget")
 
 
+def _refuse_levels(*args):
+    """A stats._tableau_levels that fails on its first step: ranked_factors
+    starts its walk before it checks the budget, and steps it after."""
+    raise AssertionError("distribution walked a level past the budget")
+    yield
+
+
 @pytest.mark.parametrize("keys", [("des", "fmaj", "col"), ("fmaj", "ifmaj")])
 def test_budget_refused_before_any_work(monkeypatch, keys):
     group = make_group(3, 1, 1, 4)
@@ -481,7 +489,7 @@ def test_budget_refused_before_any_work(monkeypatch, keys):
     # an explicit budget overrides the environment, as for enumerate_elements
     assert sum(distribution(group, keys, budget=group.order).values()) == group.order
     monkeypatch.setattr(stats, "_rank_dp", _refuse_work)
-    monkeypatch.setattr(stats, "_tableau_dp", _refuse_work)
+    monkeypatch.setattr(stats, "_tableau_levels", _refuse_levels)
     with pytest.raises(BudgetExceededError):
         distribution(group, keys)
     with pytest.raises(BudgetExceededError) as exc:
@@ -501,6 +509,69 @@ def test_inversions_do_not_pair_with_inverse_keys(keys):
     # the tableaux of g and g^-1 do not see inv|g|
     with pytest.raises(ValueError, match=keys[0]):
         distribution(make_group(2, 1, 1, 2), keys)
+
+
+@pytest.mark.parametrize("keys", [("invAbs",), ("fmaj", "signAbs"), ("invAbs", "ides"), ("signAbs", "ifmaj")])
+@pytest.mark.parametrize("tops", [[], [make_group(2, 1, 1, 3)]], ids=["no-tops", "B_3"])
+def test_ranked_factors_refuse_the_keys_the_tableaux_do_not_see(tableau_walks, keys, tops):
+    # a tableau record holds None for invAbs and signAbs, with an inverse key
+    # or without; the refusal comes before the walk starts
+    with pytest.raises(ValueError, match="invAbs and signAbs"):
+        stats.ranked_factors(tops, keys)
+    assert tableau_walks == []
+
+
+def test_paired_factors_walk_the_tableaux_once(tableau_walks):
+    group, keys = make_group(3, 1, 1, 4), ("fmaj", "ifmaj")
+    stats.factors(group, keys)
+    assert [len(walk) for walk in tableau_walks] == [4]
+    # over the budget: the walk is started, and refused before level 1
+    tableau_walks.clear()
+    with pytest.raises(BudgetExceededError):
+        stats.factors(group, keys, budget=group.order - 1)
+    assert tableau_walks == [[]]
+
+
+# g -> g^-1 is a bijection of the group that swaps each key with its
+# inverse, so under caps that treat the two alike the histogram is unchanged
+# by the swap. The walk reads g off the canonical Q and g^-1 off every P, and
+# prunes both by one box: past enumeration this checks the prune.
+PARTNERS = stats.INVERSE_KEYS | {key: inverse_key for inverse_key, key in stats.INVERSE_KEYS.items()}
+SIX_STATS_KEYS = ("des", "ides", "fmaj", "ifmaj", "col", "icol")
+
+
+@pytest.mark.parametrize(
+    "group, keys, q",
+    [
+        (make_group(3, 1, 3, 10), ("fmaj", "ifmaj"), 14),
+        (make_group(3, 1, 3, 10), SIX_STATS_KEYS, 14),
+        (make_group(6, 2, 3, 7), ("fmaj", "ifmaj"), 16),
+        (make_group(6, 2, 3, 7), SIX_STATS_KEYS, 16),
+        (make_group(2, 1, 1, 20), ("fmaj", "ifmaj"), 20),
+    ],
+    ids=str,
+)
+def test_inversion_symmetry_past_enumeration(group, keys, q):
+    caps = {key: 4 if key.endswith("des") else q for key in keys if not key.endswith("col")}
+    hist = distribution(group, keys, 10**30, caps)
+    swap = [keys.index(PARTNERS[key]) for key in keys]
+    assert hist == Counter({tuple(values[i] for i in swap): count for values, count in hist.items()})
+    assert max(values[keys.index("fmaj")] for values in hist) == q
+
+
+def test_uncapped_tableau_histogram_counts_the_group_past_enumeration():
+    group = make_group(3, 1, 3, 10)
+    assert sum(distribution(group, ("des", "ides"), 10**30).values()) == group.order
+
+
+@pytest.mark.parametrize("group", [make_group(3, 1, 3, 10), make_group(6, 2, 3, 7)], ids=str)
+def test_tableau_marginal_matches_rank_kernel_past_enumeration(group):
+    # (fmaj, ifmaj) summed over an uncapped ifmaj, against _rank_dp's fmaj
+    marginal = Counter()
+    for (fmaj, _), count in distribution(group, ("fmaj", "ifmaj"), 10**30, {"fmaj": 12}).items():
+        marginal[fmaj,] += count
+    assert marginal == distribution(group, ("fmaj",), 10**30, {"fmaj": 12})
+    assert max(marginal) == (12,)
 
 
 @pytest.mark.parametrize("caps", [{"signAbs": 0}, {"colorClass": 1}, {"col": 2}, {"fmaj": -1}, {"fmaj": 2.5}])

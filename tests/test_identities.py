@@ -576,27 +576,17 @@ def test_ranked_sums_refuse_an_over_budget_rank_before_any_lattice_work(
         (verify_six_stats, dict(r=2, p=1, s=2, nmax=4, umax=4)),
     ],
 )
-def test_an_over_budget_rank_refuses_before_its_tableau_level_is_walked(monkeypatch, verifier, args):
+def test_an_over_budget_rank_refuses_before_its_tableau_level_is_walked(monkeypatch, tableau_walks, verifier, args):
     # one walk serves every rank, a level at a time: rank 3 is refused
     # after levels 1 and 2, before level 3 and before any lattice work, and
     # by the group's own message, as when each group's ranks ran alone
-    from projstat import stats
-
-    levels, walks = [], []
-    real = stats._tableau_levels
-
-    def recording(*dp):
-        for n, states in enumerate(real(*dp), 1):
-            levels.append(n)
-            yield states
-
-    monkeypatch.setattr(stats, "_tableau_levels", recording)
+    walks = []
     monkeypatch.setattr(identities, "_lattice_walk", lambda *args: walks.append(args))
     group = make_group(args["r"], args.get("p", 1), args.get("s", 1), 3)
     with pytest.raises(BudgetExceededError) as exc:
         verifier(**args, budget=group.order - 1)
     assert str(exc.value) == f"{group}: group order {group.order} exceeds enumeration budget {group.order - 1}"
-    assert (levels, walks) == ([1, 2], [])
+    assert ([len(walk) for walk in tableau_walks], walks) == ([2], [])
 
 
 @pytest.mark.parametrize("r, p, s", [(1, 1, 1), (2, 1, 1), (2, 1, 2), (2, 2, 1), (4, 2, 2), (3, 1, 3)])
