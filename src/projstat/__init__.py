@@ -48,6 +48,7 @@ from .stats import (
     fmaj_prime,
     inversions,
     order_key,
+    signed_distribution,
     stat_record,
 )
 from .bijections import (

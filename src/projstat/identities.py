@@ -42,7 +42,7 @@ from .groups import (
     residue,
 )
 from .series import RegionError, TruncatedSeries, agree_on, equal_on, geom_divide_terms, packing, q_bracket
-from .stats import distribution, factors, ranked_factors, stat_record
+from .stats import distribution, factors, ranked_factors, signed_distribution, stat_record
 
 MATCH = "MATCH"
 MISMATCH = "MISMATCH"
@@ -215,12 +215,13 @@ def verify_character_fmaj(
         raise CharacterConditionError(
             f"s={s} does not divide kn={k * n}: zeta^(k c(g)) depends on the lift"
         )
-    # the sign and the color class only where the twist reads them
-    keys = ("fmaj",) + ("signAbs",) * (eps == -1) + ("colorClass",) * (k != 0)
-    counts = distribution(group, keys, budget)
+    # the signed sums for eps = -1, and the color class only for k != 0
+    keys = ("fmaj",) + ("colorClass",) * (k != 0)
+    counts = (signed_distribution if eps == -1 else distribution)(group, keys, budget)
     # No term of either side is truncated: a bracket of length L in base
     # c q^p has degree exactly p(L-1), the braces before extraction n(p-1),
-    # and the cap is at least the sum of those and the top fmaj.
+    # and the cap is at least the sum of those and the top fmaj (deg_bound
+    # alone when the signed count of a top fmaj cancels).
     deg_bound = (
         p * sum(i * r // p - 1 for i in range(1, n))
         + p * (n * r // (p * s) - 1)
@@ -230,13 +231,12 @@ def verify_character_fmaj(
     caps = {"q": max(deg_bound, max_fmaj)}
     vars_ = ("q",)
 
-    # per fmaj, the signed count of each power zeta^(k colorClass)
+    # per fmaj, the (signed) count of each power zeta^(k colorClass)
     powers: dict[int, list[int]] = {}
     for values, cnt in counts.items():
-        row = powers.setdefault(values[0], [0] * r)
-        row[k * values[-1] % r if k else 0] += values[1] * cnt if eps == -1 else cnt
-    lhs_terms = {(fmaj,): CycInt(r, row) for fmaj, row in powers.items()}
-    lhs = TruncatedSeries(vars_, caps, lhs_terms)
+        powers.setdefault(values[0], [0] * r)[k * values[-1] % r] += cnt
+    # q is the one field of its layout, so fmaj <= the cap is its own packed key
+    lhs = TruncatedSeries(vars_, caps)._with({fmaj: CycInt(r, row) for fmaj, row in powers.items()})
     rhs = _character_rhs(r, p, s, n, eps, k, caps)
     return _finish(caps, *equal_on(lhs, rhs), group.order)
 
@@ -317,17 +317,14 @@ def verify_signed_wreath(r: int, n: int = 3, budget: int | None = None) -> Verif
     product [r]_q [2r]_{-q} ... [nr]_{(+-)q}, with the ascending-window
     subset checked against its own closed form along the way."""
     group = make_group(r, 1, 1, n)
-    main: dict[tuple[int], int] = {}
-    u_hist: dict[tuple[int], int] = {}
-    hist = distribution(group, ("fmaj", "col", "desA", "signAbs"), budget)
-    for (fmaj, col, des_a, sign), cnt in hist.items():
-        main[(fmaj,)] = main.get((fmaj,), 0) + sign * cnt
-        if des_a == 0:
-            u_hist[(col,)] = u_hist.get((col,), 0) + sign * cnt
+    main = signed_distribution(group, ("fmaj",), budget)
+    u_hist = signed_distribution(group, ("col", "desA"), budget, {"desA": 0})
 
+    # fmaj <= rn(n-1)/2 + (r-1)n and col <= (r-1)n lie within the q cap, and
+    # q is the one field of its layout, so each is its own packed key
     caps = {"q": max(2, r * n * (n + 1) // 2)}
     vars_ = ("q",)
-    lhs = TruncatedSeries(vars_, caps, main)
+    lhs = TruncatedSeries(vars_, caps)._with({fmaj: sign for (fmaj,), sign in main.items()})
     rhs = TruncatedSeries.one(vars_, caps)
     for i in range(1, n + 1):
         base = TruncatedSeries.monomial(vars_, caps, {"q": 1}, (-1) ** (i - 1))
@@ -335,7 +332,7 @@ def verify_signed_wreath(r: int, n: int = 3, budget: int | None = None) -> Verif
     ok_main, mism_main = equal_on(lhs, rhs)
 
     m = n // 2
-    u_lhs = TruncatedSeries(vars_, caps, u_hist)
+    u_lhs = TruncatedSeries(vars_, caps)._with({col: sign for (col, _), sign in u_hist.items()})
     q1 = TruncatedSeries.monomial(vars_, caps, {"q": 1})
     q2 = TruncatedSeries.monomial(vars_, caps, {"q": 2})
     u_rhs = q_bracket(r, q2) ** m

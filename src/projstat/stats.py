@@ -224,42 +224,47 @@ def _getter(keys, layout=DISTRIBUTION_KEYS):
 
 
 @functools.lru_cache
-def _rank_classes(n: int, m: int, period: int, inv: int):
+def _rank_classes(n: int, m: int, inv: int, sign: int):
     """The rank classes of the step that places an entry left of m placed ones.
 
     A state's rank slot holds a class of ranks of the leftmost placed entry:
-    an exact rank j1 < n (a one-rank class), or n + a for the ranks in
-    [0, m-1] congruent to a mod ``period``, its count being that of each
-    rank.  The new entry takes a rank j in [0, m].  Returns
+    an exact rank j1 < n (a one-rank class, whose weight the state's count
+    carries), or n for all the ranks in [0, m-1], the state's count then
+    being that of each rank j1 times its weight sign^j1.  The new entry
+    takes a rank j in [0, m], adds j inversions, and weighs sign^j: sign is
+    1 for counts and -1 for the sums of sign(|g|) = (-1)^inv.  ``inv`` is
+    the packed unit of inv when invAbs is read, and then each rank is its
+    own class (sign 1 only); with inv = 0 there is the one class of all
+    ranks.  Returns
 
-    - ``spread``: (class, inversions added) for the classes of j in [0, m]
-      mod ``period``, which a color change makes, its side being fixed by
-      the colors;
-    - ``sizes``: the number of ranks per class a state may hold;
-    - ``splits``: per such class, (j, inversions added, j above j1, number
-      of ranks j1 of the class on that side) for each j and side, which a
-      step of the same color makes.
+    - ``spread``: (class, inversions added) for the classes of j in [0, m],
+      which a color change makes, its side being fixed by the colors;
+    - ``sizes``: the total weight of each class a state may hold, by which
+      a color change multiplies its count (a class of total weight 0 makes
+      no state);
+    - ``splits``: per such class, (j, inversions added, j above j1, total
+      weight of the ranks j1 of the class on that side times sign^j) for
+      each j and side of nonzero weight, which a step of the same color
+      makes.
 
     At m = 0 the one class is the sentinel's rank 0.  The tables depend
     only on the arguments, so they are built once and are read-only.
     """
-    spread = []
-    for a in range(min(period, m + 1)):
-        ranks = range(a, m + 1, period)
-        spread.append((ranks[0] if len(ranks) == 1 else n + a, a * inv))
-    classes = {j1: range(j1, j1 + 1) for j1 in range(max(m, 1))}
-    classes |= {n + a: range(a, m, period) for a in range(min(period, m)) if len(range(a, m, period)) > 1}
-    sizes = {x: len(ranks) for x, ranks in classes.items()}
+    spread = tuple((j, j * inv) for j in range(m + 1)) if inv or not m else ((n, 0),)
+    classes = {j1: {j1: 1} for j1 in range(max(m, 1))}
+    if not inv and m > 1:
+        classes[n] = {j1: sign**j1 for j1 in range(m)}
+    sizes = {x: sum(weights.values()) for x, weights in classes.items()}
     splits = {}
-    for x, ranks in classes.items():
-        splits[x] = []
+    for x, weights in classes.items():
+        split = []
         for j in range(m + 1):
-            under = sum(1 for j1 in ranks if j1 < j)
-            for side, weight in ((True, under), (False, len(ranks) - under)):
+            under = sum(w for j1, w in weights.items() if j1 < j)
+            for side, weight in ((True, under), (False, sizes[x] - under)):
                 if weight:
-                    splits[x].append((j, j % period * inv, side, weight))
-    splits = {x: tuple(split) for x, split in splits.items()}
-    return tuple(spread), MappingProxyType(sizes), MappingProxyType(splits)
+                    split.append((j, j * inv, side, sign**j * weight))
+        splits[x] = tuple(split)
+    return spread, MappingProxyType(sizes), MappingProxyType(splits)
 
 
 def _moves(
@@ -291,35 +296,42 @@ def _lambda_cap(caps: dict, r: int, s: int, top: int) -> int:
     return min(bounds)
 
 
-def _rank_step(states: dict, rows: list, rise: int, classes, mod: int, mask: int) -> dict:
+def _rank_step(states: dict, rows: list, rise: int, classes, mod: int) -> dict:
     """The states after placing one more entry left of the placed ones.
 
     ``rows`` and ``rise`` are :func:`_moves` of the position, and
-    ``classes`` is :func:`_rank_classes` of the step.
+    ``classes`` is :func:`_rank_classes` of the step.  A state whose count
+    has cancelled to 0 makes none.
     """
     spread, sizes, splits = classes
     nxt = {}
     get = nxt.get
     for (x, c1, csum, acc), count in states.items():
+        if not count:
+            continue
         total = count * sizes[x]
         for c, lo in enumerate(rows[c1]):
             csum_c, base = (csum + c) % mod, acc + lo
             if c == c1:
                 above = base + rise
                 for j, dinv, side, weight in splits[x]:
-                    key = (j, c, csum_c, (dinv + (above if side else base)) & mask)
+                    key = (j, c, csum_c, dinv + (above if side else base))
                     nxt[key] = get(key, 0) + count * weight
-            else:
+            elif total:
                 for y, dinv in spread:
-                    key = (y, c, csum_c, (base + dinv) & mask)
+                    key = (y, c, csum_c, base + dinv)
                     nxt[key] = get(key, 0) + total
     return nxt
 
 
-def _rank_dp(group: GroupDescriptor, keys, caps=None) -> tuple:
+def _rank_dp(group: GroupDescriptor, keys, caps=None, sign: int = 1) -> tuple:
     """The :func:`factors` of keys, no inverse key among them, by a
     right-to-left DP over relative ranks; no element is built.  Its one pair
-    is (histogram, {(): 1}), left out when the caps leave nothing.
+    is (histogram, {(): 1}), left out when the caps leave nothing.  With
+    sign -1 the histogram holds, for each tuple of values, the sum of
+    sign(|g|) = (-1)^inv|g| over the elements taking it, zero sums left out
+    (:func:`signed_distribution`), and the keys hold neither invAbs nor
+    signAbs.
 
     h_i, k_i and lambda_i are suffix recurrences,
 
@@ -337,14 +349,16 @@ def _rank_dp(group: GroupDescriptor, keys, caps=None) -> tuple:
     every value makes the last position fit, and that position takes only
     colors below r/s.  A state is (class of j1, c1, color sum mod r or p,
     the fields packed by :func:`series._layout`, each sized by its bound in
-    :func:`_largest`); a field no key reads stays 0, and inv is kept mod 2
-    for signAbs alone.
+    :func:`_largest`); a field no key reads stays 0.  For the signed sums
+    each placement at rank j weighs (-1)^j, so a state's count is a signed
+    sum, whose product over the positions is (-1)^inv.
 
     A step to a color c != c1 is decided by the colors alone, so the rank
-    j it takes matters only through j * inv: it makes one state per rank
-    class (:func:`_rank_classes`), all ranks, or the even and the odd ranks
-    for signAbs, or each rank alone for invAbs.  Only a step of the same
-    color splits a class, by the number of its ranks below each new rank.
+    j it takes matters only through its inversions and its weight: it
+    makes one state per rank class (:func:`_rank_classes`), all ranks, or
+    each rank alone for invAbs, weighted by the class's total weight, and
+    none when that weight is 0.  Only a step of the same color splits a
+    class, by the weight of its ranks below each new rank.
 
     The first position's rank is not carried further, so it is not expanded,
     and only the colors c that make the color sum divisible by p are
@@ -352,8 +366,14 @@ def _rank_dp(group: GroupDescriptor, keys, caps=None) -> tuple:
     the colors c != c1 the last states are merged, over their classes, into
     one bucket of packed fields per (c1, color sum), and each bucket is
     shifted whole by the fields of c and by each j * inv, weighted by the
-    number of ranks j taking it.  c = c1 splits each class by the side of
-    j1 the rank falls on, weighted by the number of ranks behind each.
+    total weight of the ranks j taking it: for the signed sums without
+    invAbs that is the sum of (-1)^j over j in [0, n-1], so those colors
+    make nothing when n is even.  c = c1 splits each class by the side of
+    j1 the rank falls on, weighted by the ranks behind each.
+
+    signAbs without invAbs is read off two runs, the counts T and the
+    signed sums S of the other keys: (T + S)/2 elements of a tuple have sign
+    1 and (T - S)/2 sign -1.  With invAbs it is the parity of inv.
 
     ``caps`` (see :func:`distribution`) bound fields that only grow: a
     state with a field past its cap is dropped after each step, and the
@@ -366,6 +386,16 @@ def _rank_dp(group: GroupDescriptor, keys, caps=None) -> tuple:
     B_10 (order 3.7*10^9) takes about 0.05 s for (des, fmaj, col) on one
     Xeon vCPU under Python 3.11.
     """
+    keys = tuple(keys)
+    if "signAbs" in keys and "invAbs" not in keys:
+        at, rest = keys.index("signAbs"), tuple(key for key in keys if key != "signAbs")
+        counts, sums = (_flatten(rest, *_rank_dp(group, rest, caps, weight)) for weight in (1, -1))
+        hist = {}
+        for values, count in counts.items():
+            for value, part in ((1, count + sums[values]), (-1, count - sums[values])):
+                if part:
+                    hist[values[:at] + (value,) + values[at:]] = part // 2
+        return keys, (), [(hist, {(): 1})] if hist else []
     r, p, s, n = group.r, group.p, group.s, group.n
     rs, want = r // s, set(keys)
     # the fields lambda_1, fmaj, col, desA and inv
@@ -376,12 +406,9 @@ def _rank_dp(group: GroupDescriptor, keys, caps=None) -> tuple:
     (_, low), (at_fmaj, in_fmaj), (at_col, in_col), (at_des_a, in_des_a), (at_inv, _) = fields
     lam, fmaj, col, des_a, inv = (
         bool(want & names) << shift
-        for (shift, _), names in zip(fields, ({"des", "fdes"}, {"fmaj"}, {"col"}, {"desA"}, {"invAbs", "signAbs"}))
+        for (shift, _), names in zip(fields, ({"des", "fdes"}, {"fmaj"}, {"col"}, {"desA"}, {"invAbs"}))
     )
-    mask = -1 if "invAbs" in want else (2 << at_inv) - 1
     mod = r if "colorClass" in want else p
-    # j * inv is kept whole for invAbs, mod 2 for signAbs, and is 0 otherwise
-    period = n if "invAbs" in want else 2 if "signAbs" in want else 1
     states = {(0, 0, 0, 0): 1}  # the sentinel
     for i in range(n - 1, -1, -1):
         # the last position takes colors below r/s, left of the sentinel's color 0
@@ -389,32 +416,36 @@ def _rank_dp(group: GroupDescriptor, keys, caps=None) -> tuple:
         rows, rise = _moves(r, rs, rs if last else r, lam + (i + 1) * fmaj, col, des_a, 1 if last else r)
         if not i:
             break
-        states = _rank_step(states, rows, rise, _rank_classes(n, n - 1 - i, period, inv), mod, mask)
+        states = _rank_step(states, rows, rise, _rank_classes(n, n - 1 - i, inv, sign), mod)
         if caps:
             states = {key: count for key, count in states.items() if not (key[3] + bias) & guard}
     # the first position
-    _, sizes, splits = _rank_classes(n, n - 1, period, inv)
-    folds = {}  # per class: its size, and (fields added, weight) for c = c1
+    _, sizes, splits = _rank_classes(n, n - 1, inv, sign)
+    folds = {}  # per class: its weight, and (fields added, weight) for c = c1
     for x, split in splits.items():
         fold = {}
         for _, dinv, side, weight in split:
             shift = dinv + side * rise
             fold[shift] = fold.get(shift, 0) + weight
-        folds[x] = sizes[x], list(fold.items())
+        folds[x] = sizes[x], [(shift, weight) for shift, weight in fold.items() if weight]
+    anywhere = {}  # j * inv -> the weight of the ranks j taking it
+    for j in range(n):
+        anywhere[j * inv] = anywhere.get(j * inv, 0) + sign**j
+    anywhere = [(dinv, weight) for dinv, weight in anywhere.items() if weight]
     leaves, buckets = [{} for _ in range(mod)], {}
     for (x, c1, csum, acc), count in states.items():
         size, fold = folds[x]
-        bucket = buckets.get((c1, csum))
-        if bucket is None:
-            buckets[c1, csum] = {acc: count * size}
-        else:
-            bucket[acc] = bucket.get(acc, 0) + count * size
+        if size and anywhere:
+            bucket = buckets.get((c1, csum))
+            if bucket is None:
+                buckets[c1, csum] = {acc: count * size}
+            else:
+                bucket[acc] = bucket.get(acc, 0) + count * size
         if not (csum + c1) % p:
             base, leaf = acc + rows[c1][c1], leaves[(csum + c1) % mod]
             for shift, weight in fold:
-                key = (base + shift) & mask
+                key = base + shift
                 leaf[key] = leaf.get(key, 0) + count * weight
-    anywhere = Counter(j % period * inv for j in range(n)).items()
     for (c1, csum), bucket in buckets.items():
         row = rows[c1]
         for c in range(-csum % p, len(row), p):
@@ -424,7 +455,7 @@ def _rank_dp(group: GroupDescriptor, keys, caps=None) -> tuple:
                 for dinv, weight in anywhere:
                     shift = row[c] + dinv
                     for acc, count in bucket.items():
-                        key = (acc + shift) & mask
+                        key = acc + shift
                         leaf[key] = get(key, 0) + count * weight
     get, hist = _getter(keys), {}
     for csum, leaf in enumerate(leaves):
@@ -438,7 +469,9 @@ def _rank_dp(group: GroupDescriptor, keys, caps=None) -> tuple:
                    acc >> at_des_a & in_des_a, inv, -1 if inv & 1 else 1, color_class)
             key = get(rec)
             hist[key] = hist.get(key, 0) + count
-    return tuple(keys), (), [(hist, {(): 1})] if hist else []
+    if sign != 1:
+        hist = {key: count for key, count in hist.items() if count}
+    return keys, (), [(hist, {(): 1})] if hist else []
 
 
 @functools.cache
@@ -656,7 +689,9 @@ def factors(group: GroupDescriptor, keys, budget: int | None = None, caps=None) 
     pair per shape of color-by-color Robinson-Schensted, merges the pairs
     of equal inverse histograms by adding their own histograms, and gives
     the columns instead when they are fewer; without one :func:`_rank_dp`
-    makes the one pair (histogram, {(): 1}).  A pair with an empty side is
+    makes the one pair (histogram, {(): 1}), reading signAbs, when invAbs
+    is not asked, off the counts and the signed sums of the other keys
+    (:func:`signed_distribution`).  A pair with an empty side is
     left out, and no two pairs have equal inverse histograms.  So a caller
     can work on each side in its own variables, as the verifiers' chain
     divisions do (:func:`identities._enumeration_side`).
@@ -782,7 +817,11 @@ def distribution(group: GroupDescriptor, keys, budget: int | None = None, caps=N
     :func:`enumerate_elements`, which stays the reference definition, but
     no element is built: it is the :func:`factors` of the keys, multiplied
     out, which :func:`ranked_factors` makes when the keys hold an inverse
-    key and :func:`_rank_dp` otherwise.
+    key and :func:`_rank_dp` otherwise.  With signAbs and without invAbs,
+    the count T and the signed sum S of :func:`signed_distribution` of the
+    other keys give (T + S)/2 elements of sign 1 and (T - S)/2 of sign -1
+    per tuple; a caller who needs only the sum of the signs should ask
+    :func:`signed_distribution`, which is one DP run instead of two.
 
     ``caps`` maps some of the keys to the largest value compared; the
     histogram then holds only the tuples within every cap, which is the
@@ -801,6 +840,29 @@ def distribution(group: GroupDescriptor, keys, budget: int | None = None, caps=N
     """
     keys = tuple(keys)
     return _flatten(keys, *factors(group, keys, budget, caps))
+
+
+def signed_distribution(group: GroupDescriptor, keys, budget: int | None = None, caps=None) -> dict:
+    """The sign-twisted histogram of the named statistics over the whole
+    group: maps each tuple of values of ``keys`` to the sum of sign(|g|) =
+    (-1)^inv|g| over the elements that take it, the tuples whose sum is 0
+    left out.  It equals the sum of ``stat_record(g).signAbs`` over the
+    elements of :func:`enumerate_elements` per tuple.
+
+    :func:`_rank_dp` builds it with each placement at relative rank j
+    weighing (-1)^j, in one run; no element is built.  ``keys``, ``budget``
+    and ``caps`` are those of :func:`distribution`, with its refusals and
+    budget check, and the keys hold no inverse key, invAbs or signAbs
+    (ValueError).
+    """
+    keys = tuple(keys)
+    caps = _checked(group, keys, caps)
+    refused = [key for key in keys if key in INVERSE_KEYS or key in ("invAbs", "signAbs")]
+    if refused:
+        raise ValueError(f"the signed sums take no inverse key, invAbs or signAbs, got {', '.join(refused)}")
+    check_budget(group, budget)
+    _, _, pairs = _rank_dp(group, keys, caps, -1)
+    return pairs[0][0] if pairs else {}
 
 
 def fmaj_prime(g: ProjectiveElement) -> int:

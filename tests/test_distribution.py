@@ -1,8 +1,11 @@
-"""stats.distribution against its reference definition, and its test seam.
+"""stats.distribution and stats.signed_distribution against their
+reference definition, and their test seams.
 
-The reference histogram of a key tuple is built from enumerate_elements and
-stat_record (of g, and of inverse(g) for the inverse keys), exactly as the
-verifiers built it before they used distribution.
+The reference histogram of a key tuple, and its signed sums, come from
+enumerate_elements and stat_record (of g, and of inverse(g) for the inverse
+keys), exactly as the verifiers built them before they used distribution:
+the ``reference`` fixture of conftest.py, the one enumeration the kernel
+checks compare against.
 """
 
 import itertools
@@ -26,7 +29,7 @@ from projstat.groups import (
     make_group,
 )
 from projstat.series import TruncatedSeries
-from projstat.stats import des_set, distribution, stat_record
+from projstat.stats import des_set, distribution, signed_distribution, stat_record
 
 # every key tuple a verifier or the CLI asks for, then all keys at once
 KEY_TUPLES = [
@@ -73,12 +76,6 @@ def test_parity_grid_size():
     assert sum(g.order for g in GROUPS) == 103_278
 
 
-def _value(rec, irec, key):
-    if key in stats.INVERSE_KEYS:
-        return getattr(irec, stats.INVERSE_KEYS[key])
-    return getattr(rec, key)
-
-
 # key tuples holding every key that takes a cap, with and without inverse keys
 CAPPED_KEY_TUPLES = [
     ("des", "fmaj", "col"),
@@ -91,22 +88,17 @@ CAPPED_KEY_TUPLES = [
 
 
 @pytest.mark.parametrize("group", GROUPS, ids=str)
-def test_distribution_matches_stat_record(group):
-    records = [(stat_record(g), stat_record(inverse(g))) for g in enumerate_elements(group)]
-
-    def reference(keys):
-        return Counter(tuple(_value(rec, irec, key) for key in keys) for rec, irec in records)
-
+def test_distribution_matches_stat_record(reference, group):
     for keys in KEY_TUPLES:
-        assert distribution(group, keys) == reference(keys), keys
-        assert _flattened_factors(group, keys) == reference(keys), keys
+        assert distribution(group, keys) == reference(group, keys), keys
+        assert _flattened_factors(group, keys) == reference(group, keys), keys
 
     # within caps, from none cut to all cut, or past every packed field:
     # the reference restricted to the caps, from both kernels that apply
     @settings(max_examples=6, deadline=None)
     @given(st.sampled_from(CAPPED_KEY_TUPLES), st.data())
     def within_caps(keys, data):
-        whole = reference(keys)
+        whole = reference(group, keys)
         top = {key: max(values[i] for values in whole) for i, key in enumerate(keys)}
         # distribution skips the caps at or above these bounds
         assert all(top[key] <= bound for key, bound in stats._largest(group).items() if key in keys)
@@ -114,10 +106,7 @@ def test_distribution_matches_stat_record(group):
             key: data.draw(st.integers(0, top[key] + 1) | st.integers(top[key], 10**9), label=key)
             for key in data.draw(st.lists(st.sampled_from(keys), unique=True), label="capped")
         }
-        within = Counter({
-            values: count for values, count in whole.items()
-            if all(values[keys.index(key)] <= cap for key, cap in caps.items())
-        })
+        within = reference(group, keys, caps)
         paired = any(key in stats.INVERSE_KEYS for key in keys)
         kernels = [_tableau_kernel] * ("invAbs" not in keys) + [stats._rank_dp] * (not paired)
         for kernel in kernels:
@@ -240,11 +229,95 @@ WIDE_GROUPS = _admissible_groups(8, 2 * 10**4)
 
 @settings(max_examples=30, deadline=None)
 @given(st.sampled_from(WIDE_GROUPS), st.lists(st.sampled_from(stats.DISTRIBUTION_KEYS), unique=True))
-def test_distribution_matches_stat_record_on_random_groups_and_keys(group, keys):
-    reference = Counter(
-        tuple(getattr(rec, key) for key in keys) for rec in map(stat_record, enumerate_elements(group))
-    )
-    assert distribution(group, keys) == reference
+def test_distribution_matches_stat_record_on_random_groups_and_keys(reference, group, keys):
+    assert distribution(group, keys) == reference(group, keys)
+
+
+# ----------------------------------------------------------------------
+# the signed sums: each placement at relative rank j weighs (-1)^j
+
+# the keys the verifiers read the signed sums of (character-fmaj at eps =
+# -1, signed-wreath), then every key they take
+SIGNED_KEY_TUPLES = [
+    ("fmaj",),
+    ("fmaj", "colorClass"),
+    ("col", "desA"),
+    tuple(key for key in stats.DISTRIBUTION_KEYS if key not in ("invAbs", "signAbs")),
+]
+
+
+@pytest.mark.parametrize("group", GROUPS, ids=str)
+def test_signed_sums_match_stat_record(reference, group):
+    for keys in SIGNED_KEY_TUPLES:
+        top = max(values[keys.index("fmaj")] for values in reference(group, keys)) if "fmaj" in keys else 0
+        # uncapped, and under signed-wreath's desA <= 0 and a cap halfway up fmaj
+        cuts = [{}] + [{key: cap} for key, cap in (("desA", 0), ("fmaj", top // 2)) if key in keys]
+        for caps in cuts:
+            signed = reference(group, keys, caps, signed=True)
+            assert signed_distribution(group, keys, caps=caps) == signed, (keys, caps)
+            if caps:
+                assert signed_distribution(group, keys, caps={key: 10**9 for key in caps}) \
+                    == reference(group, keys, signed=True)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.sampled_from(WIDE_GROUPS),
+    st.lists(st.sampled_from(SIGNED_KEY_TUPLES[-1]), unique=True),
+    st.data(),
+)
+def test_signed_sums_match_stat_record_on_random_groups_and_keys(reference, group, keys, data):
+    capable = [key for key in keys if key != "colorClass"]
+    capped = data.draw(st.lists(st.sampled_from(capable), unique=True), label="capped") if capable else []
+    caps = {key: data.draw(st.integers(0, stats._largest(group)[key]), label=key) for key in capped}
+    assert signed_distribution(group, keys, caps=caps) == reference(group, keys, caps, signed=True)
+
+
+# Past enumeration: each signed sum S of a tuple is that of its T elements,
+# so T = S mod 2 and |S| <= T, and sign(|g|) is a nontrivial character for
+# n >= 2, whose sum over the group is 0.
+@pytest.mark.parametrize(
+    "group",
+    [make_group(2, 1, 1, 8), make_group(4, 2, 2, 9), make_group(3, 1, 3, 10), make_group(2, 2, 1, 12)],
+    ids=str,
+)
+def test_signed_sums_bounded_by_the_counts_past_enumeration(group):
+    for keys in SIGNED_KEY_TUPLES[:3]:
+        for caps in [None] + [{"desA": 0}] * ("desA" in keys):
+            counts = distribution(group, keys, 10**30, caps)
+            signed = signed_distribution(group, keys, 10**30, caps)
+            assert signed.keys() <= counts.keys()
+            for values, count in counts.items():
+                assert (count - signed.get(values, 0)) % 2 == 0
+                assert abs(signed.get(values, 0)) <= count
+            if caps is None:
+                assert sum(signed.values()) == 0
+                assert sum(counts.values()) == group.order
+    # and distribution's sign splits the counts into (T + S)/2 and (T - S)/2
+    split = distribution(group, ("fmaj", "signAbs"), 10**30)
+    signed = signed_distribution(group, ("fmaj",), 10**30)
+    assert {(fmaj,): split[fmaj, 1] - split[fmaj, -1] for fmaj, _ in split} == {
+        values: signed.get(values, 0) for values in distribution(group, ("fmaj",), 10**30)
+    }
+
+
+@pytest.mark.parametrize("keys", [("fmaj", "signAbs"), ("invAbs",), ("fmaj", "ifmaj"), ("icol",)])
+def test_signed_sums_refuse_the_sign_and_the_inverse_keys(keys):
+    with pytest.raises(ValueError, match=keys[-1]):
+        signed_distribution(make_group(2, 1, 1, 3), keys)
+
+
+def test_signed_sums_share_the_refusals_and_the_budget_of_distribution(monkeypatch):
+    group = make_group(3, 1, 1, 4)
+    with pytest.raises(ValueError, match="maj"):
+        signed_distribution(group, ("maj",))
+    with pytest.raises(ValueError, match="colorClass"):
+        signed_distribution(group, ("fmaj", "colorClass"), caps={"colorClass": 1})
+    assert signed_distribution(group, ("fmaj",), budget=group.order)
+    monkeypatch.setattr(stats, "_rank_dp", _refuse_work)
+    with pytest.raises(BudgetExceededError) as exc:
+        signed_distribution(group, ("fmaj",), budget=group.order - 1)
+    assert (exc.value.order, exc.value.budget) == (group.order, group.order - 1)
 
 
 def test_rank_classes_cut_the_states(monkeypatch):
@@ -298,7 +371,7 @@ def test_move_table_follows_the_color_order(r):
 
 
 def test_rank_classes_are_built_once_and_read_only():
-    # the tables depend only on (n, m, period, inv), so every DP step with
+    # the tables depend only on (n, m, inv, sign), so every DP step with
     # those arguments shares one copy, which no caller can change
     stats._rank_classes.cache_clear()
     built = []
@@ -307,8 +380,10 @@ def test_rank_classes_are_built_once_and_read_only():
             distribution(make_group(2, 1, 1, 4), keys)
         built.append(stats._rank_classes.cache_info().misses)
     assert built[0] > 0 and built[1] == built[0]
-    spread, sizes, splits = stats._rank_classes(4, 2, 2, 1)
+    spread, sizes, splits = stats._rank_classes(4, 2, 0, -1)
     assert isinstance(spread, tuple) and all(isinstance(split, tuple) for split in splits.values())
+    # the class of ranks 0 and 1, weighing 1 and -1, makes no state on a color change
+    assert sizes == {0: 1, 1: 1, 4: 0}
     with pytest.raises(TypeError):
         sizes[0] = 5
     with pytest.raises(TypeError):
@@ -316,8 +391,9 @@ def test_rank_classes_are_built_once_and_read_only():
 
 
 # key tuples that KEY_TUPLES misses, for the other folds of the first
-# position: inv whole, inv mod 2 and no inv, with the color sum kept mod r
-# (colorClass) and mod p
+# position: inv whole, the sign alone or beside another key (the counts
+# and the signed sums of the others) and no inv, with the color sum kept
+# mod r (colorClass) and mod p
 FOLD_KEY_TUPLES = [
     ("invAbs",),
     ("signAbs",),
@@ -328,11 +404,9 @@ FOLD_KEY_TUPLES = [
 
 
 @pytest.mark.parametrize("group", [g for g in GROUPS if g.n <= 5], ids=str)
-def test_distribution_folds_the_first_position(group):
-    records = [stat_record(g) for g in enumerate_elements(group)]
+def test_distribution_folds_the_first_position(reference, group):
     for keys in FOLD_KEY_TUPLES:
-        reference = Counter(tuple(getattr(rec, key) for key in keys) for rec in records)
-        assert distribution(group, keys) == reference, keys
+        assert distribution(group, keys) == reference(group, keys), keys
 
 
 def _rs_cells(g):
@@ -418,6 +492,8 @@ def test_parity_grid_covers_rank_one_quotients():
         ("character-fmaj", dict(r=4, p=2, s=2, n=8, eps=-1, k=1)),
         ("signed-wreath", dict(r=2, n=8)),
         ("fdes-trivariate", dict(r=3, n=8)),
+        # odd n, where the first position's color changes keep a weight
+        ("signed-wreath", dict(r=3, n=9)),
     ],
 )
 def test_verifiers_match_past_enumeration(name, params):
@@ -652,15 +728,15 @@ def test_k_sum_reuses_the_power_of_a_cut_inner_sum(monkeypatch):
 # negative controls: a wrong histogram must show in the verdict
 
 def _shifted(real):
-    """distribution, with one element moved from the smallest key to the key
-    one higher in its last statistic."""
+    """distribution or signed_distribution, with one unit moved from the
+    smallest key to the key one higher in its last statistic."""
 
     def perturbed(group, keys, budget=None, caps=None):
-        hist = real(group, keys, budget, caps)
+        hist = Counter(real(group, keys, budget, caps))
         first = min(hist)
         hist[first] -= 1
         hist[first[:-1] + (first[-1] + 1,)] += 1
-        return +hist
+        return Counter({values: count for values, count in hist.items() if count})
 
     return perturbed
 
@@ -707,16 +783,23 @@ def test_verifiers_report_mismatch_on_shifted_histogram(monkeypatch, name, monom
 
 
 def _moved(real, key, to):
-    """distribution, with one element of the smallest key moved to the value
-    ``to`` gives in the statistic ``key``, when the keys hold it."""
+    """signed_distribution, with one element of the smallest key moved to the
+    value ``to`` gives in the statistic ``key``.  The element's sign v is
+    that of its key's sum, which loses v.  The sum of the moved key gains
+    v; for signAbs, which the sums hold as the weight of each element, the
+    element stays in its key with weight to(v)."""
 
     def perturbed(group, keys, budget=None, caps=None):
-        hist = real(group, keys, budget, caps)
-        if key in keys:
-            at, first = keys.index(key), min(hist)
-            hist[first] -= 1
-            hist[first[:at] + (to(first[at]),) + first[at + 1:]] += 1
-        return +hist
+        hist = Counter(real(group, keys, budget, caps))
+        first = min(hist)
+        v = 1 if hist[first] > 0 else -1
+        hist[first] -= v
+        if key == "signAbs":
+            hist[first] += to(v)
+        else:
+            at = keys.index(key)
+            hist[first[:at] + (to(first[at]),) + first[at + 1:]] += v
+        return {values: count for values, count in hist.items() if count}
 
     return perturbed
 
@@ -728,35 +811,40 @@ CHARACTER_ARGS = dict(r=4, p=1, s=1, n=3, eps=-1, k=1)
 @pytest.mark.parametrize("key, to", [("signAbs", lambda v: -v), ("colorClass", lambda v: (v + 1) % 4)])
 def test_character_fmaj_reports_mismatch_on_one_perturbed_key(monkeypatch, key, to):
     assert identities.verify_character_fmaj(**CHARACTER_ARGS).matched
-    monkeypatch.setattr(identities, "distribution", _moved(distribution, key, to))
+    monkeypatch.setattr(identities, "signed_distribution", _moved(signed_distribution, key, to))
     assert identities.verify_character_fmaj(**CHARACTER_ARGS).outcome == identities.MISMATCH
 
 
+# (entry, keys asked): eps = -1 reads the signed sums, so the sign is no key
 @pytest.mark.parametrize(
     "eps, k, keys",
     [
-        (1, 0, ("fmaj",)),
-        (-1, 0, ("fmaj", "signAbs")),
-        (1, 1, ("fmaj", "colorClass")),
-        (-1, 1, ("fmaj", "signAbs", "colorClass")),
+        (1, 0, ("distribution", "fmaj")),
+        (-1, 0, ("signed_distribution", "fmaj")),
+        (1, 1, ("distribution", "fmaj", "colorClass")),
+        (-1, 1, ("signed_distribution", "fmaj", "colorClass")),
     ],
 )
 def test_character_fmaj_asks_only_the_keys_it_reads(monkeypatch, eps, k, keys):
     asked = []
 
-    def recording(group, keys, budget=None):
-        asked.append(tuple(keys))
-        return distribution(group, keys, budget)
+    def recording(name, real):
+        def entry(group, keys, budget=None, caps=None):
+            asked.append((name, *keys))
+            return real(group, keys, budget, caps)
 
-    monkeypatch.setattr(identities, "distribution", recording)
+        return entry
+
+    monkeypatch.setattr(identities, "distribution", recording("distribution", distribution))
+    monkeypatch.setattr(identities, "signed_distribution", recording("signed_distribution", signed_distribution))
     assert identities.verify_character_fmaj(**{**CHARACTER_ARGS, "eps": eps, "k": k}).matched
     assert asked == [keys]
 
 
 # one small run of every identity through the CLI, and the enumeration seam
 # a wrong value goes through: the histogram for the verifiers built on
-# distribution or factors, the per-element records for lift, the signed
-# count of the word DP for signed-multinomial
+# distribution, signed_distribution or factors, the per-element records for
+# lift, the signed count of the word DP for signed-multinomial
 NEGATIVE_CONTROLS = {
     "character-fmaj": ["--r", "2", "--n", "2"],
     "signed-multinomial": ["--n", "4", "--parts", "2,2"],
@@ -784,9 +872,11 @@ def _perturb(monkeypatch, name):
 
         monkeypatch.setattr(identities, "stat_record", perturbed)
     else:
-        # character-fmaj and signed-wreath read distribution, the Carlitz
-        # verifiers factors, six-stats and hilbert the factors of each rank
+        # character-fmaj reads distribution or, at eps = -1, the signed sums,
+        # as signed-wreath does, the Carlitz verifiers factors, six-stats and
+        # hilbert the factors of each rank
         monkeypatch.setattr(identities, "distribution", _shifted(distribution))
+        monkeypatch.setattr(identities, "signed_distribution", _shifted(signed_distribution))
         monkeypatch.setattr(identities, "factors", _shifted_factors(stats.factors))
         monkeypatch.setattr(identities, "ranked_factors", _per_rank(_shifted_factors))
 
@@ -842,12 +932,9 @@ def _cli_histogram(capsys, group_text):
     )
 
 
-def test_stats_dist_departs_from_reference_on_shifted_histogram(monkeypatch, capsys):
+def test_stats_dist_departs_from_reference_on_shifted_histogram(monkeypatch, capsys, reference):
     group = make_group(3, 1, 1, 3)
-    reference = Counter()
-    for g in enumerate_elements(group):
-        rec = stat_record(g)
-        reference[rec.des, rec.fmaj, rec.col] += 1
-    assert _cli_histogram(capsys, str(group)) == reference
+    whole = reference(group, ("des", "fmaj", "col"))
+    assert _cli_histogram(capsys, str(group)) == whole
     monkeypatch.setattr(cli, "distribution", _shifted(distribution))
-    assert _cli_histogram(capsys, str(group)) != reference
+    assert _cli_histogram(capsys, str(group)) != whole

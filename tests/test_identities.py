@@ -322,6 +322,7 @@ def test_carlitz_region_refusal_builds_no_histogram(monkeypatch, verifier, args)
         raise AssertionError("histogram built before the region refusal")
 
     monkeypatch.setattr(identities, "distribution", unreachable)
+    monkeypatch.setattr(identities, "signed_distribution", unreachable)
     monkeypatch.setattr(identities, "factors", unreachable)
     monkeypatch.setattr(identities, "ranked_factors", unreachable)
     with pytest.raises(RegionError):
@@ -649,6 +650,7 @@ def test_a_verifier_refuses_bad_arguments_before_any_work(monkeypatch):
         raise AssertionError("a histogram was built")
 
     monkeypatch.setattr(identities, "distribution", refuse)
+    monkeypatch.setattr(identities, "signed_distribution", refuse)
     monkeypatch.setattr(identities, "factors", refuse)
     monkeypatch.setattr(identities, "ranked_factors", refuse)
     with pytest.raises(TypeError, match="unexpected keyword argument 'nmax'"):
