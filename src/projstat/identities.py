@@ -752,6 +752,8 @@ def _rank_sum(vars_, caps, keys, r, groups, nmax, d, budget) -> list:
     its own u-degree, so a rank's terms are joined to its side whole
     (dict.update), without adding.
     """
+    if nmax < 0:
+        raise ValueError(f"nmax must be a nonnegative integer, got {nmax}")
     ts = ("t1", "t2") if "t1" in vars_ else (None, None)
     ranks, top = range(0, nmax + 1, d), min(nmax, caps["u"]) // d * d
     tops = [make_group(r, p, s, top) for p, s in groups] if top else []

@@ -210,7 +210,7 @@ def stat_record(g: ProjectiveElement) -> StatRecord:
 # The scalar StatRecord fields that distribution() can histogram, in the
 # order both kernels lay out their records, and the statistics of g^-1 it
 # can pair with them.
-DISTRIBUTION_KEYS = ("des", "fdes", "fmaj", "col", "desA", "invAbs", "signAbs", "colorClass")
+DISTRIBUTION_KEYS = ("des", "fdes", "fmaj", "col", "desA", "colorClass")
 INVERSE_KEYS = {"ides": "des", "ifmaj": "fmaj", "icol": "col"}
 
 
@@ -224,35 +224,31 @@ def _getter(keys, layout=DISTRIBUTION_KEYS):
 
 
 @functools.lru_cache
-def _rank_classes(n: int, m: int, inv: int, sign: int):
+def _rank_classes(n: int, m: int, sign: int):
     """The rank classes of the step that places an entry left of m placed ones.
 
     A state's rank slot holds a class of ranks of the leftmost placed entry:
     an exact rank j1 < n (a one-rank class, whose weight the state's count
     carries), or n for all the ranks in [0, m-1], the state's count then
     being that of each rank j1 times its weight sign^j1.  The new entry
-    takes a rank j in [0, m], adds j inversions, and weighs sign^j: sign is
-    1 for counts and -1 for the sums of sign(|g|) = (-1)^inv.  ``inv`` is
-    the packed unit of inv when invAbs is read, and then each rank is its
-    own class (sign 1 only); with inv = 0 there is the one class of all
-    ranks.  Returns
+    takes a rank j in [0, m] and weighs sign^j: sign is 1 for counts and -1
+    for the sums of sign(|g|) = (-1)^inv.  Returns
 
-    - ``spread``: (class, inversions added) for the classes of j in [0, m],
-      which a color change makes, its side being fixed by the colors;
+    - ``spread``: the class of all j in [0, m], which a color change makes,
+      its side being fixed by the colors;
     - ``sizes``: the total weight of each class a state may hold, by which
       a color change multiplies its count (a class of total weight 0 makes
       no state);
-    - ``splits``: per such class, (j, inversions added, j above j1, total
-      weight of the ranks j1 of the class on that side times sign^j) for
-      each j and side of nonzero weight, which a step of the same color
-      makes.
+    - ``splits``: per such class, (j, j above j1, total weight of the ranks
+      j1 of the class on that side times sign^j) for each j and side of
+      nonzero weight, which a step of the same color makes.
 
     At m = 0 the one class is the sentinel's rank 0.  The tables depend
     only on the arguments, so they are built once and are read-only.
     """
-    spread = tuple((j, j * inv) for j in range(m + 1)) if inv or not m else ((n, 0),)
+    spread = n if m else 0
     classes = {j1: {j1: 1} for j1 in range(max(m, 1))}
-    if not inv and m > 1:
+    if m > 1:
         classes[n] = {j1: sign**j1 for j1 in range(m)}
     sizes = {x: sum(weights.values()) for x, weights in classes.items()}
     splits = {}
@@ -262,7 +258,7 @@ def _rank_classes(n: int, m: int, inv: int, sign: int):
             under = sum(w for j1, w in weights.items() if j1 < j)
             for side, weight in ((True, under), (False, sizes[x] - under)):
                 if weight:
-                    split.append((j, j * inv, side, sign**j * weight))
+                    split.append((j, side, sign**j * weight))
         splits[x] = tuple(split)
     return spread, MappingProxyType(sizes), MappingProxyType(splits)
 
@@ -314,13 +310,12 @@ def _rank_step(states: dict, rows: list, rise: int, classes, mod: int) -> dict:
             csum_c, base = (csum + c) % mod, acc + lo
             if c == c1:
                 above = base + rise
-                for j, dinv, side, weight in splits[x]:
-                    key = (j, c, csum_c, dinv + (above if side else base))
+                for j, side, weight in splits[x]:
+                    key = (j, c, csum_c, above if side else base)
                     nxt[key] = get(key, 0) + count * weight
             elif total:
-                for y, dinv in spread:
-                    key = (y, c, csum_c, base + dinv)
-                    nxt[key] = get(key, 0) + total
+                key = (spread, c, csum_c, base)
+                nxt[key] = get(key, 0) + total
     return nxt
 
 
@@ -330,8 +325,7 @@ def _rank_dp(group: GroupDescriptor, keys, caps=None, sign: int = 1) -> tuple:
     is (histogram, {(): 1}), left out when the caps leave nothing.  With
     sign -1 the histogram holds, for each tuple of values, the sum of
     sign(|g|) = (-1)^inv|g| over the elements taking it, zero sums left out
-    (:func:`signed_distribution`), and the keys hold neither invAbs nor
-    signAbs.
+    (:func:`signed_distribution`).
 
     h_i, k_i and lambda_i are suffix recurrences,
 
@@ -340,7 +334,7 @@ def _rank_dp(group: GroupDescriptor, keys, caps=None, sign: int = 1) -> tuple:
         lambda_i = r*h_i + k_i,   fmaj = sum of lambda_i,
 
     that see the values only through comparisons with the right neighbour,
-    and so do desA and inv.  An entry placed left of the m placed ones at
+    and so does desA.  An entry placed left of the m placed ones at
     relative rank j in [0, m] adds j inversions and lies above its right
     neighbour, of rank j1, iff j > j1.  That and the two colors give the
     steps of desA and of lambda, d = r*[c = c1 and j > j1] + R_r(c - c1)
@@ -354,26 +348,20 @@ def _rank_dp(group: GroupDescriptor, keys, caps=None, sign: int = 1) -> tuple:
     sum, whose product over the positions is (-1)^inv.
 
     A step to a color c != c1 is decided by the colors alone, so the rank
-    j it takes matters only through its inversions and its weight: it
-    makes one state per rank class (:func:`_rank_classes`), all ranks, or
-    each rank alone for invAbs, weighted by the class's total weight, and
-    none when that weight is 0.  Only a step of the same color splits a
-    class, by the weight of its ranks below each new rank.
+    j it takes matters only through its weight: it makes one state of the
+    class of all ranks (:func:`_rank_classes`), weighted by the class's
+    total weight, and none when that weight is 0.  Only a step of the same
+    color splits a class, by the weight of its ranks below each new rank.
 
     The first position's rank is not carried further, so it is not expanded,
     and only the colors c that make the color sum divisible by p are
     applied.  The leaves are one dict of packed fields per color sum.  For
     the colors c != c1 the last states are merged, over their classes, into
-    one bucket of packed fields per (c1, color sum), and each bucket is
-    shifted whole by the fields of c and by each j * inv, weighted by the
-    total weight of the ranks j taking it: for the signed sums without
-    invAbs that is the sum of (-1)^j over j in [0, n-1], so those colors
-    make nothing when n is even.  c = c1 splits each class by the side of
-    j1 the rank falls on, weighted by the ranks behind each.
-
-    signAbs without invAbs is read off two runs, the counts T and the
-    signed sums S of the other keys: (T + S)/2 elements of a tuple have sign
-    1 and (T - S)/2 sign -1.  With invAbs it is the parity of inv.
+    one bucket of packed fields per (c1, color sum), weighted by the sum of
+    sign^j over the ranks j in [0, n-1], and each bucket is shifted whole
+    by the fields of c: for the signed sums that weight is 0 when n is
+    even, and those colors make nothing.  c = c1 splits each class by the
+    side of j1 the rank falls on, weighted by the ranks behind each.
 
     ``caps`` (see :func:`distribution`) bound fields that only grow: a
     state with a field past its cap is dropped after each step, and the
@@ -387,26 +375,17 @@ def _rank_dp(group: GroupDescriptor, keys, caps=None, sign: int = 1) -> tuple:
     Xeon vCPU under Python 3.11.
     """
     keys = tuple(keys)
-    if "signAbs" in keys and "invAbs" not in keys:
-        at, rest = keys.index("signAbs"), tuple(key for key in keys if key != "signAbs")
-        counts, sums = (_flatten(rest, *_rank_dp(group, rest, caps, weight)) for weight in (1, -1))
-        hist = {}
-        for values, count in counts.items():
-            for value, part in ((1, count + sums[values]), (-1, count - sums[values])):
-                if part:
-                    hist[values[:at] + (value,) + values[at:]] = part // 2
-        return keys, (), [(hist, {(): 1})] if hist else []
     r, p, s, n = group.r, group.p, group.s, group.n
     rs, want = r // s, set(keys)
-    # the fields lambda_1, fmaj, col, desA and inv
-    largest, names, caps = _largest(group), ("fmaj", "col", "desA", "invAbs"), caps or {}
+    # the fields lambda_1, fmaj, col and desA
+    largest, names, caps = _largest(group), ("fmaj", "col", "desA"), caps or {}
     bounds = (largest["fdes"], *map(largest.get, names))
     field_caps = (_lambda_cap(caps, r, s, bounds[0]), *(caps.get(key, largest[key]) for key in names))
     fields, bias, guard = _layout(field_caps, bounds)
-    (_, low), (at_fmaj, in_fmaj), (at_col, in_col), (at_des_a, in_des_a), (at_inv, _) = fields
-    lam, fmaj, col, des_a, inv = (
+    (_, low), (at_fmaj, in_fmaj), (at_col, in_col), (at_des_a, in_des_a) = fields
+    lam, fmaj, col, des_a = (
         bool(want & names) << shift
-        for (shift, _), names in zip(fields, ({"des", "fdes"}, {"fmaj"}, {"col"}, {"desA"}, {"invAbs"}))
+        for (shift, _), names in zip(fields, ({"des", "fdes"}, {"fmaj"}, {"col"}, {"desA"}))
     )
     mod = r if "colorClass" in want else p
     states = {(0, 0, 0, 0): 1}  # the sentinel
@@ -416,26 +395,22 @@ def _rank_dp(group: GroupDescriptor, keys, caps=None, sign: int = 1) -> tuple:
         rows, rise = _moves(r, rs, rs if last else r, lam + (i + 1) * fmaj, col, des_a, 1 if last else r)
         if not i:
             break
-        states = _rank_step(states, rows, rise, _rank_classes(n, n - 1 - i, inv, sign), mod)
+        states = _rank_step(states, rows, rise, _rank_classes(n, n - 1 - i, sign), mod)
         if caps:
             states = {key: count for key, count in states.items() if not (key[3] + bias) & guard}
     # the first position
-    _, sizes, splits = _rank_classes(n, n - 1, inv, sign)
-    folds = {}  # per class: its weight, and (fields added, weight) for c = c1
+    _, sizes, splits = _rank_classes(n, n - 1, sign)
+    anywhere = sum(sign**j for j in range(n))  # the weight of the ranks in [0, n-1]
+    folds = {}  # per class: its bucket weight, and (fields added, weight) for c = c1
     for x, split in splits.items():
         fold = {}
-        for _, dinv, side, weight in split:
-            shift = dinv + side * rise
-            fold[shift] = fold.get(shift, 0) + weight
-        folds[x] = sizes[x], [(shift, weight) for shift, weight in fold.items() if weight]
-    anywhere = {}  # j * inv -> the weight of the ranks j taking it
-    for j in range(n):
-        anywhere[j * inv] = anywhere.get(j * inv, 0) + sign**j
-    anywhere = [(dinv, weight) for dinv, weight in anywhere.items() if weight]
+        for _, side, weight in split:
+            fold[side * rise] = fold.get(side * rise, 0) + weight
+        folds[x] = sizes[x] * anywhere, [(shift, weight) for shift, weight in fold.items() if weight]
     leaves, buckets = [{} for _ in range(mod)], {}
     for (x, c1, csum, acc), count in states.items():
         size, fold = folds[x]
-        if size and anywhere:
+        if size:
             bucket = buckets.get((c1, csum))
             if bucket is None:
                 buckets[c1, csum] = {acc: count * size}
@@ -450,23 +425,21 @@ def _rank_dp(group: GroupDescriptor, keys, caps=None, sign: int = 1) -> tuple:
         row = rows[c1]
         for c in range(-csum % p, len(row), p):
             if c != c1:
-                leaf = leaves[(csum + c) % mod]
+                leaf, shift = leaves[(csum + c) % mod], row[c]
                 get = leaf.get
-                for dinv, weight in anywhere:
-                    shift = row[c] + dinv
-                    for acc, count in bucket.items():
-                        key = acc + shift
-                        leaf[key] = get(key, 0) + count * weight
+                for acc, count in bucket.items():
+                    key = acc + shift
+                    leaf[key] = get(key, 0) + count
     get, hist = _getter(keys), {}
     for csum, leaf in enumerate(leaves):
         if caps:
             leaf = {acc: count for acc, count in leaf.items() if not (acc + bias) & guard}
         color_class = csum % r
         for acc, count in leaf.items():
-            lam1, inv = acc & low, acc >> at_inv
+            lam1 = acc & low
             # laid out as DISTRIBUTION_KEYS
             rec = ((s * lam1 + r - s) // r, lam1, acc >> at_fmaj & in_fmaj, acc >> at_col & in_col,
-                   acc >> at_des_a & in_des_a, inv, -1 if inv & 1 else 1, color_class)
+                   acc >> at_des_a & in_des_a, color_class)
             key = get(rec)
             hist[key] = hist.get(key, 0) + count
     if sign != 1:
@@ -540,9 +513,9 @@ def _tableau_keys(keys: tuple) -> tuple:
     read = {INVERSE_KEYS.get(key, key) for key in keys}
     own = tuple(key for key in keys if key not in INVERSE_KEYS)
     inverse = tuple(key for key in keys if key in INVERSE_KEYS)
-    inv = tuple(INVERSE_KEYS[key] for key in inverse)
+    bases = tuple(INVERSE_KEYS[key] for key in inverse)
     dp = int(bool(read & {"des", "fdes", "desA"})), int("fmaj" in read), bool(read & {"des", "fdes"})
-    return own, inverse, _getter(own), _getter(inv), own == inv, dp
+    return own, inverse, _getter(own), _getter(bases), own == bases, dp
 
 
 def _tableau_bounds(n: int) -> tuple:
@@ -600,7 +573,7 @@ def _tableau_factors(group: GroupDescriptor, setup: tuple, caps: dict, states: d
             n_d = acc & in_d
             lam1 = r * n_d + base
             # laid out as DISTRIBUTION_KEYS
-            rec = ((s * lam1 + r - s) // r, lam1, r * (acc >> at_sum) + shift, col, n_d, None, None, csum % r)
+            rec = ((s * lam1 + r - s) // r, lam1, r * (acc >> at_sum) + shift, col, n_d, csum % r)
             b = inv_get(rec)
             right[b] = right.get(b, 0) + count
             if left is not None:
@@ -644,7 +617,7 @@ def _largest(group: GroupDescriptor) -> dict:
     fdes = r * n - 1
     bounds = {
         "des": (s * fdes + r - s) // r, "fdes": fdes, "fmaj": r * n * (n - 1) // 2 + (r - 1) * n,
-        "col": n * (r // s - 1), "desA": n - 1, "invAbs": n * (n - 1) // 2,
+        "col": n * (r // s - 1), "desA": n - 1,
     }
     return bounds | {key: bounds[base] for key, base in INVERSE_KEYS.items()}
 
@@ -658,14 +631,11 @@ def _checked(group: GroupDescriptor, keys: tuple, caps) -> dict:
                 f"no histogram for statistic {key!r}; have "
                 f"{', '.join(DISTRIBUTION_KEYS + tuple(INVERSE_KEYS))}"
             )
-    paired = any(key in INVERSE_KEYS for key in keys)
-    if paired and ("invAbs" in keys or "signAbs" in keys):
-        raise ValueError("invAbs and signAbs do not pair with statistics of g^-1")
     if caps:
         largest = _largest(group)
         for key, cap in caps.items():
             if key not in keys or key not in largest:
-                raise ValueError(f"no cap on {key!r}: a cap goes on one of the keys, not on signAbs or colorClass")
+                raise ValueError(f"no cap on {key!r}: a cap goes on one of the keys, not on colorClass")
             if not isinstance(cap, int) or cap < 0:
                 raise ValueError(f"the cap on {key!r} must be a nonnegative int, got {cap!r}")
         # a cap that no element passes cuts nothing, and is not checked
@@ -689,9 +659,7 @@ def factors(group: GroupDescriptor, keys, budget: int | None = None, caps=None) 
     pair per shape of color-by-color Robinson-Schensted, merges the pairs
     of equal inverse histograms by adding their own histograms, and gives
     the columns instead when they are fewer; without one :func:`_rank_dp`
-    makes the one pair (histogram, {(): 1}), reading signAbs, when invAbs
-    is not asked, off the counts and the signed sums of the other keys
-    (:func:`signed_distribution`).  A pair with an empty side is
+    makes the one pair (histogram, {(): 1}).  A pair with an empty side is
     left out, and no two pairs have equal inverse histograms.  So a caller
     can work on each side in its own variables, as the verifiers' chain
     divisions do (:func:`identities._enumeration_side`).
@@ -731,9 +699,7 @@ def ranked_factors(tops, keys, caps=None):
     histogram of g's keys over the Q of shape lambda times that of the
     inverse keys over the tableaux of shape -lambda (:func:`_inverse_shape`).
     Taking only the Q whose position n has a color below r/s takes each
-    class of G(r,p,s,n) once, by its canonical lift.  The tableaux do not
-    see inv|g|, so a record holds None for invAbs and signAbs, and f
-    refuses keys holding either, with an inverse key or without.
+    class of G(r,p,s,n) once, by its canonical lift.
 
     The walk takes neither p nor s: only the canonical filter and the test
     p | color sum, both applied to its states (:func:`_tableau_factors`),
@@ -764,8 +730,6 @@ def ranked_factors(tops, keys, caps=None):
     """
     keys, tops = tuple(keys), list(tops)
     cuts = [_checked(group, keys, caps) for group in tops]
-    if "invAbs" in keys or "signAbs" in keys:
-        raise ValueError("the tableaux do not see invAbs and signAbs")
     if not tops:
         return factors
     setup, top = _tableau_keys(keys), max(group.n for group in tops)
@@ -812,21 +776,19 @@ def distribution(group: GroupDescriptor, keys, budget: int | None = None, caps=N
     Maps each tuple of values of ``keys`` to the number of elements that
     take it.  ``keys`` are scalar :class:`StatRecord` fields from
     :data:`DISTRIBUTION_KEYS`, or ``ides``/``ifmaj``/``icol`` for des, fmaj
-    and col of g^-1; ``invAbs`` and ``signAbs`` do not pair with the
-    latter.  The result equals the histogram of :func:`stat_record` over
-    :func:`enumerate_elements`, which stays the reference definition, but
-    no element is built: it is the :func:`factors` of the keys, multiplied
-    out, which :func:`ranked_factors` makes when the keys hold an inverse
-    key and :func:`_rank_dp` otherwise.  With signAbs and without invAbs,
-    the count T and the signed sum S of :func:`signed_distribution` of the
-    other keys give (T + S)/2 elements of sign 1 and (T - S)/2 of sign -1
-    per tuple; a caller who needs only the sum of the signs should ask
-    :func:`signed_distribution`, which is one DP run instead of two.
+    and col of g^-1.  The result equals the histogram of
+    :func:`stat_record` over :func:`enumerate_elements`, which stays the
+    reference definition, but no element is built: it is the
+    :func:`factors` of the keys, multiplied out, which
+    :func:`ranked_factors` makes when the keys hold an inverse key and
+    :func:`_rank_dp` otherwise.  The sign of |g| is read by
+    :func:`signed_distribution`, and inv|g| of one element by
+    :func:`stat_record`.
 
     ``caps`` maps some of the keys to the largest value compared; the
     histogram then holds only the tuples within every cap, which is the
-    reference restricted to the caps.  Every key but ``signAbs`` and
-    ``colorClass`` takes a cap.  Each of them is read off fields that a DP
+    reference restricted to the caps.  Every key but ``colorClass`` takes
+    a cap.  Each of them is read off fields that a DP
     step only adds to, so a DP state whose field has passed a cap makes no
     tuple within the caps, and the kernels drop it at once.  A cap at or
     above the bound of :func:`_largest` cuts nothing and is left out, and
@@ -852,14 +814,13 @@ def signed_distribution(group: GroupDescriptor, keys, budget: int | None = None,
     :func:`_rank_dp` builds it with each placement at relative rank j
     weighing (-1)^j, in one run; no element is built.  ``keys``, ``budget``
     and ``caps`` are those of :func:`distribution`, with its refusals and
-    budget check, and the keys hold no inverse key, invAbs or signAbs
-    (ValueError).
+    budget check, and the keys hold no inverse key (ValueError).
     """
     keys = tuple(keys)
     caps = _checked(group, keys, caps)
-    refused = [key for key in keys if key in INVERSE_KEYS or key in ("invAbs", "signAbs")]
+    refused = [key for key in keys if key in INVERSE_KEYS]
     if refused:
-        raise ValueError(f"the signed sums take no inverse key, invAbs or signAbs, got {', '.join(refused)}")
+        raise ValueError(f"the signed sums take no inverse key, got {', '.join(refused)}")
     check_budget(group, budget)
     _, _, pairs = _rank_dp(group, keys, caps, -1)
     return pairs[0][0] if pairs else {}

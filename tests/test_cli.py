@@ -380,6 +380,8 @@ def test_verify_usage_errors_exit_2(capsys, argv, message):
             ["verify", "carlitz-des", "--r", "2", "--s", "0", "--n", "3", "--qmax", "1"],
             "error: s must be a positive integer, got 0",
         ),
+        (["verify", "six-stats", "--r", "2", "--nmax", "-3"], "error: nmax must be a nonnegative integer, got -3"),
+        (["verify", "hilbert", "--r", "2", "--nmax", "-1"], "error: nmax must be a nonnegative integer, got -1"),
     ],
 )
 def test_verify_refusals_exit_2(capsys, argv, message):

@@ -33,21 +33,16 @@ from projstat.stats import des_set, distribution, signed_distribution, stat_reco
 
 # every key tuple a verifier or the CLI asks for, then all keys at once
 KEY_TUPLES = [
-    # character-fmaj: the sign for eps = -1, the color class for k != 0
+    # character-fmaj, the color class for k != 0
     ("fmaj",),
-    ("fmaj", "signAbs"),
     ("fmaj", "colorClass"),
-    ("fmaj", "signAbs", "colorClass"),
-    ("fmaj", "col", "desA", "signAbs"),  # signed-wreath
     ("des", "fmaj", "col"),  # carlitz-des, projstat stats --dist
     ("fdes", "fmaj"),  # carlitz-fdes
     ("fdes", "fmaj", "col"),  # fdes-trivariate
     ("des", "ides", "fmaj", "ifmaj", "col", "icol"),  # six-stats
     ("fmaj", "ifmaj"),  # hilbert
     stats.DISTRIBUTION_KEYS,
-    # every key that pairs with the statistics of g^-1
-    tuple(key for key in stats.DISTRIBUTION_KEYS if key not in ("invAbs", "signAbs"))
-    + tuple(stats.INVERSE_KEYS),
+    stats.DISTRIBUTION_KEYS + tuple(stats.INVERSE_KEYS),
 ]
 
 
@@ -80,7 +75,7 @@ def test_parity_grid_size():
 CAPPED_KEY_TUPLES = [
     ("des", "fmaj", "col"),
     ("fdes", "fmaj", "col"),
-    ("des", "fdes", "fmaj", "col", "desA", "invAbs"),
+    ("des", "fdes", "fmaj", "col", "desA"),
     ("des", "ides", "fmaj", "ifmaj", "col", "icol"),
     ("fmaj", "ifmaj"),
     ("fdes", "desA", "ides", "ifmaj", "icol"),
@@ -108,7 +103,7 @@ def test_distribution_matches_stat_record(reference, group):
         }
         within = reference(group, keys, caps)
         paired = any(key in stats.INVERSE_KEYS for key in keys)
-        kernels = [_tableau_kernel] * ("invAbs" not in keys) + [stats._rank_dp] * (not paired)
+        kernels = [_tableau_kernel] + [stats._rank_dp] * (not paired)
         for kernel in kernels:
             assert stats._flatten(keys, *kernel(group, keys, caps)) == within, kernel.__name__
         assert distribution(group, keys, caps=caps) == within
@@ -204,14 +199,14 @@ def test_factors_give_the_columns_when_they_are_fewer():
 
 
 # key tuples without inverse keys, which both kernels build: what the
-# verifiers without a sign key ask for, then every key the tableaux see
+# verifiers ask distribution for, then every key
 CROSS_KERNEL_KEY_TUPLES = [
     ("fmaj",),
     ("fmaj", "colorClass"),
     ("des", "fmaj", "col"),
     ("fdes", "fmaj"),
     ("fdes", "fmaj", "col"),
-    tuple(key for key in stats.DISTRIBUTION_KEYS if key not in ("invAbs", "signAbs")),
+    stats.DISTRIBUTION_KEYS,
 ]
 
 
@@ -223,7 +218,8 @@ def test_tableau_kernel_matches_rank_kernel(group):
 
 
 # past the grid: r up to 8 and any subset of the keys, in any order, which
-# reaches every rank class (all ranks, even and odd, each rank alone)
+# reaches every rank class (an exact rank, all ranks at an even and an odd
+# count)
 WIDE_GROUPS = _admissible_groups(8, 2 * 10**4)
 
 
@@ -242,7 +238,7 @@ SIGNED_KEY_TUPLES = [
     ("fmaj",),
     ("fmaj", "colorClass"),
     ("col", "desA"),
-    tuple(key for key in stats.DISTRIBUTION_KEYS if key not in ("invAbs", "signAbs")),
+    stats.DISTRIBUTION_KEYS,
 ]
 
 
@@ -293,17 +289,11 @@ def test_signed_sums_bounded_by_the_counts_past_enumeration(group):
             if caps is None:
                 assert sum(signed.values()) == 0
                 assert sum(counts.values()) == group.order
-    # and distribution's sign splits the counts into (T + S)/2 and (T - S)/2
-    split = distribution(group, ("fmaj", "signAbs"), 10**30)
-    signed = signed_distribution(group, ("fmaj",), 10**30)
-    assert {(fmaj,): split[fmaj, 1] - split[fmaj, -1] for fmaj, _ in split} == {
-        values: signed.get(values, 0) for values in distribution(group, ("fmaj",), 10**30)
-    }
 
 
-@pytest.mark.parametrize("keys", [("fmaj", "signAbs"), ("invAbs",), ("fmaj", "ifmaj"), ("icol",)])
-def test_signed_sums_refuse_the_sign_and_the_inverse_keys(keys):
-    with pytest.raises(ValueError, match=keys[-1]):
+@pytest.mark.parametrize("keys", [("fmaj", "ifmaj"), ("icol",)])
+def test_signed_sums_refuse_the_inverse_keys(keys):
+    with pytest.raises(ValueError, match=f"no inverse key, got {keys[-1]}"):
         signed_distribution(make_group(2, 1, 1, 3), keys)
 
 
@@ -371,17 +361,17 @@ def test_move_table_follows_the_color_order(r):
 
 
 def test_rank_classes_are_built_once_and_read_only():
-    # the tables depend only on (n, m, inv, sign), so every DP step with
-    # those arguments shares one copy, which no caller can change
+    # the tables depend only on (n, m, sign), so every DP step with those
+    # arguments shares one copy, which no caller can change
     stats._rank_classes.cache_clear()
     built = []
     for _ in range(2):
-        for keys in (("des", "fmaj", "col"), ("fmaj", "signAbs"), ("invAbs",)):
-            distribution(make_group(2, 1, 1, 4), keys)
+        for histogram in (distribution, signed_distribution):
+            histogram(make_group(2, 1, 1, 4), ("des", "fmaj", "col"))
         built.append(stats._rank_classes.cache_info().misses)
     assert built[0] > 0 and built[1] == built[0]
-    spread, sizes, splits = stats._rank_classes(4, 2, 0, -1)
-    assert isinstance(spread, tuple) and all(isinstance(split, tuple) for split in splits.values())
+    spread, sizes, splits = stats._rank_classes(4, 2, -1)
+    assert spread == 4 and all(isinstance(split, tuple) for split in splits.values())
     # the class of ranks 0 and 1, weighing 1 and -1, makes no state on a color change
     assert sizes == {0: 1, 1: 1, 4: 0}
     with pytest.raises(TypeError):
@@ -390,16 +380,11 @@ def test_rank_classes_are_built_once_and_read_only():
         splits[0] = ()
 
 
-# key tuples that KEY_TUPLES misses, for the other folds of the first
-# position: inv whole, the sign alone or beside another key (the counts
-# and the signed sums of the others) and no inv, with the color sum kept
-# mod r (colorClass) and mod p
+# key tuples that KEY_TUPLES misses, for the folds of the first position
+# with the color sum kept mod p and mod r (colorClass)
 FOLD_KEY_TUPLES = [
-    ("invAbs",),
-    ("signAbs",),
-    ("invAbs", "colorClass"),
-    ("desA", "signAbs"),
     ("col",),
+    ("colorClass",),
 ]
 
 
@@ -573,27 +558,30 @@ def test_budget_refused_before_any_work(monkeypatch, keys):
     assert (exc.value.order, exc.value.budget) == (group.order, group.order - 1)
 
 
-def test_unknown_key_refused():
-    with pytest.raises(ValueError, match="maj"):
-        distribution(make_group(2, 1, 1, 2), ("des", "maj"))
-    with pytest.raises(ValueError, match="icolorClass"):
-        distribution(make_group(2, 1, 1, 2), ("icolorClass",))
-
-
-@pytest.mark.parametrize("keys", [("invAbs", "ides"), ("signAbs", "ifmaj")])
-def test_inversions_do_not_pair_with_inverse_keys(keys):
-    # the tableaux of g and g^-1 do not see inv|g|
-    with pytest.raises(ValueError, match=keys[0]):
-        distribution(make_group(2, 1, 1, 2), keys)
-
-
-@pytest.mark.parametrize("keys", [("invAbs",), ("fmaj", "signAbs"), ("invAbs", "ides"), ("signAbs", "ifmaj")])
-@pytest.mark.parametrize("tops", [[], [make_group(2, 1, 1, 3)]], ids=["no-tops", "B_3"])
-def test_ranked_factors_refuse_the_keys_the_tableaux_do_not_see(tableau_walks, keys, tops):
-    # a tableau record holds None for invAbs and signAbs, with an inverse key
-    # or without; the refusal comes before the walk starts
-    with pytest.raises(ValueError, match="invAbs and signAbs"):
-        stats.ranked_factors(tops, keys)
+# StatRecord fields that no histogram reads: the sign of |g| comes from
+# signed_distribution, inv|g| of one element from stat_record
+@pytest.mark.parametrize(
+    "keys, unknown",
+    [
+        (("des", "maj"), "maj"),
+        (("icolorClass",), "icolorClass"),
+        (("invAbs",), "invAbs"),
+        (("fmaj", "signAbs"), "signAbs"),
+        (("invAbs", "ides"), "invAbs"),
+        (("signAbs", "ifmaj"), "signAbs"),
+    ],
+)
+def test_unknown_key_refused(tableau_walks, keys, unknown):
+    refusals = (
+        distribution,
+        signed_distribution,
+        stats.factors,
+        lambda group, keys: stats.ranked_factors([group], keys),
+    )
+    for refuse in refusals:
+        with pytest.raises(ValueError, match=f"no histogram for statistic {unknown!r}"):
+            refuse(make_group(2, 1, 1, 3), keys)
+    # ranked_factors refuses before its walk starts
     assert tableau_walks == []
 
 
@@ -650,11 +638,11 @@ def test_tableau_marginal_matches_rank_kernel_past_enumeration(group):
     assert max(marginal) == (12,)
 
 
-@pytest.mark.parametrize("caps", [{"signAbs": 0}, {"colorClass": 1}, {"col": 2}, {"fmaj": -1}, {"fmaj": 2.5}])
+@pytest.mark.parametrize("caps", [{"colorClass": 1}, {"col": 2}, {"fmaj": -1}, {"fmaj": 2.5}])
 def test_caps_refused_where_they_cannot_prune(caps):
-    # signAbs and colorClass do not grow along the DPs, col is not a key here
-    with pytest.raises(ValueError, match=next(iter(caps))):
-        distribution(make_group(2, 1, 1, 2), ("fmaj", "signAbs", "colorClass"), caps=caps)
+    # colorClass does not grow along the DPs, col is not a key here
+    with pytest.raises(ValueError, match=f"cap on {next(iter(caps))!r}"):
+        distribution(make_group(2, 1, 1, 2), ("fmaj", "colorClass"), caps=caps)
 
 
 def _pruned_one_lower(real):
@@ -938,3 +926,31 @@ def test_stats_dist_departs_from_reference_on_shifted_histogram(monkeypatch, cap
     assert _cli_histogram(capsys, str(group)) == whole
     monkeypatch.setattr(cli, "distribution", _shifted(distribution))
     assert _cli_histogram(capsys, str(group)) != whole
+
+
+# one run of every identity, character-fmaj at eps = -1 and k = 1, where it
+# reads both the sign and the color class
+TRAFFIC_CONTROLS = NEGATIVE_CONTROLS | {"character-fmaj": ["--r", "2", "--n", "2", "--eps", "-1", "--k", "1"]}
+
+
+def test_every_histogram_key_is_asked_for(monkeypatch, capsys):
+    # the keys that the verifiers and projstat stats --dist pass to the
+    # histogram entries are all the keys there are: none goes unused
+    asked = set()
+
+    def record(module, name):
+        real = getattr(module, name)
+
+        def entry(source, keys, *args):
+            asked.update(keys)
+            return real(source, keys, *args)
+
+        monkeypatch.setattr(module, name, entry)
+
+    for name in ("distribution", "signed_distribution", "factors", "ranked_factors"):
+        record(identities, name)
+    record(cli, "distribution")
+    for name in TRAFFIC_CONTROLS:
+        assert _verify_json(capsys, name, TRAFFIC_CONTROLS)[1]["outcome"] == "MATCH", name
+    _cli_histogram(capsys, "G(2,1,1,2)")
+    assert asked == set(stats.DISTRIBUTION_KEYS) | set(stats.INVERSE_KEYS)
