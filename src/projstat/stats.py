@@ -725,12 +725,13 @@ def ranked_factors(tops, keys, caps=None):
 
     f refuses as factors does, in the same order, and checks the budget
     before it walks the group's level.  Any other call, or a rank below one
-    already served, raises ValueError.  Without tops there is no walk, and
-    f is factors.
+    already served, raises ValueError.  Unknown keys are refused at once,
+    with tops or without; without tops there is no walk, and f is factors.
     """
     keys, tops = tuple(keys), list(tops)
     cuts = [_checked(group, keys, caps) for group in tops]
     if not tops:
+        _checked(None, keys, None)  # the key refusals, which need no group
         return factors
     setup, top = _tableau_keys(keys), max(group.n for group in tops)
     boxes = [_tableau_box(group, *setup[:2], cut) for group, cut in zip(tops, cuts)]

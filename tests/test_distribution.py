@@ -571,17 +571,21 @@ def test_budget_refused_before_any_work(monkeypatch, keys):
         (("signAbs", "ifmaj"), "signAbs"),
     ],
 )
-def test_unknown_key_refused(tableau_walks, keys, unknown):
-    refusals = (
+@pytest.mark.parametrize(
+    "refuse",
+    [
         distribution,
         signed_distribution,
         stats.factors,
         lambda group, keys: stats.ranked_factors([group], keys),
-    )
-    for refuse in refusals:
-        with pytest.raises(ValueError, match=f"no histogram for statistic {unknown!r}"):
-            refuse(make_group(2, 1, 1, 3), keys)
-    # ranked_factors refuses before its walk starts
+        lambda group, keys: stats.ranked_factors([], keys),
+    ],
+    ids=["distribution", "signed_distribution", "factors", "ranked_factors", "ranked_factors-no-tops"],
+)
+def test_unknown_key_refused(tableau_walks, refuse, keys, unknown):
+    with pytest.raises(ValueError, match=f"no histogram for statistic {unknown!r}"):
+        refuse(make_group(2, 1, 1, 3), keys)
+    # ranked_factors refuses before its walk starts, with tops or without
     assert tableau_walks == []
 
 
