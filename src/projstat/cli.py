@@ -9,6 +9,12 @@ with the PROJSTAT_BUDGET environment variable or --budget.
 each parameter is a flag (``--caps`` is another name for ``--qmax``), each
 default comes from the signature, a parameter without one is required, and
 a flag the chosen verifier does not take is refused.
+
+A call pays for its own command only: :func:`build_parser` makes the three
+subcommands with their help, and each adds its arguments the first time it
+parses (:class:`_Subcommand`), so ``stats`` never builds the verifier
+flags.  ``stats --dist --format json`` writes each row from one template,
+the bytes ``json.dumps(sort_keys=True)`` prints, without a dict per row.
 """
 
 from __future__ import annotations
@@ -63,6 +69,10 @@ def _emit(args, payload: dict, rows=None, header=("field", "value"), table_heade
     print("\n".join(lines))
 
 
+# one row of ``stats --dist`` JSON, its keys in json.dumps(sort_keys=True) order
+_DIST_ROW = '{"col": %d, "count": %d, "des": %d, "fmaj": %d}'
+
+
 def cmd_stats(args) -> int:
     group = parse_group(args.group)
     if args.element and args.dist:
@@ -73,10 +83,12 @@ def cmd_stats(args) -> int:
         payload = {"group": str(group), "element": format_window(g), "stats": rec}
         _emit(args, payload, rec.items(), ("stat", "value"))
         return 0
-    hist = distribution(group, ("des", "fmaj", "col"), args.budget)
-    rows = [(d, f, c, cnt) for (d, f, c), cnt in sorted(hist.items())]
-    dist = [{"des": d, "fmaj": f, "col": c, "count": cnt} for d, f, c, cnt in rows]
-    _emit(args, {"group": str(group), "distribution": dist}, rows, ("des", "fmaj", "col", "count"))
+    rows = sorted(distribution(group, ("des", "fmaj", "col"), args.budget).items())
+    if args.format == "json":  # the bytes of _emit's json.dumps, with no dict per row
+        dist = ", ".join([_DIST_ROW % (c, cnt, d, f) for (d, f, c), cnt in rows])
+        print(f'{{"distribution": [{dist}], "group": {json.dumps(str(group))}, "schema": 1}}')
+        return 0
+    _emit(args, {}, [(*key, cnt) for key, cnt in rows], ("des", "fmaj", "col", "count"))
     return 0
 
 
@@ -177,6 +189,54 @@ def cmd_bijection(args) -> int:
     return 0
 
 
+class _Subcommand(argparse.ArgumentParser):
+    """A subcommand's parser that adds its arguments the first time it
+    parses: ``fill(parser)`` runs once, so a call builds the arguments of
+    its own command only."""
+
+    def __init__(self, *args, fill, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._fill = fill
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self._fill is not None:
+            fill, self._fill = self._fill, None
+            fill(self)
+        return super().parse_known_args(args, namespace)
+
+
+def _stats_arguments(parser) -> None:
+    parser.add_argument("group", help="group descriptor, e.g. G(6,2,3,8)")
+    parser.add_argument("element", nargs="?", help="window notation, e.g. [2^2,1,3]")
+    parser.add_argument("--dist", action="store_true", help="force the distribution table")
+    parser.add_argument("--format", choices=("table", "json", "csv"), default="table")
+
+
+def _verify_arguments(parser) -> None:
+    parser.add_argument("identity", choices=sorted(VERIFIERS))
+    for name in _verify_flags():
+        aliases = ("--caps",) if name == "qmax" else ()
+        parser.add_argument(f"--{name}", *aliases, type=_int_list if name == "parts" else _int)
+    parser.add_argument("--format", choices=("table", "json", "csv"), default="table")
+    parser.add_argument(
+        "--json", action="store_const", const="json", dest="format", help="same as --format json"
+    )
+
+
+def _bijection_arguments(parser) -> None:
+    parser.add_argument(
+        "kind", choices=("nvec", "bipartite", "order-involution", "rs", "rs-transpose")
+    )
+    parser.add_argument("element", nargs="?", help="window notation input")
+    parser.add_argument("--group", default=None, help="group descriptor (default: B_n)")
+    parser.add_argument("--f", default=None, help="comma-separated vector for nvec")
+    parser.add_argument("--lam", default="", help="partition, e.g. 1,0 (default: empty)")
+    parser.add_argument("--mu", default="", help="partition, e.g. 0,0 (default: empty)")
+    parser.add_argument("--h", type=_int, default=0)
+    parser.add_argument("--k", type=_int, default=0)
+    parser.add_argument("--format", choices=("table", "json", "csv"), default="table")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="projstat",
@@ -188,40 +248,19 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="max group order to enumerate (default 10^6 or PROJSTAT_BUDGET)",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_stats = sub.add_parser("stats", help="statistics of one element or a distribution")
-    p_stats.add_argument("group", help="group descriptor, e.g. G(6,2,3,8)")
-    p_stats.add_argument("element", nargs="?", help="window notation, e.g. [2^2,1,3]")
-    p_stats.add_argument("--dist", action="store_true", help="force the distribution table")
-    p_stats.add_argument("--format", choices=("table", "json", "csv"), default="table")
-
-    p_verify = sub.add_parser(
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Subcommand)
+    sub.add_parser(
+        "stats", help="statistics of one element or a distribution", fill=_stats_arguments
+    )
+    sub.add_parser(
         "verify",
         help="run one identity verifier",
         description="Flags are the verifier's parameters; its signature holds the defaults.",
+        fill=_verify_arguments,
     )
-    p_verify.add_argument("identity", choices=sorted(VERIFIERS))
-    for name in _verify_flags():
-        aliases = ("--caps",) if name == "qmax" else ()
-        p_verify.add_argument(f"--{name}", *aliases, type=_int_list if name == "parts" else _int)
-    p_verify.add_argument("--format", choices=("table", "json", "csv"), default="table")
-    p_verify.add_argument(
-        "--json", action="store_const", const="json", dest="format", help="same as --format json"
+    sub.add_parser(
+        "bijection", help="apply one of the explicit bijections", fill=_bijection_arguments
     )
-
-    p_bij = sub.add_parser("bijection", help="apply one of the explicit bijections")
-    p_bij.add_argument(
-        "kind", choices=("nvec", "bipartite", "order-involution", "rs", "rs-transpose")
-    )
-    p_bij.add_argument("element", nargs="?", help="window notation input")
-    p_bij.add_argument("--group", default=None, help="group descriptor (default: B_n)")
-    p_bij.add_argument("--f", default=None, help="comma-separated vector for nvec")
-    p_bij.add_argument("--lam", default="", help="partition, e.g. 1,0 (default: empty)")
-    p_bij.add_argument("--mu", default="", help="partition, e.g. 0,0 (default: empty)")
-    p_bij.add_argument("--h", type=_int, default=0)
-    p_bij.add_argument("--k", type=_int, default=0)
-    p_bij.add_argument("--format", choices=("table", "json", "csv"), default="table")
     return parser
 
 

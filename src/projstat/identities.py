@@ -669,19 +669,26 @@ def _lattice_walk(vars_, caps, monomial, r, residues, ibounds, jbounds):
     Since every M has u-degree 1, a product is kept as one dict of packed
     terms per u-degree, u <= caps["u"], and divided by 1 - M layer by layer
     (:func:`_divide_layers`): each term below the top layer takes one step,
-    and the top layer is never read.  Each point's M is packed once.  A
-    product is yielded as its layers, each a dict of full packed keys
-    (:func:`_extracted` reads them).  They are live: the walk divides them
-    further in place, so a reader must use them before advancing it."""
-    pack, bias, guard, _ = packing(vars_, caps)
+    and the top layer is never read.  Each point's M is packed once, from
+    the fields' shifts.  A product is yielded as its layers, each a dict of
+    full packed keys (:func:`_extracted` reads them).  They are live: the
+    walk divides them further in place, so a reader must use them before
+    advancing it."""
+    _, bias, guard, fields = packing(vars_, caps)
+    at = {v: (shift, caps[v]) for v, (shift, _) in fields.items()}
     steps = {}  # (i, j) -> packed M, for the points of the residues within the caps
     for i, j in itertools.product(range(ibounds[-1] + 1), range(jbounds[-1] + 1)):
         if (i + j) % r in residues:
             exps = monomial(i, j)
             if exps.get("u") != 1:
                 raise ValueError(f"lattice monomial {exps} at ({i}, {j}) has u-degree other than 1")
-            step = pack(exps)
-            if step is not None:  # past the caps, 1/(1 - M) truncates to 1
+            step = 0
+            for v, e in exps.items():
+                shift, cap = at[v]
+                if e > cap:  # past the caps, 1/(1 - M) truncates to 1
+                    break
+                step += e << shift
+            else:
                 steps[i, j] = step
 
     def extend(products, rows, cols):

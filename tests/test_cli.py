@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import json
@@ -13,7 +14,8 @@ from hypothesis import strategies as st
 
 from projstat import cli
 from projstat.cli import build_parser, main
-from projstat.groups import BUDGET_ENV_VAR
+from projstat.groups import BUDGET_ENV_VAR, parse_group
+from projstat.stats import distribution
 
 # `projstat verify ... --json` for every verify command in README.md and in
 # this file, one default run per identity and a few with explicit caps: the
@@ -63,6 +65,25 @@ def test_stats_csv(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "des,fmaj,col,count"
     assert lines[1:] == ["0,0,0,1", "1,1,1,1"]
+
+
+@pytest.mark.parametrize(
+    "text", ["G(1,1,1,1)", "G(1,1,1,7)", "G(2,1,1,5)", "G(4,1,2,4)", "G(6,2,3,4)", "G(6,6,2,4)"]
+)
+def test_stats_dist_prints_the_sorted_distribution(capsys, text):
+    # JSON is written from a row template: it must be the bytes json.dumps prints
+    group = parse_group(text)
+    hist = distribution(group, ("des", "fmaj", "col"))
+    rows = [(d, f, c, cnt) for (d, f, c), cnt in sorted(hist.items())]
+    dist = [{"des": d, "fmaj": f, "col": c, "count": cnt} for d, f, c, cnt in rows]
+    want = json.dumps({"schema": 1, "group": str(group), "distribution": dist}, sort_keys=True)
+    assert run(capsys, "stats", text, "--dist", "--format", "json") == (0, want + "\n", "")
+    cells = [["des", "fmaj", "col", "count"], *([str(v) for v in row] for row in rows)]
+
+    code, out, _ = run(capsys, "stats", text, "--dist", "--format", "csv")
+    assert (code, list(csv.reader(io.StringIO(out)))) == (0, cells)
+    code, out, _ = run(capsys, "stats", text, "--dist")
+    assert (code, [line.split() for line in out.splitlines()]) == (0, cells)
 
 
 def test_verify_exit_codes(capsys):
@@ -300,6 +321,50 @@ def test_a_rebound_command_runs_after_the_parser_exists(capsys, monkeypatch):
     assert run(capsys, "stats", "G(2,1,1,1)")[0] == 0
     monkeypatch.setattr(cli, "cmd_stats", lambda args: 7)
     assert run(capsys, "stats", "G(2,1,1,1)")[0] == 7
+
+
+def _subcommands(parser) -> dict:
+    [sub] = [action for action in parser._actions if isinstance(action, argparse._SubParsersAction)]
+    return sub.choices
+
+
+def _option_strings(parser) -> set:
+    return {opt for action in parser._actions for opt in action.option_strings}
+
+
+# each subcommand adds its arguments the first time it parses, so a call pays
+# for its own command's arguments only
+def test_a_subcommand_adds_its_arguments_when_it_first_parses(capsys, monkeypatch):
+    parser = build_parser()
+    monkeypatch.setattr(cli, "_parser", lambda: parser)
+    assert run(capsys, "stats", "G(2,1,1,2)", "--dist")[0] == 0
+    subs = _subcommands(parser)
+    assert _option_strings(subs["stats"]) == {"-h", "--help", "--dist", "--format"}
+    for name in ("verify", "bijection"):
+        assert _option_strings(subs[name]) == {"-h", "--help"}
+    assert run(capsys, "verify", "lift", "--r", "2", "--n", "2")[0] == 0
+    flags = {f"--{name}" for name in cli._verify_flags()} | {"--caps", "--format", "--json"}
+    assert _option_strings(subs["verify"]) == {"-h", "--help", *flags}
+    assert _option_strings(subs["bijection"]) == {"-h", "--help"}
+
+
+@pytest.mark.parametrize(
+    "command, flags",
+    [
+        ("stats", ["--dist", "--format"]),
+        ("verify", [*(f"--{name}" for name in cli._verify_flags()), "--caps", "--format", "--json"]),
+        ("bijection", ["--group", "--f", "--lam", "--mu", "--h", "--k", "--format"]),
+    ],
+)
+def test_each_command_help_lists_every_flag(capsys, monkeypatch, command, flags):
+    parser = build_parser()
+    monkeypatch.setattr(cli, "_parser", lambda: parser)
+    with pytest.raises(SystemExit) as exc:
+        main([command, "-h"])
+    out = capsys.readouterr().out
+    assert exc.value.code == 0
+    assert out.startswith(f"usage: projstat {command} ")
+    assert [flag for flag in flags if f"{flag} " not in out] == []
 
 
 def test_verify_json_flag_is_format_json(capsys):
