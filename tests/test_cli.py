@@ -1,4 +1,5 @@
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -13,8 +14,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from projstat import cli
-from projstat.cli import build_parser, main
-from projstat.groups import BUDGET_ENV_VAR, parse_group
+from projstat.cli import VERIFIERS, main
+from projstat.groups import BUDGET_ENV_VAR, parse_group, parse_int
 from projstat.stats import distribution
 
 # `projstat verify ... --json` for every verify command in README.md and in
@@ -302,9 +303,9 @@ def test_table_and_csv_rows_are_the_json_fields(capsys, argv):
     assert (code, lines[0], len(lines) - 1, dict(lines[1:])) == (0, header, len(cells), cells)
 
 
-# main() parses with one parser per process: nothing of a call may reach the next
-def test_the_shared_parser_keeps_nothing_between_calls(capsys, monkeypatch):
-    assert cli._parser() is cli._parser()
+# every call of main() parses by the same module-level declarations: nothing
+# of a call may reach the next
+def test_the_parser_keeps_nothing_between_calls(capsys, monkeypatch):
     monkeypatch.delenv(BUDGET_ENV_VAR, raising=False)
     argv = ["stats", "G(2,1,1,3)", "--dist"]
     code, _, err = run(capsys, "--budget", "5", *argv)
@@ -323,29 +324,17 @@ def test_a_rebound_command_runs_after_the_parser_exists(capsys, monkeypatch):
     assert run(capsys, "stats", "G(2,1,1,1)")[0] == 7
 
 
-def _subcommands(parser) -> dict:
-    [sub] = [action for action in parser._actions if isinstance(action, argparse._SubParsersAction)]
-    return sub.choices
-
-
-def _option_strings(parser) -> set:
-    return {opt for action in parser._actions for opt in action.option_strings}
-
-
-# each subcommand adds its arguments the first time it parses, so a call pays
-# for its own command's arguments only
-def test_a_subcommand_adds_its_arguments_when_it_first_parses(capsys, monkeypatch):
-    parser = build_parser()
-    monkeypatch.setattr(cli, "_parser", lambda: parser)
+# a call pays for its own command's arguments only: the verifier
+# signatures are read when a verify call parses, never by stats
+def test_only_a_verify_call_reads_the_verifier_flags(capsys, monkeypatch):
+    calls = []
+    real = cli._verify_flags
+    monkeypatch.setattr(cli, "_verify_flags", lambda: calls.append(1) or real())
     assert run(capsys, "stats", "G(2,1,1,2)", "--dist")[0] == 0
-    subs = _subcommands(parser)
-    assert _option_strings(subs["stats"]) == {"-h", "--help", "--dist", "--format"}
-    for name in ("verify", "bijection"):
-        assert _option_strings(subs[name]) == {"-h", "--help"}
+    assert run(capsys, "bijection", "rs", "[1,2]")[0] == 0
+    assert calls == []
     assert run(capsys, "verify", "lift", "--r", "2", "--n", "2")[0] == 0
-    flags = {f"--{name}" for name in cli._verify_flags()} | {"--caps", "--format", "--json"}
-    assert _option_strings(subs["verify"]) == {"-h", "--help", *flags}
-    assert _option_strings(subs["bijection"]) == {"-h", "--help"}
+    assert calls != []
 
 
 @pytest.mark.parametrize(
@@ -356,9 +345,7 @@ def test_a_subcommand_adds_its_arguments_when_it_first_parses(capsys, monkeypatc
         ("bijection", ["--group", "--f", "--lam", "--mu", "--h", "--k", "--format"]),
     ],
 )
-def test_each_command_help_lists_every_flag(capsys, monkeypatch, command, flags):
-    parser = build_parser()
-    monkeypatch.setattr(cli, "_parser", lambda: parser)
+def test_each_command_help_lists_every_flag(capsys, command, flags):
     with pytest.raises(SystemExit) as exc:
         main([command, "-h"])
     out = capsys.readouterr().out
@@ -367,10 +354,42 @@ def test_each_command_help_lists_every_flag(capsys, monkeypatch, command, flags)
     assert [flag for flag in flags if f"{flag} " not in out] == []
 
 
+def _help_content(parser) -> list:
+    """What a help text must show: every flag, positional, help string,
+    choice set and description that the parser declares."""
+    content = [parser.description] if parser.description else []
+    for action in parser._actions:
+        content += [*action.option_strings, action.help]
+        if action.choices:
+            content.append("{" + ",".join(action.choices) + "}")
+        elif not action.option_strings:
+            content.append(action.dest)
+        if isinstance(action, argparse._SubParsersAction):
+            content += [text for sub in action._get_subactions() for text in (sub.dest, sub.help)]
+    return [text for text in content if text and text != argparse.SUPPRESS]
+
+
+# help keeps its content, not the reference's layout
+@pytest.mark.parametrize("command", [None, "stats", "verify", "bijection"])
+def test_help_shows_everything_the_reference_help_shows(capsys, command):
+    parser = build_parser()
+    if command is not None:
+        [sub] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        parser = sub.choices[command]
+    argv = [command, "--help"] if command else ["--help"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out = capsys.readouterr().out
+    assert exc.value.code == 0
+    assert out.startswith(f"usage: {parser.prog} ")
+    assert [text for text in _help_content(parser) if text not in out] == []
+
+
 def test_verify_json_flag_is_format_json(capsys):
     argv = ["verify", "lift", "--r", "2", "--n", "2"]
-    assert not hasattr(build_parser().parse_args([*argv, "--json"]), "json")
-    # argparse: the last of --json and --format wins
+    args = cli._parse([*argv, "--json"])
+    assert (hasattr(args, "json"), args.format) == (False, "json")
+    # the last of --json and --format wins
     code, out, _ = run(capsys, *argv, "--json", "--format", "table")
     assert (code, out.splitlines()[0]) == (0, "identity  lift")
     code, out, _ = run(capsys, *argv, "--format", "table", "--json")
@@ -470,8 +489,15 @@ def test_each_identity_takes_only_its_parameters(capsys):
 
 def test_importing_the_cli_loads_neither_inspect_nor_dataclasses():
     # both cost more to import than the whole library; typing is not
-    # checked, since site hooks may load it before projstat is imported
-    code = "import sys, projstat.cli, projstat; print(sorted({'inspect', 'dataclasses'} & set(sys.modules)))"
+    # checked, since site hooks may load it before projstat is imported.
+    # Nor does a stats call load argparse, or the gettext and locale that
+    # argparse's messages would pull in.
+    code = (
+        "import sys, projstat.cli, projstat\n"
+        "print(sorted({'inspect', 'dataclasses'} & set(sys.modules)))\n"
+        "projstat.cli.main(['stats', 'G(2,1,1,2)', '--dist'])\n"
+        "print(sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)))\n"
+    )
     src = str(Path(__file__).resolve().parents[1] / "src")
     done = subprocess.run(
         [sys.executable, "-c", code],
@@ -480,7 +506,8 @@ def test_importing_the_cli_loads_neither_inspect_nor_dataclasses():
         text=True,
         check=True,
     )
-    assert done.stdout == "[]\n"
+    lines = done.stdout.splitlines()
+    assert (lines[0], lines[-1], len(lines) > 2) == ("[]", "[]", True)
 
 
 def test_stats_refuses_a_huge_rank_by_name(capsys):
@@ -521,6 +548,28 @@ def test_parts_take_ascii_digits_only(capsys):
         main(["verify", "signed-multinomial", "--n", "3", "--parts", "\u0661,2"])
     assert exc.value.code == 2
     assert "argument --parts: expected comma-separated ASCII digits, got '\u0661,2'" in capsys.readouterr().err
+
+
+# a usage error prints the usage line of the command it was read by, then
+# "<prog>: error: <message>", and nothing on stdout
+@pytest.mark.parametrize(
+    "argv, prog, message",
+    [
+        (["stats", "G(2,1,1,2)", "--format", "xml"], "projstat stats",
+         "argument --format: invalid choice: 'xml' (choose from 'table', 'json', 'csv')"),
+        (["verify", "--r", "2"], "projstat verify", "the following arguments are required: identity"),
+        (["bijection", "rs", "[1,2]", "[2,1]"], "projstat bijection", "unrecognized arguments: [2,1]"),
+        (["nope"], "projstat",
+         "argument command: invalid choice: 'nope' (choose from 'stats', 'verify', 'bijection')"),
+    ],
+)
+def test_a_usage_error_prints_the_usage_and_the_message(capsys, argv, prog, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, err = capsys.readouterr()
+    usage, error = err.splitlines()
+    assert (exc.value.code, out, error) == (2, "", f"{prog}: error: {message}")
+    assert usage.startswith(f"usage: {prog} [-h] ")
 
 
 @pytest.mark.parametrize(
@@ -578,7 +627,7 @@ def test_bijection_names_a_missing_input(capsys, argv, message):
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
-# the texts argparse reads as the help flag of `stats`: -h, --help and the
+# the texts read as the help flag of `stats`: -h, --help and the
 # abbreviations of --help that no other option of stats shares
 HELP_TEXTS = ("-h", "--h", "--he", "--hel", "--help")
 
@@ -601,7 +650,7 @@ def test_stats_help_flags_exit_0_with_the_usage(capsys, text):
 def test_stats_on_random_text_exits_2(text):
     from projstat.groups import parse_group
 
-    assume(text not in HELP_TEXTS)  # argparse's help, which exits 0 (tested below)
+    assume(text not in HELP_TEXTS)  # the help, which exits 0 (tested above)
     try:
         parse_group(text)
     except ValueError:
@@ -610,6 +659,182 @@ def test_stats_on_random_text_exits_2(text):
         assume(False)  # a well-formed group is not random text
     try:
         code = main(["stats", text])
-    except SystemExit as exc:  # argparse, for text that looks like an option
+    except SystemExit as exc:  # a usage error, for text that looks like an option
         code = exc.code
     assert code == 2
+
+
+# The argparse declaration the CLI parsed by before it read argv from its
+# own table: a test-only reference that cli._parse must agree with.
+def _int(text: str) -> int:
+    try:
+        return parse_int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _int_list(text: str) -> tuple[int, ...]:
+    try:
+        return cli._int_list(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _stats_arguments(parser) -> None:
+    parser.add_argument("group", help="group descriptor, e.g. G(6,2,3,8)")
+    parser.add_argument("element", nargs="?", help="window notation, e.g. [2^2,1,3]")
+    parser.add_argument("--dist", action="store_true", help="force the distribution table")
+    parser.add_argument("--format", choices=("table", "json", "csv"), default="table")
+
+
+def _verify_arguments(parser) -> None:
+    parser.add_argument("identity", choices=sorted(VERIFIERS))
+    for name in cli._verify_flags():
+        aliases = ("--caps",) if name == "qmax" else ()
+        parser.add_argument(f"--{name}", *aliases, type=_int_list if name == "parts" else _int)
+    parser.add_argument("--format", choices=("table", "json", "csv"), default="table")
+    parser.add_argument(
+        "--json", action="store_const", const="json", dest="format", help="same as --format json"
+    )
+
+
+def _bijection_arguments(parser) -> None:
+    parser.add_argument(
+        "kind", choices=("nvec", "bipartite", "order-involution", "rs", "rs-transpose")
+    )
+    parser.add_argument("element", nargs="?", help="window notation input")
+    parser.add_argument("--group", default=None, help="group descriptor (default: B_n)")
+    parser.add_argument("--f", default=None, help="comma-separated vector for nvec")
+    parser.add_argument("--lam", default="", help="partition, e.g. 1,0 (default: empty)")
+    parser.add_argument("--mu", default="", help="partition, e.g. 0,0 (default: empty)")
+    parser.add_argument("--h", type=_int, default=0)
+    parser.add_argument("--k", type=_int, default=0)
+    parser.add_argument("--format", choices=("table", "json", "csv"), default="table")
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="projstat",
+        description="Exact descent statistics and identity verifiers for G(r,p,s,n).",
+    )
+    parser.add_argument(
+        "--budget",
+        type=_int,
+        default=None,
+        help="max group order to enumerate (default 10^6 or PROJSTAT_BUDGET)",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    _stats_arguments(
+        sub.add_parser("stats", help="statistics of one element or a distribution")
+    )
+    _verify_arguments(
+        sub.add_parser(
+            "verify",
+            help="run one identity verifier",
+            description="Flags are the verifier's parameters; its signature holds the defaults.",
+        )
+    )
+    _bijection_arguments(sub.add_parser("bijection", help="apply one of the explicit bijections"))
+    return parser
+
+
+def _outcome(parse, argv):
+    """How a parse of argv ends: its values, or its exit code and, for an
+    error, the message after "error: " (the prog before it may differ)."""
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            return vars(parse(argv))
+    except SystemExit as exc:
+        return exc.code, err.getvalue().rpartition("error: ")[2]
+
+
+# What the generated argv is made of.  Each command maps its options to the
+# values each takes (none for a flag), then lists texts for its first
+# positional and for the ones after it.  BAD values, STRAYS and missing
+# values come now and then, so that many argv parse and their values are
+# compared, and every error still shows up.
+INTS = ["3", "0", "-1"]
+FORMATS = ["table", "json", "csv"]
+TEXTS = ["1,0", "", "-", "G(2,1,1,2)", "-1", "a b", "--dist x"]
+BAD = ["+4", "1_0", "\u0661", " 1", "1.0", "-1.5", "xml", "--zzz", "-x"]
+# A cluster such as -hx is left out: argparse 3.13 prints the help for it,
+# where 3.11 and this parser refuse it.
+STRAYS = ["--zzz", "-x", "--budget", "-h", "--help", "--he", "--=x", "-h=1", "--help=1"]
+BUDGETS = [["--budget", "5"], ["--bud=-1"], ["--budget=0"]] * 3 + [["--budget", "1_0"], ["-h"], ["--zzz"]]
+COMMAND_ARGS = {
+    "stats": ({"--dist": [], "--format": FORMATS}, ["G(2,1,1,2)", "-1"], ["[1,2]", "-", "-1"]),
+    "verify": (
+        {
+            **{f"--{name}": INTS for name in cli._verify_flags()},
+            "--parts": ["2,2", "3", ""],
+            "--caps": INTS,
+            "--format": FORMATS,
+            "--json": [],
+        },
+        ["lift", "hilbert", "six-stats", "nope"],
+        ["lift", "-1"],
+    ),
+    "bijection": (
+        {"--group": TEXTS, "--f": TEXTS, "--lam": TEXTS, "--mu": TEXTS, "--h": INTS, "--k": INTS, "--format": FORMATS},
+        ["nvec", "rs", "bipartite", "nope"],
+        ["[1,2]", "-1", "rs"],
+    ),
+}
+
+
+@st.composite
+def _chunk(draw, options, positionals):
+    """An option, spelt as its name or a prefix of it, with its value as a
+    separate token or after "="; or a positional; or a stray token."""
+    kind = draw(st.sampled_from(["option"] * 8 + ["positional", "stray"]))
+    if kind == "positional":
+        return [draw(st.sampled_from(positionals))]
+    if kind == "stray":
+        return [draw(st.sampled_from(STRAYS))]
+    name = draw(st.sampled_from(sorted(options)))
+    spelt = name[: draw(st.integers(min(3, len(name)), len(name)))]
+    if not options[name]:
+        return draw(st.sampled_from([[spelt]] * 5 + [[f"{spelt}=1"]]))
+    value = draw(st.sampled_from(options[name] if draw(st.integers(0, 5)) else BAD))
+    return draw(st.sampled_from([[spelt, value]] * 4 + [[f"{spelt}={value}"]] * 4 + [[spelt]]))
+
+
+@st.composite
+def _argv(draw, command):
+    """--budget and help before the command; after it a run of positionals
+    (the first one now and then missing) anywhere among options, which may
+    repeat and may hold --budget, help and more positionals."""
+    options, firsts, seconds = COMMAND_ARGS[command]
+    chunks = draw(st.lists(_chunk(options, firsts + seconds), max_size=6))
+    run = draw(st.lists(st.sampled_from(seconds), max_size=2))
+    if draw(st.integers(0, 5)):
+        run.insert(0, draw(st.sampled_from(firsts)))
+    chunks.insert(draw(st.integers(0, len(chunks))), run)
+    chunks[:0] = [draw(st.sampled_from(BUDGETS)) for _ in range(draw(st.integers(0, 2)))] + [[command]]
+    return [token for chunk in chunks for token in chunk]
+
+
+@pytest.mark.parametrize("command", COMMAND_ARGS)
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_the_parser_reads_argv_as_the_argparse_reference(command, data):
+    argv = data.draw(_argv(command))
+    assert _outcome(cli._parse, argv) == _outcome(build_parser().parse_args, argv)
+
+
+# "--" ends the options: every later token is a positional
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["stats", "--", "G(2,1,1,2)"],
+        ["stats", "--dist", "--", "G(2,1,1,2)", "[1,2]"],
+        ["stats", "G(2,1,1,2)", "--", "--dist"],
+        ["stats", "G(2,1,1,2)", "--"],
+        ["stats", "G(2,1,1,2)", "--format", "--", "json"],
+        ["bijection", "--k", "1", "rs", "--", "-1"],
+        ["--", "stats", "G(2,1,1,2)"],
+    ],
+)
+def test_a_double_dash_reads_as_in_the_argparse_reference(argv):
+    assert _outcome(cli._parse, argv) == _outcome(build_parser().parse_args, argv)
