@@ -29,7 +29,7 @@ import time
 from operator import lshift
 from types import SimpleNamespace
 
-from .cyclotomic import CycInt, zeta_pow
+from .cyclotomic import CycInt
 from .groups import (
     BudgetExceededError,
     canonicalize,
@@ -41,7 +41,7 @@ from .groups import (
     make_group,
     residue,
 )
-from .series import RegionError, TruncatedSeries, agree_on, equal_on, geom_divide_terms, packing, q_bracket
+from .series import RegionError, TruncatedSeries, agree_on, bracket_terms, equal_on, geom_divide_terms, packing
 from .stats import distribution, factors, ranked_factors, signed_distribution, stat_record
 
 MATCH = "MATCH"
@@ -175,23 +175,18 @@ def _character_rhs(r: int, p: int, s: int, n: int, eps: int, k: int, caps) -> Tr
     extraction of multiples of p and the truncation act on each monomial,
     they commute with the substitution q^e -> zeta^(ke) q^e made at the end.
     """
-    vars_ = ("q",)
-
-    def bracket(length: int, twist: int, qexp: int) -> TruncatedSeries:
-        return q_bracket(length, TruncatedSeries.monomial(vars_, caps, {"q": qexp}, twist))
-
-    g = TruncatedSeries.one(vars_, caps)
-    for i in range(1, n):
-        g = g * bracket(i * r // p, eps ** ((i - 1) * p), p)
-    g = g * bracket(n * r // (p * s), eps ** ((n - 1) * p), p)
-    m = n // 2
-    braces = TruncatedSeries.one(vars_, caps)
+    _, bias, guard, _ = packing(("q",), caps)
+    # q is the one field of its layout, so each key is its exponent
+    braces = {0: 1}
     for i in range(n):
-        braces = braces * bracket(p, eps if i >= n - m else 1, 1)
-    g = g * braces.extract_multiples({"q": p})
+        braces = bracket_terms(braces, p, 1, eps if i >= n - n // 2 else 1, bias, guard)
+    g = {e: c for e, c in braces.items() if e % p == 0}
+    for i in range(1, n):
+        g = bracket_terms(g, i * r // p, p, eps ** ((i - 1) * p), bias, guard)
+    g = bracket_terms(g, n * r // (p * s), p, eps ** ((n - 1) * p), bias, guard)
     # the constant term stays the int 1 of the bracket product
-    return TruncatedSeries(vars_, caps, {
-        (e,): zeta_pow(r, k * e) * c if e else c for (e,), c in g.exp_terms.items()
+    return TruncatedSeries(("q",), caps)._with({
+        e: CycInt(r, [0] * (k * e % r) + [c]) if e else c for e, c in g.items()
     })
 
 
@@ -325,20 +320,17 @@ def verify_signed_wreath(r: int, n: int = 3, budget: int | None = None) -> Verif
     caps = {"q": max(2, r * n * (n + 1) // 2)}
     vars_ = ("q",)
     lhs = TruncatedSeries(vars_, caps)._with({fmaj: sign for (fmaj,), sign in main.items()})
-    rhs = TruncatedSeries.one(vars_, caps)
+    _, bias, guard, _ = packing(vars_, caps)
+    rhs = {0: 1}
     for i in range(1, n + 1):
-        base = TruncatedSeries.monomial(vars_, caps, {"q": 1}, (-1) ** (i - 1))
-        rhs = rhs * q_bracket(i * r, base)
-    ok_main, mism_main = equal_on(lhs, rhs)
+        rhs = bracket_terms(rhs, i * r, 1, (-1) ** (i - 1), bias, guard)
+    ok_main, mism_main = equal_on(lhs, lhs._with(rhs))
 
-    m = n // 2
     u_lhs = TruncatedSeries(vars_, caps)._with({col: sign for (col, _), sign in u_hist.items()})
-    q1 = TruncatedSeries.monomial(vars_, caps, {"q": 1})
-    q2 = TruncatedSeries.monomial(vars_, caps, {"q": 2})
-    u_rhs = q_bracket(r, q2) ** m
-    if n % 2:
-        u_rhs = u_rhs * q_bracket(r, q1)
-    ok_u, mism_u = equal_on(u_lhs, u_rhs)
+    u_rhs = {0: 1}
+    for qexp in [2] * (n // 2) + [1] * (n % 2):
+        u_rhs = bracket_terms(u_rhs, r, qexp, 1, bias, guard)
+    ok_u, mism_u = equal_on(u_lhs, u_lhs._with(u_rhs))
 
     ok = ok_main and ok_u
     mism = mism_main if not ok_main else (mism_u if not ok_u else None)
@@ -365,16 +357,18 @@ def verify_lift_identity(r: int, s: int = 1, n: int = 3, budget: int | None = No
         count += 1
         rec = stat_record(g)
         caps = {"t": rec.fdes + r, "q": rec.fmaj + n * r}
-        lhs = TruncatedSeries.zero(vars_, caps)
+        pack, bias, guard, _ = packing(vars_, caps)
+        lhs = {}
         for lift in lifts(g):
             wrec = stat_record(canonicalize(lift, wreath))
-            lhs = lhs + TruncatedSeries.monomial(
-                vars_, caps, {"t": wrec.fdes, "q": wrec.fmaj}
-            )
-        rhs = TruncatedSeries.monomial(
-            vars_, caps, {"t": rec.fdes, "q": rec.fmaj}
-        ) * q_bracket(s, TruncatedSeries.monomial(vars_, caps, {"t": rs, "q": n * rs}))
-        ok, mism = equal_on(lhs, rhs)
+            key = pack({"t": wrec.fdes, "q": wrec.fmaj})
+            if key is not None:
+                lhs[key] = lhs.get(key, 0) + 1
+        # the class monomial and the base t^(r/s) q^(nr/s) lie within the caps
+        lead, base = pack({"t": rec.fdes, "q": rec.fmaj}), pack({"t": rs, "q": n * rs})
+        series = TruncatedSeries(vars_, caps)
+        rhs = series._with(bracket_terms({lead: 1}, s, base, 1, bias, guard))
+        ok, mism = equal_on(series._with(lhs), rhs)
         if not ok and failure is None:
             mono, a, b = mism
             failure = (dict(mono, element=format_window(g)), a, b)
@@ -469,48 +463,60 @@ def _enumeration_side(vars_, caps, r, p, s, n, keys, chain, budget, lead=(), sou
 
 def _ksum(vars_, caps, inner, n, p) -> TruncatedSeries:
     """The k-sum of t^k inner(k)^n over k <= caps["t"], extracted at q^p.
-    inner(k) has no t and the same caps, so each summand's packed terms are
-    moved to t^k whole, and the summands, in distinct t-degrees, are joined
-    without adding.  Once inner(k) is cut by the caps it stops changing,
-    and the power of the last k is reused."""
+    inner(k) is the packed terms of a series with no t under the same caps,
+    so each summand is moved to t^k whole, and the summands, in distinct
+    t-degrees, are joined without adding.  Once inner(k) is cut by the caps
+    it stops changing, and the power of the last k is reused."""
     pack = packing(vars_, caps)[0]
     terms, last, power = {}, None, None
     for k in range(caps["t"] + 1):
         term = inner(k)
-        if term.terms != last:
-            last, power = term.terms, term ** n
+        if term != last:
+            last, power = term, (TruncatedSeries(vars_, caps)._with(dict(term)) ** n).terms
         t_k = pack({"t": k})
-        terms.update({key + t_k: coeff for key, coeff in power.terms.items()})
+        terms.update({key + t_k: coeff for key, coeff in power.items()})
     return TruncatedSeries(vars_, caps)._with(terms).extract_multiples({"q": p})
 
 
 def _lattice_heights(vars_, caps, rs):
     """The sum over lattice heights j <= k of q^j a^(R_{r/s}(j)), as the
-    function of k that builds its blockwise closed form
+    function of k that builds the packed terms of its blockwise closed form
 
         [Q+1]_{q^{r/s}} + aq [r/s-1]_{aq} [Q]_{q^{r/s}}
                         + a q^{Q r/s + 1} [R]_{aq},   k = (r/s) Q + R,
 
     in the variables t, q, a (t unused) under caps."""
-    mono = lambda **e: TruncatedSeries.monomial(vars_, caps, e)
-    q_rs, aq = mono(q=rs), mono(a=1, q=1)
-    br_tail = q_bracket(rs - 1, aq)
+    pack, bias, guard, _ = packing(vars_, caps)
+    q_rs, aq = pack({"q": rs}), pack({"a": 1, "q": 1})
+    tail = bracket_terms({} if aq is None else {aq: 1}, rs - 1, aq, 1, bias, guard)
 
-    def closed(k: int) -> TruncatedSeries:
+    def closed(k: int) -> dict:
         quot, rem = divmod(k, rs)
-        return (
-            q_bracket(quot + 1, q_rs)
-            + aq * br_tail * q_bracket(quot, q_rs)
-            + mono(a=1, q=quot * rs + 1) * q_bracket(rem, aq)
-        )
+        lead = pack({"a": 1, "q": quot * rs + 1})
+        return {  # the three blocks hold distinct heights j, so no key repeats
+            **bracket_terms({0: 1}, quot + 1, q_rs, 1, bias, guard),
+            **bracket_terms(tail, quot, q_rs, 1, bias, guard),
+            **bracket_terms({} if lead is None else {lead: 1}, rem, aq, 1, bias, guard),
+        }
 
     return closed
 
 
 def _fdes_ksum(caps, n, p) -> TruncatedSeries:
-    """The flag-descent k-sum of t^k [k+1]_q^n in (t, q), extracted at q^p."""
-    q1 = TruncatedSeries.monomial(("t", "q"), caps, {"q": 1})
-    return _ksum(("t", "q"), caps, lambda k: q_bracket(k + 1, q1), n, p)
+    """The flag-descent k-sum of t^k [k+1]_q^n in (t, q), extracted at q^p,
+    [k+1]_q^n taken by n bracket passes once per length up to the q cap + 1."""
+    vars_ = ("t", "q")
+    pack, bias, guard, _ = packing(vars_, caps)
+    q = pack({"q": 1})
+
+    @functools.cache
+    def power(length: int) -> dict:
+        terms = {0: 1}
+        for _ in range(n):
+            terms = bracket_terms(terms, length, q, 1, bias, guard)
+        return terms
+
+    return _ksum(vars_, caps, lambda k: power(min(k + 1, caps["q"] + 1)), 1, p)
 
 
 @_identity("carlitz-des")
@@ -613,7 +619,8 @@ def verify_fdes_trivariate(
     heights = _lattice_heights(vars_, caps, rs)
     closed = {k: heights(k) for k in range(tmax + 1)}
     direct = lambda k: TruncatedSeries(vars_, caps, {(0, j, residue(j, rs)): 1 for j in range(k + 1)})
-    blockwise_ok = all(equal_on(closed[k], direct(k))[0] for k in closed)
+    series = TruncatedSeries(vars_, caps)
+    blockwise_ok = all(equal_on(series._with(dict(closed[k])), direct(k))[0] for k in closed)
     lhs = _ksum(vars_, caps, closed.get, n, p)
 
     chain = [{"t": 1}, *_chain("t", "q", r, s, n, r, rs)]

@@ -14,6 +14,8 @@ Each exponent vector is packed into one ``int`` with a guard bit per
 variable (the packed monomials of Monagan & Pearce, ISSAC 2009), so the cap
 check of a product term is one addition and one mask.  Exponent tuples
 appear only at the edges, :attr:`~TruncatedSeries.exp_terms` among them.
+Code walking packed terms by hand (:func:`packing`) multiplies them by a
+q-bracket with :func:`bracket_terms` and divides by 1 - cm with :func:`geom_divide_terms`.
 
 Coefficients may be Python integers or :class:`~projstat.cyclotomic.CycInt`
 values (which combine freely with integers but not across conductors).
@@ -283,25 +285,12 @@ class TruncatedSeries:
 
 
 def q_bracket(n: int, base: TruncatedSeries) -> TruncatedSeries:
-    """The bracket 1 + base + ... + base^(n-1) for a scaled monomial base.
-
-    A base truncated to zero gives 1 (0 when n = 0).  The powers stop at
-    the first one past the caps: exponents only grow from there.
-    """
-    if n < 0:
-        raise ValueError(f"bracket length must be >= 0, got {n}")
-    if not base.terms:
-        return TruncatedSeries.monomial(base.vars, base.caps, {}, min(n, 1))
-    step, coeff = base._single_term()
+    """The bracket 1 + base + ... + base^(n-1) for a scaled monomial base, by
+    :func:`bracket_terms`.  A base truncated to zero gives 1 (0 when n = 0),
+    and the powers stop at the first one past the caps."""
+    step, coeff = base._single_term() if base.terms else (None, 1)
     _, bias, guard = _layout(base.caps)
-    terms = {}
-    key, power = 0, 1
-    for _ in range(n):
-        if (key + bias) & guard:
-            break
-        terms[key] = terms[key] + power if key in terms else power
-        key, power = key + step, power * coeff
-    return base._with(terms)
+    return base._with(bracket_terms({0: 1}, n, step, coeff, bias, guard))
 
 
 def packing(vars_, caps) -> tuple:
@@ -386,6 +375,56 @@ def geom_divide_terms(terms: dict, step: int, c, bias: int, guard: int) -> dict:
                 coeff = coeff * c
             out[key] = out[key] + coeff if key in out else coeff
             key += step
+    return out
+
+
+def bracket_terms(terms: dict, length: int, step: int | None, c, bias: int, guard: int) -> dict:
+    """The packed terms of F (1 + cm + ... + (cm)^(L-1)) for F's packed terms,
+    L = length and m packed as step (None past the caps), under the (bias,
+    guard) of their layout (see :func:`packing`).  Each chain e, e + m, ...
+    is walked once from its lowest term of F by out[x] = F[x] + c out[x - m]
+    - c^L F[x - Lm], until the guard trips or x is Lm past the chain's last
+    term of F.  L is first cut at the first power of m past the caps, so c^L
+    is taken exactly and soon.  A constant m (step 0) scales F by
+    1 + c + ... + c^(L-1), summed by doubling L."""
+    if length < 0:
+        raise ValueError(f"bracket length must be >= 0, got {length}")
+    if not length or step is None:  # [0] is 0, and [L] is 1 with m past the caps
+        return dict(terms) if length else {}
+    if not step:
+        total, power = 0, 1  # 1 + c + ... + c^(P-1) and c^P, P the bits of L read so far
+        for bit in bin(length)[2:]:
+            total, power = total + total * power, power * power
+            if bit == "1":
+                total, power = total + power, power * c
+        return {key: total * coeff for key, coeff in terms.items()} if total else {}
+    cut, key = 1, step
+    while cut < length and not (key + bias) & guard:
+        cut, key = cut + 1, key + step
+    length, span, c_length = cut, cut * step, c**cut
+    out, seen, get = {}, set(), terms.get
+    for start in sorted(terms):
+        if start in seen:
+            continue
+        out[start] = acc = terms[start]
+        x, gap, back = start + step, 0, start + span
+        while not (x + bias) & guard:
+            f = get(x)
+            if f is None:
+                gap += 1
+                if gap == length:
+                    break
+                acc = c * acc
+            else:
+                seen.add(x)
+                acc, gap = c * acc + f, 0
+            if x >= back:
+                f = get(x - span)
+                if f is not None:
+                    acc -= c_length * f
+            if acc:
+                out[x] = acc
+            x += step
     return out
 
 

@@ -367,6 +367,60 @@ def test_fdes_trivariate_notes_a_raised_amax_only():
         assert len(report.notes) == 3 and all(note.endswith("True") for note in report.notes)
 
 
+def _lattice_heights_by_q_bracket(vars_, caps, rs):
+    """The blockwise closed form of the lattice-height sum, each bracket a
+    q_bracket series and the blocks joined by series products and sums."""
+    mono = lambda **e: TruncatedSeries.monomial(vars_, caps, e)
+    q_rs, aq = mono(q=rs), mono(a=1, q=1)
+    br_tail = q_bracket(rs - 1, aq)
+
+    def closed(k):
+        quot, rem = divmod(k, rs)
+        return (
+            q_bracket(quot + 1, q_rs)
+            + aq * br_tail * q_bracket(quot, q_rs)
+            + mono(a=1, q=quot * rs + 1) * q_bracket(rem, aq)
+        )
+
+    return closed
+
+
+def test_lattice_heights_equal_their_q_bracket_construction():
+    # includes r/s > qmax, where q^(r/s) is past the caps, and amax = 0 or
+    # qmax = 0, where aq is
+    vars_ = ("t", "q", "a")
+    runs = 0
+    for qmax, amax in itertools.product((0, 1, 2, 5, 8), (0, 1, 3, 8)):
+        caps = {"t": 2, "q": qmax, "a": amax}
+        for rs in range(1, 7):
+            got = identities._lattice_heights(vars_, caps, rs)
+            want = _lattice_heights_by_q_bracket(vars_, caps, rs)
+            for k in range(13):
+                assert got(k) == want(k).terms, (caps, rs, k)
+                runs += 1
+    assert runs == 20 * 6 * 13
+
+
+def _fdes_ksum_by_q_bracket(caps, n, p):
+    """The extracted k-sum of t^k [k+1]_q^n, each bracket a q_bracket series
+    raised to the n-th power by series products."""
+    vars_ = ("t", "q")
+    q1 = TruncatedSeries.monomial(vars_, caps, {"q": 1})
+    total = TruncatedSeries.zero(vars_, caps)
+    for k in range(caps["t"] + 1):
+        total = total + TruncatedSeries.monomial(vars_, caps, {"t": k}) * q_bracket(k + 1, q1) ** n
+    return total.extract_multiples({"q": p})
+
+
+def test_fdes_ksum_equals_its_q_bracket_construction():
+    # tmax past qmax reuses the power of the bracket cut at the q cap, and
+    # at qmax = 0 the base q is past the caps
+    for tmax, qmax in ((0, 0), (3, 0), (4, 1), (2, 5), (7, 3), (6, 6)):
+        caps = {"t": tmax, "q": qmax}
+        for n, p in itertools.product(range(5), (1, 2, 3)):
+            assert identities._fdes_ksum(caps, n, p) == _fdes_ksum_by_q_bracket(caps, n, p), (caps, n, p)
+
+
 def test_six_stats_examples():
     assert verify_six_stats(1, 1, 1, nmax=2, tmax=3, qmax=6, umax=2).matched
     assert verify_six_stats(2, 1, 1, nmax=2, tmax=3, qmax=6, umax=2).matched

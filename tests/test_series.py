@@ -13,6 +13,7 @@ from projstat.series import (
     TruncatedSeries,
     _layout,
     agree_on,
+    bracket_terms,
     equal_on,
     geom_divide,
     geom_divide_terms,
@@ -374,6 +375,21 @@ def test_q_bracket_stops_at_the_first_power_past_the_caps():
     assert q_bracket(10**9, q_mono(cap=5)) == q_bracket(6, q_mono(cap=5))
 
 
+def test_q_bracket_of_a_constant_base_sums_its_powers():
+    # a base with no variable (step 0) gives 1 + c + ... + c^(n-1) at the
+    # constant term, for any n, without walking a chain that never ends
+    assert terms_of(q_bracket(3, q_mono(e=0, coeff=2))) == {(0,): 7}
+    assert terms_of(q_bracket(5, q_mono(e=0, coeff=-3))) == {(0,): 61}
+    assert terms_of(q_bracket(10**9, q_mono(e=0))) == {(0,): 10**9}
+    assert terms_of(q_bracket(10**9, q_mono(e=0, coeff=-1))) == {}
+    assert terms_of(q_bracket(10**9 + 1, q_mono(e=0, coeff=-1))) == {(0,): 1}
+    z = zeta_pow(3, 1)
+    assert terms_of(q_bracket(3, q_mono(e=0, coeff=z))) == {}  # 1 + z + z^2 = 0
+    assert terms_of(q_bracket(7, q_mono(e=0, coeff=z))) == {(0,): 1}
+    with pytest.raises(ValueError, match="length must be >= 0"):
+        q_bracket(-1, q_mono())
+
+
 # -- the packed core ------------------------------------------------------------
 
 ZETA = sympy.Symbol("zeta")
@@ -630,3 +646,57 @@ def test_extract_multiples_by_two_divisors_equals_the_per_term_filter():
         assert got.caps == f.caps
         # the order of the divisors does not matter
         assert got == f.extract_multiples({"q1": dq, "u": du})
+
+
+@st.composite
+def _bracket_cases(draw):
+    """F, L and a base c m: 1 to 3 variables under random caps, m any
+    exponent vector within them (zero too), L from 0 to the top cap + 2, c
+    one of +-1, +-2 and the twists +-zeta_r^j."""
+    vars_ = ("x", "y", "z")[: draw(st.integers(1, 3))]
+    caps = tuple(draw(st.integers(0, 6)) for _ in vars_)
+    exps = st.tuples(*(st.integers(0, cap) for cap in caps))
+    r = draw(st.sampled_from((3, 4, 6)))
+    coeffs = st.sampled_from((1, -1, 2, -2)) | st.builds(
+        lambda j, sign: sign * zeta_pow(r, j), st.integers(0, r - 1), st.sampled_from((1, -1))
+    )
+    f = TruncatedSeries(vars_, caps, draw(st.dictionaries(exps, coeffs, max_size=8)))
+    base = TruncatedSeries(vars_, caps, {draw(exps): draw(coeffs)})
+    return f, draw(st.integers(0, max(caps) + 2)), base
+
+
+@settings(max_examples=300, deadline=None)
+@given(_bracket_cases())
+def test_bracket_terms_multiplies_by_the_q_bracket(case):
+    f, length, base = case
+    [(step, c)] = base.terms.items()
+    _, bias, guard = _layout(f.caps)
+    got = bracket_terms(f.terms, length, step, c, bias, guard)
+    assert all(got.values())  # no zero is stored
+    # the bracket summed power by power, and F times it term by term
+    [exps] = base.exp_terms
+    bracket = TruncatedSeries.zero(f.vars, f.caps)
+    for j in range(length):
+        bracket = bracket + TruncatedSeries(f.vars, f.caps, {tuple(j * e for e in exps): c**j})
+    assert q_bracket(length, base) == bracket
+    assert got == (f * q_bracket(length, base)).terms
+    if step:  # no power within the caps reaches 10**9, nor the top cap + 1
+        top = max(f.caps) + 1
+        assert bracket_terms(f.terms, 10**9, step, c, bias, guard) == bracket_terms(
+            f.terms, top, step, c, bias, guard
+        )
+
+
+def test_bracket_terms_cuts_a_long_bracket_at_the_caps():
+    # c^(10**9) for c = 2 would not finish; the kernel cuts L at the first
+    # power past the caps before it takes c^L
+    caps = {"x": 5, "y": 3}
+    f = TruncatedSeries(XY, caps, {(0, 0): 1, (1, 0): -2, (2, 1): 3, (5, 3): 4})
+    _, bias, guard, _ = packing(XY, caps)
+    for exps in ({"x": 1}, {"y": 1}, {"x": 1, "y": 2}):
+        [step] = TruncatedSeries.monomial(XY, caps, exps).terms
+        assert bracket_terms(f.terms, 10**9, step, 2, bias, guard) == bracket_terms(
+            f.terms, 6, step, 2, bias, guard
+        )
+    assert bracket_terms(f.terms, 10**9, None, 2, bias, guard) == f.terms
+    assert bracket_terms(f.terms, 0, None, 2, bias, guard) == {}
